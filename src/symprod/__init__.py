@@ -22,8 +22,6 @@ from .geometry2d import (
 )
 from .diskmap import (
     CutoffMapConfig,
-    MonotoneCircleMap,
-    angle_map,
     cutoff_disk_map,
     disk_to_domain,
     domain_to_disk,

@@ -169,6 +169,10 @@ def cmd_sandwich(args):
         fh.write(f"violations_inner = {report.violations_inner}\n")
         fh.write(f"worst_outer_gauge = {report.worst_outer_gauge:.12g}\n")
         fh.write(f"worst_inner_gauge = {report.worst_inner_gauge:.12g}\n")
+        fh.write(f"closed_form = {report.closed_form}\n")
+        fh.write(f"integrated = {report.integrated}\n")
+        fh.write(f"outer_error = {report.outer_error:.12g}\n")
+        fh.write(f"inner_error = {report.inner_error:.12g}\n")
         for kind, point, gauge in report.offenders:
             fh.write(f"offender {kind} gauge={gauge:.12g} point={point}\n")
     return 0 if report.passed else 1
@@ -283,7 +287,8 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--steps", type=int, default=64,
+                   help="RK4 steps for points in the cutoff ramp")
 
     p = add("boundary-minimal", cmd_boundary_minimal,
             help="boundary-minimality shrinking experiment")

@@ -10,6 +10,7 @@ and its inverse.
 from __future__ import annotations
 
 import numbers
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -96,24 +97,51 @@ class RadialProfile:
 
     # -- radius interpolant -------------------------------------------------
 
+    def _segment(self, wrapped):
+        """Grid segment [j, j + 1) holding each wrapped angle, and the offset."""
+        pos = wrapped / (TWO_PI / self.N)
+        j = np.minimum(pos.astype(np.int64), self.N - 1)
+        return j, pos - j, (j + 1) % self.N
+
     def radius(self, theta):
         """Boundary radius R(theta), 2*pi-periodic."""
         wrapped, _ = wrap_angle(theta)
         if self._spline is not None:
             return self._spline(wrapped)
-        pos = wrapped / (TWO_PI / self.N)
-        j = np.minimum(pos.astype(np.int64), self.N - 1)
-        frac = pos - j
-        nxt = (j + 1) % self.N
+        j, frac, nxt = self._segment(wrapped)
         return (1.0 - frac) * self.samples[j] + frac * self.samples[nxt]
+
+    def radius_derivative(self, theta):
+        """R'(theta); at a node of a linear profile, the slope to its right."""
+        wrapped, _ = wrap_angle(theta)
+        if self._spline is not None:
+            return self._spline(wrapped, 1)
+        j, _, nxt = self._segment(wrapped)
+        return (self.samples[nxt] - self.samples[j]) * (self.N / TWO_PI)
+
+    @cached_property
+    def _radius_range(self):
+        """(min, max) of the interpolated radius over the circle.
+
+        The spline overshoots the samples; its extrema lie at nodes or at
+        interior critical points. Computed on first use, since profile
+        builds that only need the area (shrink_profile) never ask.
+        """
+        extrema = self.samples
+        if self._spline is not None:
+            crit = self._spline(self._spline.derivative().roots())
+            extrema = np.concatenate((extrema, crit))
+        return float(np.min(extrema)), float(np.max(extrema))
 
     @property
     def max_radius(self):
-        return float(np.max(self.samples))
+        """Maximum of the interpolated radius over the circle."""
+        return self._radius_range[1]
 
     @property
     def min_radius(self):
-        return float(np.min(self.samples))
+        """Minimum of the interpolated radius over the circle."""
+        return self._radius_range[0]
 
     # -- sector area and its inverse ---------------------------------------
 

@@ -88,6 +88,19 @@ def test_csv_output_is_reproducible():
     assert first == second
 
 
+def test_sandwich_reports_bands_and_error_estimate():
+    argv = ["sandwich", "--spec", str(SPECS / "weier_square.spec"),
+            "--samples", "2000", "--seed", "5"]
+    code, out = run_cli(argv)
+    assert code == 0
+    fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+    assert int(fields["closed_form"]) + int(fields["integrated"]) == 8000
+    assert int(fields["integrated"]) > 0
+    assert 0.0 < float(fields["outer_error"]) < 0.05
+    assert 0.0 < float(fields["inner_error"]) < 0.05
+    assert run_cli(argv)[1] == out
+
+
 def test_missing_spec_file_exits_2(capsys):
     assert run(["area", "--spec", "no_such_file.spec"]) == 2
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symprod import diskmap, geometry2d
 from symprod.geometry2d import TWO_PI
@@ -142,3 +143,142 @@ def test_sandwich_check_small():
     assert report.violations_outer == 0
     assert report.violations_inner == 0
     assert report.passed
+
+
+# -- bands of the cutoff map ------------------------------------------------
+
+def sandwich_factors():
+    return {"weierstrass": geometry2d.weierstrass_profile(terms=20),
+            "square": geometry2d.polygon_profile(SQUARE)}
+
+
+def sandwich_config(profile, steps=64):
+    return diskmap.CutoffMapConfig(
+        delta=diskmap.sandwich_delta(profile, 0.05, 2), steps=steps)
+
+
+def exact_threshold(profile, config):
+    """lev^2 at which the exact band starts."""
+    floor = min(profile.area, np.pi * profile.min_radius ** 2)
+    return config.ramp_hi * config.delta / floor
+
+
+def level_points(profile, lev2, theta, inverse):
+    """Points of level lev^2: circles before the map, scaled boundaries after."""
+    if inverse:
+        return np.sqrt(lev2) * profile.boundary_point(theta)
+    return np.sqrt(lev2 * profile.area / np.pi) * np.exp(1j * theta)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("name", ["weierstrass", "square", "cosine"])
+def test_exact_band_is_closed_form(name, inverse):
+    profile = preset_profiles()[name]
+    config = sandwich_config(profile)
+    rng = np.random.default_rng(20)
+    lev2 = exact_threshold(profile, config) * rng.uniform(1.0, 30.0, 500)
+    z = level_points(profile, lev2, rng.uniform(0.0, TWO_PI, 500), inverse)
+    closed_form = diskmap.domain_to_disk if inverse else diskmap.disk_to_domain
+    w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
+    assert np.max(np.abs(w - closed_form(profile, z))) <= 1e-12
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_frozen_band_is_identity(inverse):
+    profile = geometry2d.weierstrass_profile(terms=20)
+    config = sandwich_config(profile)
+    rng = np.random.default_rng(21)
+    u = config.ramp_lo * config.delta / np.pi * rng.uniform(0.0, 1.0, 300)
+    z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, 300))
+    w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
+    assert np.array_equal(w, z)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("name", list(sandwich_factors()))
+def test_trajectories_from_exact_threshold_stay_where_rho_is_one(name,
+                                                                 inverse):
+    """RK4 at 512 steps from the threshold never enters the ramp."""
+    profile = sandwich_factors()[name]
+    config = sandwich_config(profile)
+    theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+    z = level_points(profile, exact_threshold(profile, config), theta,
+                     inverse)
+    steps = 512
+    dt = -1.0 / steps if inverse else 1.0 / steps
+    t = 1.0 if inverse else 0.0
+    lowest = np.min(np.abs(z) ** 2)
+    for _ in range(steps):
+        k1 = diskmap._cutoff_velocity(profile, config, z, t)
+        k2 = diskmap._cutoff_velocity(profile, config, z + 0.5 * dt * k1,
+                                      t + 0.5 * dt)
+        k3 = diskmap._cutoff_velocity(profile, config, z + 0.5 * dt * k2,
+                                      t + 0.5 * dt)
+        k4 = diskmap._cutoff_velocity(profile, config, z + dt * k3, t + dt)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        lowest = min(lowest, np.min(np.abs(z) ** 2))
+    assert lowest >= config.ramp_hi * config.delta / np.pi * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("name", list(sandwich_factors()))
+def test_map_is_continuous_across_exact_threshold(name, inverse):
+    """Just above (psi) and just below (RK4) the threshold, the map agrees
+    with RK4 at 1024 steps to the first-order error 0.2 / steps of each."""
+    profile = sandwich_factors()[name]
+    config = sandwich_config(profile)
+    theta = np.linspace(0.0, TWO_PI, 360, endpoint=False)
+    lev2 = exact_threshold(profile, config)
+    for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+        z = level_points(profile, factor * lev2, theta, inverse)
+        w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
+        ref = diskmap._rk4(profile, config, z, inverse, 1024)
+        assert np.max(np.abs(w - ref)) <= 0.2 / config.steps + 0.2 / 1024
+
+
+def random_profile(seed, interpolation):
+    rng = np.random.default_rng(seed)
+    return geometry2d.RadialProfile(1.0 + 0.3 * rng.random(64), interpolation)
+
+
+def off_node(profile, theta, h):
+    """theta moved off the grid nodes so [theta - h, theta + h] is smooth."""
+    cell = TWO_PI / profile.N
+    offset = np.mod(theta, cell)
+    return theta - offset + np.clip(offset, 10.0 * h, cell - 10.0 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       interpolation=st.sampled_from(["linear", "cubic"]),
+       theta=st.floats(0.0, TWO_PI, exclude_max=True),
+       t=st.floats(0.0, 1.0))
+def test_analytic_derivatives_match_central_differences(seed, interpolation,
+                                                        theta, t):
+    profile = random_profile(seed, interpolation)
+    h = 1e-6
+    theta = off_node(profile, theta, h)
+    central = (profile.radius(theta + h) - profile.radius(theta - h)) / (2 * h)
+    assert profile.radius_derivative(theta) == pytest.approx(
+        central, rel=1e-6, abs=1e-6)
+
+    def f(th):
+        return diskmap._contact_hamiltonian(profile, th, t)[0]
+
+    central = (f(theta + h) - f(theta - h)) / (2 * h)
+    assert diskmap._contact_hamiltonian(profile, theta, t)[1] == \
+        pytest.approx(central, rel=1e-6, abs=1e-6)
+
+
+def test_sandwich_report_counts_and_certificate():
+    factors = list(sandwich_factors().values())
+    report = diskmap.sandwich_check(factors, epsilon=0.05, samples=2000,
+                                    seed=12, steps=64)
+    assert report.closed_form + report.integrated == 2 * 2 * 2000
+    assert 0 < report.integrated < 0.1 * report.closed_form
+    assert 0.0 < report.outer_error < 0.05
+    assert 0.0 < report.inner_error < 0.05
+    assert report.passed
+    assert report.worst_outer_gauge + report.outer_error <= 1.05
+    assert report.worst_inner_gauge + report.inner_error <= 1.0

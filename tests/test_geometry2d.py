@@ -159,3 +159,32 @@ def test_functional_aliases_agree_with_methods():
     assert geometry2d.area(profile) == profile.area
     z = np.array([0.3 + 0.1j])
     assert np.allclose(geometry2d.gauge2d(profile, z), profile.gauge(z))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+def test_radius_extrema_of_interpolant(seed, interpolation):
+    """min/max_radius bound the interpolant, spline overshoot included."""
+    rng = np.random.default_rng(seed)
+    profile = RadialProfile(1.0 + 0.3 * rng.random(64), interpolation)
+    dense = profile.radius(np.linspace(0.0, TWO_PI, 64 * 32768 + 1))
+    assert profile.min_radius == pytest.approx(dense.min(), abs=1e-9)
+    assert profile.max_radius == pytest.approx(dense.max(), abs=1e-9)
+    assert profile.min_radius <= dense.min() + 1e-12
+    assert profile.max_radius >= dense.max() - 1e-12
+    if interpolation == "cubic":
+        assert profile.min_radius < profile.samples.min()
+        assert profile.max_radius > profile.samples.max()
+
+
+def test_bounding_box_contains_cubic_boundary():
+    from symprod.product import ProductDomain
+    rng = np.random.default_rng(5)
+    factors = [RadialProfile(1.0 + 0.3 * rng.random(64), "cubic"),
+               geometry2d.cosine_profile(1.0)]
+    radii = ProductDomain(factors).bounding_radii()
+    theta = np.linspace(0.0, TWO_PI, 1 << 16)
+    for profile, r in zip(factors, radii):
+        edge = profile.boundary_point(theta)
+        assert np.all(np.abs(edge.real) <= r)
+        assert np.all(np.abs(edge.imag) <= r)
