@@ -124,12 +124,15 @@ class RadialProfile:
         """(min, max) of the interpolated radius over the circle.
 
         The spline overshoots the samples; its extrema lie at nodes or at
-        interior critical points. Computed on first use, since profile
-        builds that only need the area (shrink_profile) never ask.
+        interior critical points. A piece whose derivative vanishes
+        identically (a constant profile) yields NaN roots, which are
+        dropped: its values are node values. Computed on first use, since
+        profile builds that only need the area (shrink_profile) never ask.
         """
         extrema = self.samples
         if self._spline is not None:
-            crit = self._spline(self._spline.derivative().roots())
+            crit = self._spline.derivative().roots()
+            crit = self._spline(crit[np.isfinite(crit)])
             extrema = np.concatenate((extrema, crit))
         return float(np.min(extrema)), float(np.max(extrema))
 

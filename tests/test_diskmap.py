@@ -145,6 +145,17 @@ def test_sandwich_check_small():
     assert report.passed
 
 
+def test_sandwich_check_cubic_disk():
+    """A constant cubic profile has finite radii, so both samplers accept."""
+    factors = [geometry2d.disk_profile(1.0, interpolation="cubic"),
+               geometry2d.polygon_profile(SQUARE)]
+    report = diskmap.sandwich_check(factors, epsilon=0.05, samples=500,
+                                    seed=12, steps=64)
+    assert np.isfinite(report.worst_outer_gauge)
+    assert np.isfinite(report.worst_inner_gauge)
+    assert report.passed
+
+
 # -- bands of the cutoff map ------------------------------------------------
 
 def sandwich_factors():

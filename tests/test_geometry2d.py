@@ -177,6 +177,13 @@ def test_radius_extrema_of_interpolant(seed, interpolation):
         assert profile.max_radius > profile.samples.max()
 
 
+def test_radius_extrema_of_constant_cubic_profile():
+    """A constant spline has a vanishing derivative; its extrema are exact."""
+    profile = geometry2d.disk_profile(1.0, interpolation="cubic")
+    assert profile.min_radius == pytest.approx(np.sqrt(1.0 / np.pi), abs=1e-15)
+    assert profile.max_radius == pytest.approx(np.sqrt(1.0 / np.pi), abs=1e-15)
+
+
 def test_bounding_box_contains_cubic_boundary():
     from symprod.product import ProductDomain
     rng = np.random.default_rng(5)

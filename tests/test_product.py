@@ -86,6 +86,14 @@ def test_mc_volume_ball():
     assert est.std_error < 0.01
 
 
+def test_mc_volume_cubic_disks():
+    domain = ProductDomain([geometry2d.disk_profile(1.0, interpolation="cubic"),
+                            geometry2d.disk_profile(1.0, interpolation="cubic")])
+    assert np.all(np.isfinite(domain.bounding_radii()))
+    est = product.mc_volume(domain, 200000, seed=5)
+    assert abs(est.volume - 0.5) <= 3.0 * est.std_error
+
+
 def test_mc_volume_thread_count_invariant():
     domain = ProductDomain([geometry2d.cosine_profile(1.0),
                             geometry2d.disk_profile(1.0)])
