@@ -34,11 +34,12 @@ class CapacityTable:
 
 
 def _areas_of(spec):
-    if isinstance(spec, EllipsoidSpec):
-        return spec.areas
+    """Factor areas; a plain sequence must pass EllipsoidSpec's checks."""
     if isinstance(spec, ProductDomain):
         return tuple(spec.factor_areas)
-    return tuple(float(a) for a in np.atleast_1d(spec))
+    if not isinstance(spec, EllipsoidSpec):
+        spec = EllipsoidSpec(spec)
+    return spec.areas
 
 
 def gh_capacities(spec, K):
@@ -93,7 +94,7 @@ def shrink_profile(profile, direction, width, target_area, tol=1e-8):
     def area_at(amp):
         return RadialProfile(
             _shrunken_samples(profile, direction, width, amp),
-            profile.interpolation, smooth=False).area
+            profile.interpolation).area
 
     amp_cap = 0.999
     if area_at(amp_cap) > target_area:
@@ -111,12 +112,9 @@ def shrink_profile(profile, direction, width, target_area, tol=1e-8):
             lo = mid
         else:
             hi = mid
-    amp = 0.5 * (lo + hi)
-    shrunk = RadialProfile(
-        _shrunken_samples(profile, direction, width, amp),
-        profile.interpolation, smooth=False)
-    shrunk.shrink_amplitude = amp
-    return shrunk
+    return RadialProfile(
+        _shrunken_samples(profile, direction, width, 0.5 * (lo + hi)),
+        profile.interpolation)
 
 
 @dataclass

@@ -38,14 +38,14 @@ def _emit_csv(fh, columns, rows):
 def _planar_factors(domain):
     for f in domain.factors:
         if not isinstance(f, geometry2d.RadialProfile):
-            raise SystemExit("command requires planar (2d) factors only")
+            raise ValueError("command requires planar (2d) factors only")
     return list(domain.factors)
 
 
 def _parse_point(text, n):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
-        raise SystemExit(f"expected {n} 'x,y' pairs separated by ';'")
+        raise ValueError(f"expected {n} 'x,y' pairs separated by ';'")
     out = np.empty(n, dtype=complex)
     for i, p in enumerate(parts):
         x, y = (float(tok) for tok in p.split(","))
@@ -64,6 +64,8 @@ def cmd_area(args):
 def cmd_map(args):
     domain = load_spec(args.spec)
     factors = _planar_factors(domain)
+    if not 0 <= args.factor < len(factors):
+        raise ValueError(f"--factor must lie in 0..{len(factors) - 1}")
     profile = factors[args.factor]
     k = args.grid
     rho = np.sqrt(np.linspace(0.05, 1.0, k) * profile.area / np.pi)
@@ -71,12 +73,7 @@ def cmd_map(args):
     rr, tt = np.meshgrid(rho, theta)
     z = (rr * np.exp(1j * tt)).ravel()
     w = diskmap.disk_to_domain(profile, z)
-    h = 1e-5 * np.abs(z)
-    dx = (diskmap.disk_to_domain(profile, z + h) -
-          diskmap.disk_to_domain(profile, z - h)) / (2 * h)
-    dy = (diskmap.disk_to_domain(profile, z + 1j * h) -
-          diskmap.disk_to_domain(profile, z - 1j * h)) / (2 * h)
-    det = dx.real * dy.imag - dx.imag * dy.real
+    det = diskmap.jacobian_determinant(profile, z)
     rows = [(float(a.real), float(a.imag), float(b.real), float(b.imag),
              float(d)) for a, b, d in zip(z, w, det)]
     with _writer(args) as fh:
@@ -125,18 +122,8 @@ def cmd_flow(args):
 
 def cmd_conjugacy(args):
     domain = load_spec(args.spec)
-    factors = _planar_factors(domain)
-    areas = np.array([f.area for f in factors])
-    rng = np.random.default_rng(args.seed)
-    t_frac = rng.dirichlet(np.ones(len(factors)), size=args.samples)
-    ang = rng.uniform(0.0, TWO_PI, size=(args.samples, len(factors)))
-    times = rng.uniform(-2.0, 2.0, args.samples) * float(np.max(areas))
-    residuals = []
-    for j in range(args.samples):
-        r = np.sqrt(t_frac[j] * areas / np.pi)
-        z = r * np.exp(1j * ang[j])
-        residuals.append(dynamics.conjugacy_residual(factors, z, times[j]))
-    residuals = np.asarray(residuals)
+    residuals = dynamics.sample_conjugacy_residuals(
+        _planar_factors(domain), args.samples, args.seed)
     with _writer(args) as fh:
         fh.write(f"# symprod {__version__}\n")
         fh.write(f"samples = {args.samples}\n")
@@ -326,7 +313,9 @@ def run(argv=None):
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # Library calls raise ValueError on invalid input (too few
+        # samples or scales, non-positive areas, non-planar factors).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

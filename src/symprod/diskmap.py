@@ -52,6 +52,19 @@ def domain_to_disk(profile, w):
     return complex(out) if out.ndim == 0 else out
 
 
+def jacobian_determinant(profile, z):
+    """Central-difference Jacobian determinant of disk_to_domain at z.
+
+    The step is h = 1e-5 |z| per point, so z must avoid the origin.
+    """
+    h = 1e-5 * np.abs(z)
+    dx = (disk_to_domain(profile, z + h) -
+          disk_to_domain(profile, z - h)) / (2.0 * h)
+    dy = (disk_to_domain(profile, z + 1j * h) -
+          disk_to_domain(profile, z - 1j * h)) / (2.0 * h)
+    return dx.real * dy.imag - dx.imag * dy.real
+
+
 def product_map(factors, z):
     """Factor-wise disk_to_domain on a point of R^{2n} (complex length n)."""
     z = np.asarray(z, dtype=complex)

@@ -11,9 +11,6 @@ conjugate to the Reeb rotation on the matching ellipsoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from numbers import Rational
 
 import numpy as np
 
@@ -129,6 +126,24 @@ def conjugacy_residual(factors, z, t):
     return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
 
 
+def sample_conjugacy_residuals(factors, count, seed):
+    """conjugacy_residual at ``count`` seeded points of the ellipsoid boundary.
+
+    Draws, in this order: Dirichlet area fractions (count, n), uniform
+    angles (count, n) and times uniform in +-2 max(area), then returns the
+    residual per sample.
+    """
+    factors = _planar_factors(factors)
+    areas = np.array([f.area for f in factors])
+    rng = np.random.default_rng(seed)
+    t_frac = rng.dirichlet(np.ones(len(factors)), size=count)
+    ang = rng.uniform(0.0, TWO_PI, size=(count, len(factors)))
+    times = rng.uniform(-2.0, 2.0, count) * float(np.max(areas))
+    z = np.sqrt(t_frac * areas / np.pi) * np.exp(1j * ang)
+    return np.array([conjugacy_residual(factors, z[j], times[j])
+                     for j in range(count)])
+
+
 ACTIVE_LEVEL = 1e-12
 
 
@@ -136,10 +151,8 @@ def orbit_period(domain, point, tol=1e-8, denominator_bound=1000):
     """Least closing time of the product flow, or None within the bound.
 
     Closure requires t to be an integer multiple of every active factor's
-    area. When all active areas are exact rationals the least common
-    multiple is computed in integer arithmetic; otherwise candidate
-    multiples of the largest active area are scanned with the tolerance
-    applied to the fractional turn count.
+    area. Candidate multiples of the largest active area are scanned with
+    the tolerance applied to the fractional turn count.
     """
     factors = _planar_factors(domain)
     areas = [f.area for f in factors]
@@ -149,18 +162,6 @@ def orbit_period(domain, point, tol=1e-8, denominator_bound=1000):
         return None
     if len(active) == 1:
         return areas[active[0]]
-
-    raw = [getattr(factors[i], "exact_area", None) for i in active]
-    if all(isinstance(v, Rational) for v in raw):
-        fracs = [Fraction(v) for v in raw]
-        num = fracs[0].numerator
-        den = fracs[0].denominator
-        for fr in fracs[1:]:
-            num = num * fr.numerator // gcd(num, fr.numerator)
-            den = gcd(den, fr.denominator)
-        period = Fraction(num, den)
-        bound = denominator_bound * max(float(f) for f in fracs)
-        return float(period) if period <= bound else None
 
     a_max = max(areas[i] for i in active)
     others = [areas[i] for i in active]

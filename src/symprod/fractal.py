@@ -118,10 +118,6 @@ def make_fractal(family, **params):
     return cls(**params)
 
 
-def eval_fractal(fn, x):
-    return fn(x)
-
-
 # -- box counting -----------------------------------------------------------
 
 def box_count(points, eps, offset=None):

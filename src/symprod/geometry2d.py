@@ -51,14 +51,12 @@ class RadialProfile:
         Strictly positive radii R(theta_j) at theta_j = 2*pi*j/N.
     interpolation : {"linear", "cubic"}
         Periodic interpolation rule between grid nodes.
-    smooth : bool
-        Set for profiles known to be C^1 (enables derivative-based checks).
 
     The instance is immutable after construction; all methods are pure and
     accept scalars or arrays.
     """
 
-    def __init__(self, samples, interpolation="linear", smooth=False):
+    def __init__(self, samples, interpolation="linear"):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 16:
             raise ValueError("need a 1-d array of at least 16 radius samples")
@@ -71,7 +69,6 @@ class RadialProfile:
         self.samples.setflags(write=False)
         self.N = samples.size
         self.interpolation = interpolation
-        self.smoothness_flag = bool(smooth)
 
         if interpolation == "cubic":
             grid = np.linspace(0.0, TWO_PI, self.N + 1)
@@ -212,7 +209,7 @@ class RadialProfile:
         out = theta + winds * TWO_PI
         return float(out[0]) if scalar else out
 
-    # -- gauge and membership ----------------------------------------------
+    # -- gauge --------------------------------------------------------------
 
     def gauge(self, z):
         """Minkowski gauge g(z) = |z| / R(arg z); g(0) = 0 by definition."""
@@ -221,9 +218,6 @@ class RadialProfile:
         ang = np.mod(np.angle(z), TWO_PI)
         out = np.where(r == 0.0, 0.0, r / self.radius(ang))
         return float(out) if out.ndim == 0 else out
-
-    def contains(self, z, tol=0.0):
-        return self.gauge(z) <= 1.0 + tol
 
     def boundary_point(self, theta):
         """Point R(theta) e^{i theta} on the boundary."""
@@ -252,9 +246,6 @@ class EllipsoidSpec:
         a = np.asarray(self.areas)
         return np.sqrt(np.sum(np.pi * np.abs(z) ** 2 / a, axis=-1))
 
-    def contains(self, z, tol=0.0):
-        return self.gauge(z) <= 1.0 + tol
-
     @property
     def volume(self):
         """Euclidean volume a_1 ... a_n / n!."""
@@ -274,7 +265,7 @@ def disk_profile(area, N=4096, interpolation="linear"):
     if area <= 0.0:
         raise ValueError("disk area must be positive")
     r = np.sqrt(area / np.pi)
-    return RadialProfile(np.full(N, r), interpolation, smooth=True)
+    return RadialProfile(np.full(N, r), interpolation)
 
 
 def polygon_profile(vertices, N=4096):
@@ -312,7 +303,7 @@ def polygon_profile(vertices, N=4096):
     denom = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
     numer = p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]
     radii = numer / denom
-    return RadialProfile(radii, "linear", smooth=False)
+    return RadialProfile(radii, "linear")
 
 
 def weierstrass_series(x, a, b, terms, phases=None):
@@ -334,7 +325,7 @@ def weierstrass_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, N=4096):
     _check_weierstrass(a, b, terms)
     theta = np.arange(N) * (TWO_PI / N)
     radii = r0 + amplitude * weierstrass_series(theta / TWO_PI, a, b, terms)
-    return RadialProfile(radii, "linear", smooth=False)
+    return RadialProfile(radii, "linear")
 
 
 def hunt_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, phases=None,
@@ -348,7 +339,7 @@ def hunt_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, phases=None,
         raise ValueError("need one phase per series term")
     theta = np.arange(N) * (TWO_PI / N)
     radii = r0 + amplitude * weierstrass_series(theta / TWO_PI, a, b, terms, phases)
-    return RadialProfile(radii, "linear", smooth=False)
+    return RadialProfile(radii, "linear")
 
 
 def triangle_wave(x):
@@ -375,14 +366,14 @@ def xz_profile(r0=1.0, amplitude=0.1, a=0.5, alpha=1.2, beta=1.5, terms=12,
         raise ValueError("need 1 < alpha < beta")
     theta = np.arange(N) * (TWO_PI / N)
     radii = r0 + amplitude * xz_series(theta / TWO_PI, a, alpha, beta, terms)
-    return RadialProfile(radii, "linear", smooth=False)
+    return RadialProfile(radii, "linear")
 
 
 def cosine_profile(area=np.pi, N=4096, interpolation="cubic"):
     """Smooth reference profile with R(theta)^2 = (area/pi)(1 + cos(theta)/2)."""
     theta = np.arange(N) * (TWO_PI / N)
     radii = np.sqrt(area / np.pi * (1.0 + 0.5 * np.cos(theta)))
-    return RadialProfile(radii, interpolation, smooth=True)
+    return RadialProfile(radii, interpolation)
 
 
 def _check_weierstrass(a, b, terms):
@@ -402,7 +393,7 @@ _PRESETS = {
 }
 
 
-def make_profile(source, N=4096, interpolation="linear", smooth=False, **params):
+def make_profile(source, N=4096, interpolation="linear", **params):
     """Build a RadialProfile from a sample array or a preset name.
 
     ``source`` is either an array of radii (length N) or one of the preset
@@ -424,7 +415,7 @@ def make_profile(source, N=4096, interpolation="linear", smooth=False, **params)
     samples = np.asarray(source, dtype=float)
     if samples.size != N:
         raise ValueError("sample array length must equal N")
-    return RadialProfile(samples, interpolation, smooth=smooth)
+    return RadialProfile(samples, interpolation)
 
 
 # Spec-style functional aliases.

@@ -78,9 +78,6 @@ class ProductDomain:
         out = np.sum(g ** self.p, axis=-1) ** (1.0 / self.p)
         return float(out) if out.ndim == 0 else out
 
-    def contains(self, x, tol=0.0):
-        return self.gauge(x) <= 1.0 + tol
-
     def bounding_radii(self):
         """Per-complex-coordinate radii of a box enclosing the product."""
         out = []
@@ -93,14 +90,6 @@ class ProductDomain:
 
     def __repr__(self):
         return f"ProductDomain(n_factors={len(self.factors)}, p={self.p})"
-
-
-def product_gauge(domain, x):
-    return domain.gauge(x)
-
-
-def contains(domain, x):
-    return domain.contains(x)
 
 
 def ellipsoid_volume(spec):

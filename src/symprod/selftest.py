@@ -1,8 +1,11 @@
-"""Bundled invariant checks behind ``symprod selftest``.
+"""The paper's experiments as invariant checks, behind ``symprod selftest``.
 
-Each check returns (name, passed, detail) with deterministic formatting, so
-two runs with the same seed produce byte-identical reports regardless of
-the worker count.
+Each ``check_*`` function is the one implementation of its experiment:
+``symprod selftest`` runs them at its own sizes and the acceptance suite
+(tests/test_acceptance.py) at its seeds, sizes and time bounds. Each
+returns (name, passed, detail) with deterministic formatting, so two runs
+with the same seed produce byte-identical reports regardless of the worker
+count.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ def check_jacobian(samples=1000, seed=11):
     rho = np.sqrt(rng.uniform(0.04, 4.0, samples)) * np.sqrt(
         profile.area / np.pi)
     theta = rng.uniform(0.0, TWO_PI, samples)
-    z = rho * np.exp(1j * theta)
-    h = 1e-5 * np.abs(z)
-    dzx = (diskmap.disk_to_domain(profile, z + h) -
-           diskmap.disk_to_domain(profile, z - h)) / (2.0 * h)
-    dzy = (diskmap.disk_to_domain(profile, z + 1j * h) -
-           diskmap.disk_to_domain(profile, z - 1j * h)) / (2.0 * h)
-    det = dzx.real * dzy.imag - dzx.imag * dzy.real
+    det = diskmap.jacobian_determinant(profile, rho * np.exp(1j * theta))
     worst = float(np.max(np.abs(det - 1.0)))
     return "jacobian", worst <= 1e-6, f"max|det-1|={_fmt(worst)} tol=1e-06"
 
@@ -105,18 +102,8 @@ def check_period(points=20, seed=14):
 
 
 def check_conjugacy(samples=1000, seed=15):
-    wprof, square = _standard_factors()
-    factors = [wprof, square]
-    areas = np.array([f.area for f in factors])
-    rng = np.random.default_rng(seed)
-    t_frac = rng.dirichlet(np.ones(2), size=samples)
-    ang = rng.uniform(0.0, TWO_PI, size=(samples, 2))
-    times = rng.uniform(-2.0, 2.0, samples) * float(np.max(areas))
-    worst = 0.0
-    for j in range(samples):
-        r = np.sqrt(t_frac[j] * areas / np.pi)
-        z = r * np.exp(1j * ang[j])
-        worst = max(worst, dynamics.conjugacy_residual(factors, z, times[j]))
+    worst = float(np.max(dynamics.sample_conjugacy_residuals(
+        _standard_factors(), samples, seed)))
     return "conjugacy", worst <= 1e-6, f"max_residual={_fmt(worst)} tol=1e-06"
 
 

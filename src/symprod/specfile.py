@@ -25,7 +25,7 @@ Recognized factor types and their keys:
     weierstrass r0, amplitude, a, b, terms, N
     hunt        r0, amplitude, a, b, terms, seed, phases, N
     xz          r0, amplitude, a, alpha, beta, terms, N
-    samples     values ("r0 r1 ..."), interpolation, smooth
+    samples     values ("r0 r1 ..."), interpolation
     ellipsoid   areas ("a1 a2 ...")
 
 Unknown keys are rejected with a line-anchored message.
@@ -58,7 +58,7 @@ _FACTOR_KEYS = {
     "weierstrass": {"r0", "amplitude", "a", "b", "terms", "n"},
     "hunt": {"r0", "amplitude", "a", "b", "terms", "seed", "phases", "n"},
     "xz": {"r0", "amplitude", "a", "alpha", "beta", "terms", "n"},
-    "samples": {"values", "interpolation", "smooth"},
+    "samples": {"values", "interpolation"},
     "ellipsoid": {"areas"},
 }
 
@@ -159,10 +159,7 @@ def _build_factor(entries, section_line):
             beta=get("beta", float, 1.5), terms=get("terms", int, 12), N=n)
     if ftype == "samples":
         value, ln = keys["values"]
-        radii = _floats(value, ln)
-        smooth = get("smooth", lambda v: v.lower() in ("1", "true", "yes"),
-                     False)
-        return RadialProfile(radii, interp, smooth=smooth)
+        return RadialProfile(_floats(value, ln), interp)
     if ftype == "ellipsoid":
         value, ln = keys["areas"]
         return EllipsoidSpec(_floats(value, ln))

@@ -9,26 +9,9 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from symprod import (capacities, diskmap, dynamics, fractal, geometry2d,
-                     product)
-from symprod.dynamics import FlowPoint
+from symprod import fractal, geometry2d, selftest
 from symprod.geometry2d import TWO_PI
-from symprod.product import ProductDomain
-
-SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-
-
-def preset_profiles():
-    return {
-        "disk": geometry2d.disk_profile(np.pi),
-        "cosine": geometry2d.cosine_profile(np.pi),
-        "square": geometry2d.polygon_profile(SQUARE),
-        "weierstrass": geometry2d.weierstrass_profile(terms=20),
-        "hunt": geometry2d.hunt_profile(terms=20, seed=3),
-        "xz": geometry2d.xz_profile(),
-    }
 
 
 def report(capsys, name, ok, detail):
@@ -37,151 +20,81 @@ def report(capsys, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def timed(check, **kwargs):
+    """(passed, detail, seconds) of one selftest check."""
+    start = time.perf_counter()
+    _, ok, detail = check(**kwargs)
+    return ok, detail, time.perf_counter() - start
+
+
+def run_check(capsys, name, check, bound=None, **kwargs):
+    """Report one selftest check, failing it past ``bound`` seconds."""
+    ok, detail, elapsed = timed(check, **kwargs)
+    if bound is not None:
+        ok = ok and elapsed < bound
+        detail += f", {elapsed:.2f}s (< {bound:g}s)"
+    report(capsys, name, ok, detail)
+
+
 def test_criterion_01_jacobian(capsys):
     """Disk-map symplecticity: |det - 1| <= 1e-6 at 1e3 points, < 5 s."""
-    start = time.perf_counter()
-    profile = geometry2d.cosine_profile(np.pi)
-    rng = np.random.default_rng(101)
-    rho = np.sqrt(rng.uniform(0.04, 4.0, 1000)) * np.sqrt(
-        profile.area / np.pi)
-    z = rho * np.exp(1j * rng.uniform(0.0, TWO_PI, 1000))
-    h = 1e-5 * np.abs(z)
-    dx = (diskmap.disk_to_domain(profile, z + h) -
-          diskmap.disk_to_domain(profile, z - h)) / (2 * h)
-    dy = (diskmap.disk_to_domain(profile, z + 1j * h) -
-          diskmap.disk_to_domain(profile, z - 1j * h)) / (2 * h)
-    det = dx.real * dy.imag - dx.imag * dy.real
-    worst = float(np.max(np.abs(det - 1.0)))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 5.0
-    report(capsys, "criterion-01 jacobian", ok,
-           f"max|det-1|={worst:.3e} (tol 1e-6), {elapsed:.2f}s (< 5s)")
+    run_check(capsys, "criterion-01 jacobian", selftest.check_jacobian,
+              bound=5.0, samples=1000, seed=101)
 
 
 def test_criterion_02_level_mapping(capsys):
     """gauge(psi(z))^2 = pi|z|^2/a within 1e-10 on 1e4 points, all presets."""
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for profile in preset_profiles().values():
-        z = rng.uniform(-1, 1, 10000) + 1j * rng.uniform(-1, 1, 10000)
-        z *= 2.0 * np.sqrt(profile.area / np.pi)
-        img = diskmap.disk_to_domain(profile, z)
-        err = np.abs(profile.gauge(img) ** 2 -
-                     np.pi * np.abs(z) ** 2 / profile.area)
-        worst = max(worst, float(err.max()))
-    ok = worst <= 1e-10
-    report(capsys, "criterion-02 level-mapping", ok,
-           f"max error={worst:.3e} (tol 1e-10)")
+    run_check(capsys, "criterion-02 level-mapping",
+              selftest.check_level_mapping, samples=10000, seed=102)
 
 
 def test_criterion_03_sandwich(capsys):
     """Two-factor epsilon-sandwich: zero violations at M=1e5, < 60 s."""
-    start = time.perf_counter()
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
-    rep = diskmap.sandwich_check(factors, epsilon=0.05, samples=100000,
-                                 seed=103)
-    elapsed = time.perf_counter() - start
-    ok = rep.passed and elapsed < 60.0
-    report(capsys, "criterion-03 sandwich", ok,
-           f"violations={rep.violations_outer}+{rep.violations_inner}, "
-           f"worst_outer={rep.worst_outer_gauge:.6f}, "
-           f"worst_inner={rep.worst_inner_gauge:.6f}, {elapsed:.1f}s (< 60s)")
+    run_check(capsys, "criterion-03 sandwich", selftest.check_sandwich,
+              bound=60.0, samples=100000, seed=103, steps=64)
 
 
 def test_criterion_04_volume(capsys):
     """mc_volume of an area-(1,1) 2-product: 1/2 within 3 SE at M=1e6."""
-    start = time.perf_counter()
-    domain = ProductDomain([geometry2d.cosine_profile(1.0),
-                            geometry2d.disk_profile(1.0)])
-    est = product.mc_volume(domain, 1000000, seed=104)
-    elapsed = time.perf_counter() - start
-    err = abs(est.volume - 0.5)
-    ok = err <= 3.0 * est.std_error and elapsed < 30.0
-    report(capsys, "criterion-04 volume", ok,
-           f"estimate={est.volume:.6f}, |err|={err:.2e} "
-           f"(3SE={3 * est.std_error:.2e}), {elapsed:.1f}s (< 30s)")
+    run_check(capsys, "criterion-04 volume", selftest.check_volume,
+              bound=30.0, samples=1000000, seed=104)
 
 
 def test_criterion_05_period(capsys):
     """Phi^area returns 20 random boundary points within 1e-8, all presets."""
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for profile in preset_profiles().values():
-        z = profile.boundary_point(rng.uniform(0.0, TWO_PI, 20))
-        back = dynamics.char_flow_2d(profile, z, profile.area)
-        worst = max(worst, float(np.max(np.abs(back - z))))
-    ok = worst <= 1e-8
-    report(capsys, "criterion-05 period", ok,
-           f"max|Phi^a(z)-z|={worst:.3e} (tol 1e-8)")
+    run_check(capsys, "criterion-05 period", selftest.check_period,
+              points=20, seed=105)
 
 
 def test_criterion_06_conjugacy(capsys):
     """Reeb conjugacy residual over 1e3 random (z, t) <= 1e-6."""
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
-    areas = np.array([f.area for f in factors])
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(1000):
-        t = rng.dirichlet(np.ones(2))
-        z = np.sqrt(t * areas / np.pi) * np.exp(
-            1j * rng.uniform(0.0, TWO_PI, 2))
-        worst = max(worst, dynamics.conjugacy_residual(
-            factors, z, rng.uniform(-2.0, 2.0) * areas.max()))
-    ok = worst <= 1e-6
-    report(capsys, "criterion-06 conjugacy", ok,
-           f"max residual={worst:.3e} (tol 1e-6)")
+    run_check(capsys, "criterion-06 conjugacy", selftest.check_conjugacy,
+              samples=1000, seed=106)
 
 
 def test_criterion_07_foliation(capsys):
     """Equal areas: all orbits close at t=a; (1, sqrt 2): no period found."""
-    rep = dynamics.is_foliated_by_systoles(
-        [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)],
-        1000, seed=107)
-    point = FlowPoint(angles=[0.3, 1.1], levels=np.sqrt([0.5, 0.5]))
-    period = dynamics.orbit_period(
-        [geometry2d.disk_profile(1.0),
-         geometry2d.disk_profile(np.sqrt(2.0))],
-        point, denominator_bound=1000)
-    ok = rep.passed and period is None
-    report(capsys, "criterion-07 foliation", ok,
-           f"worst deviation={rep.worst_deviation:.3e} (tol 1e-8), "
-           f"irrational pair period={'none' if period is None else period}")
+    run_check(capsys, "criterion-07 foliation", selftest.check_foliation,
+              samples=1000, seed=107)
 
 
 def test_criterion_08_capacities(capsys):
     """E(1,2) capacities (1,2,2,3); c1 = cn exactly for equal areas."""
-    table = capacities.gh_capacities([1.0, 2.0], 4)
-    zoll, c1, cn = capacities.zoll_check([1.5, 1.5, 1.5])
-    ok = table.values == (1.0, 2.0, 2.0, 3.0) and zoll and c1 == cn
-    report(capsys, "criterion-08 capacities", ok,
-           f"E(1,2) -> {table.values}, equal-area c1=cn: {zoll}")
+    run_check(capsys, "criterion-08 capacities", selftest.check_capacities)
 
 
 def test_criterion_09_boundary_minimal(capsys):
     """Shrink to a'=0.9a: zero containment violations at M=1e5, gap 0.1a."""
-    factors = [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)]
-    point = FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.5, 0.5]))
-    rep = capacities.boundary_minimal_experiment(
-        factors, point, width=0.9, target_area=0.9, samples=100000, seed=109)
-    ok = (rep.passed and rep.violations == 0 and
-          abs(rep.capacity_gap - 0.1) < 1e-9)
-    report(capsys, "criterion-09 boundary-minimal", ok,
-           f"violations={rep.violations}, checked={rep.checked}, "
-           f"capacity gap={rep.capacity_gap:.6f} (want 0.1)")
+    run_check(capsys, "criterion-09 boundary-minimal",
+              selftest.check_boundary_minimal, samples=100000, seed=109)
 
 
 def test_criterion_10_fractal_dimension(capsys):
     """Box-counting: graph, graph x interval, 4d boundary patch, baseline."""
-    start = time.perf_counter()
-    fn = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
-    scales = 2.0 ** -np.arange(4, 15)
-    counts = fractal.count_scales(fractal.graph_sampler(fn), scales,
-                                  seed=110)
-    graph_est = fractal.estimate_dimension(scales, counts)
-    graph_time = time.perf_counter() - start
+    graph_ok, graph_detail, graph_time = timed(selftest.check_boxdim,
+                                               seed=110)
 
+    fn = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
     coarse = 2.0 ** -np.arange(4, 10)
     base = fractal.count_scales(fractal.graph_sampler(fn), coarse, seed=110)
     prod_est = fractal.estimate_dimension(
@@ -210,13 +123,13 @@ def test_criterion_10_fractal_dimension(capsys):
         oversample=1, pitch_factor=2, n_offsets=1, margin=0.04)
     frac_est = fractal.estimate_dimension(frac_scales, frac_counts)
 
-    target1 = 2.0 + np.log(0.5) / np.log(3.0)  # 1.3691
-    ok = (abs(graph_est.slope - target1) <= 0.08 and graph_time < 60.0 and
+    target1 = fn.graph_dimension  # 2 + log 0.5 / log 3 = 1.3691
+    ok = (graph_ok and graph_time < 60.0 and
           abs(prod_est.slope - (target1 + 1.0)) <= 0.15 and
           abs(disk_est.slope - 3.0) <= 0.1 and
           abs(frac_est.slope - 3.5) <= 0.2)
     report(capsys, "criterion-10 boxdim", ok,
-           f"graph={graph_est.slope:.4f} (1.3691±0.08, {graph_time:.1f}s), "
+           f"graph {graph_detail}, {graph_time:.1f}s (< 60s), "
            f"product={prod_est.slope:.4f} (2.3691±0.15), "
            f"disk patch={disk_est.slope:.4f} (3±0.1), "
            f"fractal patch={frac_est.slope:.4f} (3.5±0.2)")

@@ -35,6 +35,14 @@ def test_gh_capacities_rejects_bad_count():
         capacities.gh_capacities([1.0], 0)
 
 
+@pytest.mark.parametrize("areas", [[1.0, -2.0], [0.0], [1.5, 0.0, 1.5]])
+def test_capacities_reject_nonpositive_areas(areas):
+    with pytest.raises(ValueError):
+        capacities.gh_capacities(areas, 4)
+    with pytest.raises(ValueError):
+        capacities.zoll_check(areas)
+
+
 def test_ball_is_zoll():
     zoll, c1, cn = capacities.zoll_check([1.5, 1.5, 1.5])
     assert zoll and c1 == cn == 1.5

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from symprod.cli import run
+from symprod.selftest import run_selftest
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -125,4 +126,32 @@ def test_unknown_command_exits_2():
 
 
 def test_selftest_quick():
+    """Quick selftest passes, byte-identically at 1 and 2 threads."""
+    reports = []
+    for threads in (1, 2):
+        lines = []
+        assert run_selftest(seed=7, threads=threads, quick=True,
+                            out=lines.append) == 0
+        reports.append("\n".join(lines))
+    assert reports[0] == reports[1]
     assert run(["selftest", "--seed", "7", "--quick"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--spec", "ELLIPSOID", "--seed", "1"],
+    ["flow", "--spec", str(SPECS / "cosine_disk.spec"), "--point", "0.1,0.1"],
+    ["map", "--spec", str(SPECS / "cosine_disk.spec"), "--factor", "5"],
+    ["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "10",
+     "--seed", "1"],
+    ["boxdim", "--max-exp", "6", "--seed", "1"],
+    ["capacities", "--areas", "1,-2"],
+], ids=["sandwich-ellipsoid", "flow-one-point", "map-factor-range",
+        "volume-few-samples", "boxdim-few-scales", "capacities-negative"])
+def test_usage_error_exits_2(argv, tmp_path, capsys):
+    spec = tmp_path / "ellipsoid.spec"
+    spec.write_text("[factor]\ntype = ellipsoid\nareas = 1 2\n")
+    argv = [str(spec) if a == "ELLIPSOID" else a for a in argv]
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")

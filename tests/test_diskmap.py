@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from symprod import diskmap, geometry2d
 from symprod.geometry2d import TWO_PI
@@ -38,12 +38,7 @@ def test_jacobian_determinant_one():
     profile = geometry2d.cosine_profile(np.pi)
     z = random_disk_points(profile, 300, 1)
     z = z[np.abs(z) > 0.1]
-    h = 1e-5 * np.abs(z)
-    dx = (diskmap.disk_to_domain(profile, z + h) -
-          diskmap.disk_to_domain(profile, z - h)) / (2 * h)
-    dy = (diskmap.disk_to_domain(profile, z + 1j * h) -
-          diskmap.disk_to_domain(profile, z - 1j * h)) / (2 * h)
-    det = dx.real * dy.imag - dx.imag * dy.real
+    det = diskmap.jacobian_determinant(profile, z)
     assert np.max(np.abs(det - 1.0)) < 1e-6
 
 
@@ -55,6 +50,22 @@ def test_level_sets_map_to_gauge_levels(name):
     lhs = profile.gauge(img) ** 2
     rhs = np.pi * np.abs(z) ** 2 / profile.area
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_level_sets_map_to_gauge_levels_random_profiles(seed, n,
+                                                        interpolation):
+    rng = np.random.default_rng(seed)
+    try:
+        profile = geometry2d.RadialProfile(rng.uniform(0.2, 2.0, n),
+                                           interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    z = random_disk_points(profile, 200, seed)
+    lhs = profile.gauge(diskmap.disk_to_domain(profile, z)) ** 2
+    assert np.max(np.abs(lhs - np.pi * np.abs(z) ** 2 / profile.area)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", list(preset_profiles()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from symprod import geometry2d
 from symprod.geometry2d import (EllipsoidSpec, RadialProfile, TWO_PI,
@@ -63,6 +64,22 @@ def test_inverse_sector_area_roundtrip(name):
     back = profile.inverse_sector_area(profile.sector_area(theta))
     err = np.abs(np.angle(np.exp(1j * (back - theta))))
     assert np.max(err) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_inverse_sector_area_roundtrip_random_profiles(seed, n,
+                                                       interpolation):
+    """|S(S^-1(s)) - s| <= 1e-10 area, s over three turns."""
+    rng = np.random.default_rng(seed)
+    try:
+        profile = RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    s = rng.uniform(-1.0, 2.0, 200) * profile.area
+    err = np.abs(profile.sector_area(profile.inverse_sector_area(s)) - s)
+    assert np.max(err) / profile.area <= 1e-10
 
 
 def test_sector_area_monotone_and_total():
