@@ -13,9 +13,7 @@ from .geometry2d import (
     RadialProfile,
     cosine_profile,
     disk_profile,
-    gauge2d,
     hunt_profile,
-    make_profile,
     polygon_profile,
     weierstrass_profile,
     xz_profile,
@@ -38,11 +36,9 @@ from .product import (
 from .dynamics import (
     FlowPoint,
     char_flow_2d,
-    conjugacy_map,
     conjugacy_residual,
     is_foliated_by_systoles,
     orbit_period,
-    product_flow,
     reeb_ellipsoid,
 )
 from .capacities import (

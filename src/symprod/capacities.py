@@ -17,7 +17,7 @@ from itertools import count
 import numpy as np
 
 from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import ProductDomain, sample_complex_box
+from .product import ProductDomain, rejection_sample
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,15 @@ def _shrunken_samples(profile, center, width, amplitude):
     return profile.samples * (1.0 - amplitude * _bump(theta, center, width))
 
 
-def shrink_profile(profile, direction, width, target_area, tol=1e-8):
+def shrink_profile(profile, direction, width, target_area):
     """Remove area near one boundary direction, keeping star-shapedness.
 
-    Multiplies R by 1 - A * bump(theta) inside the angular window and solves
-    the amplitude A by bisection so the new area equals ``target_area``.
-    Raises ValueError when the window cannot absorb the requested removal.
+    Multiplies R by 1 - A * bump(theta) inside the angular window, with the
+    amplitude A chosen so the new area equals ``target_area``. The samples,
+    hence the linear or cubic interpolant, are linear in A, so the area is
+    a quadratic q(A); builds at A = 0, 1/2 and 0.999 fix it, and A is its
+    root in closed form. Raises ValueError when the window cannot absorb
+    the requested removal.
     """
     a = profile.area
     if target_area > a:
@@ -91,30 +94,26 @@ def shrink_profile(profile, direction, width, target_area, tol=1e-8):
     if not 0.0 < width < np.pi:
         raise ValueError("window half-width must lie in (0, pi)")
 
-    def area_at(amp):
+    def build(amp):
         return RadialProfile(
             _shrunken_samples(profile, direction, width, amp),
-            profile.interpolation).area
+            profile.interpolation)
 
-    amp_cap = 0.999
-    if area_at(amp_cap) > target_area:
+    half, amp_cap = 0.5, 0.999
+    area_cap = build(amp_cap).area
+    if area_cap > target_area:
         raise ValueError(
             "requested area removal exceeds what the window can absorb")
 
-    lo, hi = 0.0, amp_cap
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = area_at(mid)
-        if abs(val - target_area) <= tol:
-            lo = hi = mid
-            break
-        if val > target_area:
-            lo = mid
-        else:
-            hi = mid
-    return RadialProfile(
-        _shrunken_samples(profile, direction, width, 0.5 * (lo + hi)),
-        profile.interpolation)
+    # q(A) = a + c1 A + c2 A^2 with c1 < 0 < c2; the smaller root of
+    # q(A) = target, written to avoid cancellation.
+    slope_half = (build(half).area - a) / half
+    slope_cap = (area_cap - a) / amp_cap
+    c2 = (slope_cap - slope_half) / (amp_cap - half)
+    c1 = slope_half - c2 * half
+    gap = a - target_area
+    disc = max(c1 * c1 - 4.0 * c2 * gap, 0.0)
+    return build(2.0 * gap / (np.sqrt(disc) - c1))
 
 
 @dataclass
@@ -175,40 +174,18 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     shrunk_domain = ProductDomain(shrunk, p=2.0)
 
     rng = np.random.default_rng(seed)
-    radii = domain.bounding_radii()
-    checked = 0
-    violations = 0
-    worst = 0.0
-    offenders = []
-    remaining = samples
-    while remaining > 0:
-        draw = min(1 << 16, max(4096, remaining))
-        pts = sample_complex_box(rng, radii, draw)
-        gauge = domain.gauge(pts)
-        inside = gauge <= 1.0
-        pts = pts[inside]
-        gauge = gauge[inside]
-        remaining -= pts.shape[0]
-
-        in_window = np.zeros(pts.shape[0], dtype=bool)
-        for i in range(len(factors)):
-            ang = np.mod(np.angle(pts[:, i]), TWO_PI)
-            u = np.mod(ang - directions[i] + np.pi, TWO_PI) - np.pi
-            in_window |= np.abs(u) < width
-        in_u = in_window & (gauge > 1.0 - eta)
-        test = pts[~in_u]
-        if test.shape[0] == 0:
-            continue
-        g2 = shrunk_domain.gauge(test)
-        bad = g2 > 1.0
-        checked += test.shape[0]
-        violations += int(np.count_nonzero(bad))
-        if np.any(bad):
-            for idx in np.flatnonzero(bad)[:5]:
-                offenders.append((test[idx], float(g2[idx])))
-        worst = max(worst, float(np.max(g2)))
+    pts = rejection_sample(rng, domain.bounding_radii(), domain.gauge, samples)
+    in_window = np.zeros(samples, dtype=bool)
+    for i in range(len(factors)):
+        u = np.mod(np.angle(pts[:, i]) - directions[i] + np.pi, TWO_PI) - np.pi
+        in_window |= np.abs(u) < width
+    test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
+    g2 = shrunk_domain.gauge(test)
+    bad = np.flatnonzero(g2 > 1.0)
+    offenders = [(test[idx], float(g2[idx])) for idx in bad[:5]]
 
     return BoundaryMinimalReport(
         area=a, target_area=target_area, capacity_gap=a - target_area,
-        eta=float(eta), samples=samples, checked=checked, seed=seed,
-        violations=violations, worst_gauge=worst, offenders=offenders)
+        eta=float(eta), samples=samples, checked=test.shape[0], seed=seed,
+        violations=bad.size, worst_gauge=float(np.max(g2, initial=0.0)),
+        offenders=offenders)

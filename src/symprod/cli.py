@@ -288,7 +288,9 @@ def build_parser():
     p = add("boxdim", cmd_boxdim, help="box-counting dimension estimate")
     p.add_argument("--target", choices=["function", "product", "boundary"],
                    default="function")
-    p.add_argument("--family", default="weierstrass")
+    p.add_argument("--family", default="weierstrass",
+                   help="weierstrass or weierstrass_phase (xiao_zhou takes "
+                        "no --b and is library-only)")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--terms", type=int, default=30)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry2d import TWO_PI
-from .product import ProductDomain, sample_complex_box
+from .product import ProductDomain, rejection_sample
 
 
 def disk_to_domain(profile, z):
@@ -292,15 +292,15 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64, deltas=None):
         return np.sqrt(np.sum(np.pi * np.abs(pts) ** 2 / areas, axis=-1))
 
     # Outer: samples of E, pushed forward.
-    ellipsoid_pts = _rejection_sample(rng, np.sqrt(areas / np.pi),
-                                      ellipsoid_gauge, samples)
+    ellipsoid_pts = rejection_sample(rng, np.sqrt(areas / np.pi),
+                                     ellipsoid_gauge, samples)
     outer_gauge, outer_error, outer_ramp = _map_and_gauge(
         factors, configs, ellipsoid_pts, False, domain.gauge)
     outer_bad = outer_gauge > 1.0 + epsilon
 
     # Inner: samples of (1 - eps) * product, pulled back.
     box_radii = (1.0 - epsilon) * domain.bounding_radii()
-    target = _rejection_sample(
+    target = rejection_sample(
         rng, box_radii, lambda pts: domain.gauge(pts) / (1.0 - epsilon),
         samples)
     inner_gauge, inner_error, inner_ramp = _map_and_gauge(
@@ -355,16 +355,3 @@ def _map_and_gauge(factors, configs, pts, inverse, gauge_fn):
     if np.any(rows):
         error[rows] = np.abs(gauge[rows] - gauge_fn(coarse[rows]))
     return gauge, error, int(np.count_nonzero(ramps))
-
-
-def _rejection_sample(rng, radii, gauge_fn, count):
-    """Uniform samples of {gauge <= 1} by rejection from the bounding box."""
-    out = []
-    have = 0
-    while have < count:
-        draw = max(4096, int(1.5 * (count - have)))
-        pts = sample_complex_box(rng, radii, draw)
-        keep = pts[gauge_fn(pts) <= 1.0]
-        out.append(keep)
-        have += keep.shape[0]
-    return np.concatenate(out)[:count]

@@ -8,11 +8,19 @@ which makes occupied-cell counting equivalent to column-range counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry2d import triangle_wave, weierstrass_series
+from .geometry2d import (_check_weierstrass, _check_xz, weierstrass_series,
+                         xz_series)
+
+
+def _check_graph(a, b, terms):
+    """Weierstrass parameters whose graph is fractal (a * b > 1)."""
+    _check_weierstrass(a, b, terms)
+    if a * b <= 1.0:
+        raise ValueError("need a * b > 1 for a fractal graph")
 
 
 @dataclass(frozen=True)
@@ -28,12 +36,7 @@ class Weierstrass:
     terms: int = 30
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0 < self.b:
-            raise ValueError("need 0 < a < 1 < b")
-        if self.a * self.b <= 1.0:
-            raise ValueError("need a * b > 1 for a fractal graph")
-        if self.terms < 0:
-            raise ValueError("term count must be nonnegative")
+        _check_graph(self.a, self.b, self.terms)
 
     def __call__(self, x):
         return weierstrass_series(x, self.a, self.b, self.terms)
@@ -54,10 +57,7 @@ class PhaseShiftedWeierstrass:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0 < self.b:
-            raise ValueError("need 0 < a < 1 < b")
-        if self.a * self.b <= 1.0:
-            raise ValueError("need a * b > 1 for a fractal graph")
+        _check_graph(self.a, self.b, self.terms)
         if self.phases is None:
             rng = np.random.default_rng(self.seed)
             object.__setattr__(
@@ -89,18 +89,10 @@ class XiaoZhou:
     terms: int = 12
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("need 0 < a < 1")
-        if not 1.0 < self.alpha < self.beta:
-            raise ValueError("need 1 < alpha < beta")
+        _check_xz(self.a, self.alpha, self.beta)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k in range(1, self.terms + 1):
-            out += self.a ** (k ** self.alpha) * triangle_wave(
-                self.a ** (-(k ** self.beta)) * x)
-        return out
+        return xz_series(x, self.a, self.alpha, self.beta, self.terms)
 
 
 _FAMILIES = {
@@ -111,10 +103,15 @@ _FAMILIES = {
 
 
 def make_fractal(family, **params):
+    """Build a family by name; a parameter it does not take is an error."""
     try:
         cls = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown fractal family {family!r}") from None
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"fractal family {family!r} takes no parameter "
+                         + ", ".join(unknown))
     return cls(**params)
 
 

@@ -9,7 +9,6 @@ and its inverse.
 
 from __future__ import annotations
 
-import numbers
 from functools import cached_property
 
 import numpy as np
@@ -204,7 +203,7 @@ class RadialProfile:
             hi = np.where(val > 0.0, theta, hi)
             lo = np.where(val < 0.0, theta, lo)
             newton = theta - step
-            bad = (newton <= lo) | (newton >= hi)
+            bad = (newton < lo) | (newton > hi)
             theta = np.where(bad, 0.5 * (lo + hi), newton)
         out = theta + winds * TWO_PI
         return float(out[0]) if scalar else out
@@ -360,10 +359,7 @@ def xz_series(x, a, alpha, beta, terms):
 def xz_profile(r0=1.0, amplitude=0.1, a=0.5, alpha=1.2, beta=1.5, terms=12,
                N=4096):
     """Triangle-wave series profile (dimension-2 boundary family)."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("need 0 < a < 1")
-    if not 1.0 < alpha < beta:
-        raise ValueError("need 1 < alpha < beta")
+    _check_xz(a, alpha, beta)
     theta = np.arange(N) * (TWO_PI / N)
     radii = r0 + amplitude * xz_series(theta / TWO_PI, a, alpha, beta, terms)
     return RadialProfile(radii, "linear")
@@ -383,58 +379,9 @@ def _check_weierstrass(a, b, terms):
         raise ValueError("term count must be nonnegative")
 
 
-_PRESETS = {
-    "disk": disk_profile,
-    "polygon": polygon_profile,
-    "weierstrass": weierstrass_profile,
-    "hunt": hunt_profile,
-    "xz": xz_profile,
-    "cosine": cosine_profile,
-}
+def _check_xz(a, alpha, beta):
+    if not 0.0 < a < 1.0:
+        raise ValueError("need 0 < a < 1")
+    if not 1.0 < alpha < beta:
+        raise ValueError("need 1 < alpha < beta")
 
-
-def make_profile(source, N=4096, interpolation="linear", **params):
-    """Build a RadialProfile from a sample array or a preset name.
-
-    ``source`` is either an array of radii (length N) or one of the preset
-    names {"disk", "polygon", "weierstrass", "hunt", "xz", "cosine"} with
-    preset parameters passed as keywords.
-    """
-    if N < 16:
-        raise ValueError("grid size must be at least 16")
-    if isinstance(source, str):
-        try:
-            builder = _PRESETS[source]
-        except KeyError:
-            raise ValueError(f"unknown preset {source!r}") from None
-        if source == "disk":
-            return builder(N=N, interpolation=interpolation, **params)
-        if source == "cosine":
-            return builder(N=N, interpolation=interpolation, **params)
-        return builder(N=N, **params)
-    samples = np.asarray(source, dtype=float)
-    if samples.size != N:
-        raise ValueError("sample array length must equal N")
-    return RadialProfile(samples, interpolation)
-
-
-# Spec-style functional aliases.
-
-def area(profile):
-    """Total area of the domain."""
-    return profile.area
-
-
-def sector_area(profile, theta):
-    return profile.sector_area(theta)
-
-
-def inverse_sector_area(profile, s):
-    return profile.inverse_sector_area(s)
-
-
-def gauge2d(profile, z):
-    if isinstance(z, (tuple, list)) and len(z) == 2 and \
-            isinstance(z[0], numbers.Real):
-        z = complex(z[0], z[1])
-    return profile.gauge(z)

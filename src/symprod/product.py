@@ -108,6 +108,25 @@ def sample_complex_box(rng, radii, count):
     return re + 1j * im
 
 
+def rejection_sample(rng, radii, gauge_fn, count):
+    """Uniform samples of {gauge <= 1} by rejection from the bounding box.
+
+    Draws boxes of max(4096, 1.5 x the shortfall) points until ``count``
+    are accepted, and returns the first ``count`` in draw order.
+    """
+    if count < 1:
+        raise ValueError("need at least one sample")
+    out = []
+    have = 0
+    while have < count:
+        draw = max(4096, int(1.5 * (count - have)))
+        pts = sample_complex_box(rng, radii, draw)
+        keep = pts[gauge_fn(pts) <= 1.0]
+        out.append(keep)
+        have += keep.shape[0]
+    return np.concatenate(out)[:count]
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     volume: float

@@ -28,7 +28,8 @@ Recognized factor types and their keys:
     samples     values ("r0 r1 ..."), interpolation
     ellipsoid   areas ("a1 a2 ...")
 
-Unknown keys are rejected with a line-anchored message.
+Unknown keys are rejected with a line-anchored message; so are values the
+library rejects, at the p line or at the factor's section line.
 """
 
 from __future__ import annotations
@@ -166,9 +167,20 @@ def _build_factor(entries, section_line):
     raise AssertionError(ftype)
 
 
+def _anchored(build, line, *args):
+    """Call a builder; a ValueError from the library gets ``line``."""
+    try:
+        return build(*args)
+    except SpecFileError:
+        raise
+    except ValueError as exc:
+        raise SpecFileError(str(exc), line) from None
+
+
 def parse_spec(text):
     """Parse spec text into a ProductDomain."""
     p = 2.0
+    p_line = None
     factors = []
     current = None
     current_line = None
@@ -177,7 +189,9 @@ def parse_spec(text):
             if payload != "factor":
                 raise SpecFileError(f"unknown section [{payload}]", lineno)
             if current is not None:
-                factors.append(_build_factor(current, current_line))
+                factors.append(
+                    _anchored(_build_factor, current_line, current,
+                              current_line))
             current = {}
             current_line = lineno
         else:
@@ -191,15 +205,17 @@ def parse_spec(text):
                 except ValueError:
                     raise SpecFileError(f"bad value for 'p': {value!r}",
                                         lineno)
+                p_line = lineno
             else:
                 if key in current:
                     raise SpecFileError(f"duplicate key {key!r}", lineno)
                 current[key] = (value, lineno)
     if current is not None:
-        factors.append(_build_factor(current, current_line))
+        factors.append(
+            _anchored(_build_factor, current_line, current, current_line))
     if not factors:
         raise SpecFileError("spec file declares no factors")
-    return ProductDomain(factors, p=p)
+    return _anchored(ProductDomain, p_line, factors, p)
 
 
 def load_spec(path):

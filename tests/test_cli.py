@@ -48,13 +48,16 @@ def test_volume_near_exact(tmp_path):
 
 
 def test_map_command_jacobian_column(tmp_path):
+    """Every printed Jacobian, on both factors, is 1 within 1e-9."""
     out_file = tmp_path / "map.csv"
-    code, _ = run_cli(["map", "--spec", str(SPECS / "cosine_disk.spec"),
-                       "--grid", "8", "--output", str(out_file)])
-    assert code == 0
-    rows = out_file.read_text().splitlines()[2:]
-    jac = [float(r.split(",")[-1]) for r in rows]
-    assert max(abs(j - 1.0) for j in jac) < 1e-6
+    for factor in ("0", "1"):
+        code, _ = run_cli(["map", "--spec", str(SPECS / "cosine_disk.spec"),
+                           "--grid", "8", "--factor", factor,
+                           "--output", str(out_file)])
+        assert code == 0
+        rows = out_file.read_text().splitlines()[2:]
+        jac = [float(r.split(",")[-1]) for r in rows]
+        assert max(abs(j - 1.0) for j in jac) < 1e-9
 
 
 def test_flow_command_preserves_gauge():
@@ -145,8 +148,10 @@ def test_selftest_quick():
      "--seed", "1"],
     ["boxdim", "--max-exp", "6", "--seed", "1"],
     ["capacities", "--areas", "1,-2"],
+    ["boxdim", "--family", "xiao_zhou", "--seed", "1"],
 ], ids=["sandwich-ellipsoid", "flow-one-point", "map-factor-range",
-        "volume-few-samples", "boxdim-few-scales", "capacities-negative"])
+        "volume-few-samples", "boxdim-few-scales", "capacities-negative",
+        "boxdim-family-parameter"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     spec = tmp_path / "ellipsoid.spec"
     spec.write_text("[factor]\ntype = ellipsoid\nareas = 1 2\n")

@@ -92,11 +92,11 @@ def test_conjugacy_residual_is_tiny():
     assert np.max(residuals) < 1e-8
 
 
-def test_conjugacy_map_rejects_interior_point():
+def test_conjugacy_residual_rejects_interior_point():
     factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.0)]
     z = np.array([0.1 + 0.0j, 0.1 + 0.0j])  # strictly inside E(1, 1)
     with pytest.raises(ValueError):
-        dynamics.conjugacy_map(factors, z)
+        dynamics.conjugacy_residual(factors, z, 0.3)
 
 
 def test_orbit_period_single_active_factor():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from symprod import geometry2d
-from symprod.geometry2d import (EllipsoidSpec, RadialProfile, TWO_PI,
-                                make_profile)
+from symprod.geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
 
 SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 
@@ -82,6 +81,30 @@ def test_inverse_sector_area_roundtrip_random_profiles(seed, n,
     assert np.max(err) / profile.area <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["weierstrass", "square", "cosine"])
+def test_inverse_sector_area_newton_converges(name, monkeypatch):
+    """Converged points stay on Newton: few iterations for 20,000 points.
+
+    Each iteration makes one _cell_integral call; bisecting converged
+    points away takes about 28.
+    """
+    profile = preset_profiles()[name]
+    calls = []
+    cell_integral = profile._cell_integral
+
+    def spy(k, s):
+        calls.append(None)
+        return cell_integral(k, s)
+
+    monkeypatch.setattr(profile, "_cell_integral", spy)
+    s = np.random.default_rng(8).uniform(0.0, profile.area, 20000)
+    theta = profile.inverse_sector_area(s)
+    assert len(calls) <= 8
+    monkeypatch.undo()
+    err = np.abs(profile.sector_area(theta) - s)
+    assert np.max(err) <= 1e-12 * profile.area
+
+
 def test_sector_area_monotone_and_total():
     profile = geometry2d.weierstrass_profile(terms=20)
     theta = np.linspace(0.0, TWO_PI, 10001)
@@ -95,6 +118,22 @@ def test_sector_area_monotone_and_total():
 def test_gauge_homogeneity(name):
     profile = preset_profiles()[name]
     rng = np.random.default_rng(7)
+    z = rng.normal(size=200) + 1j * rng.normal(size=200)
+    lam = rng.uniform(0.1, 5.0, 200)
+    assert np.allclose(profile.gauge(lam * z), lam * profile.gauge(z),
+                       rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_gauge_homogeneity_random_profiles(seed, n, interpolation):
+    """g(lam z) = lam g(z) for lam > 0, on random profiles."""
+    rng = np.random.default_rng(seed)
+    try:
+        profile = RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
     z = rng.normal(size=200) + 1j * rng.normal(size=200)
     lam = rng.uniform(0.1, 5.0, 200)
     assert np.allclose(profile.gauge(lam * z), lam * profile.gauge(z),
@@ -152,30 +191,11 @@ def test_ellipsoid_requires_positive_areas():
         EllipsoidSpec([1.0, 0.0])
 
 
-def test_make_profile_dispatch():
-    p = make_profile("disk", area=2.0)
-    assert p.area == pytest.approx(2.0, abs=1e-12)
-    p = make_profile("polygon", vertices=SQUARE)
-    assert p.area == pytest.approx(4.0, rel=1e-5)
-    with pytest.raises(ValueError):
-        make_profile("nope")
-
-
 def test_weierstrass_requires_convergent_series():
     with pytest.raises(ValueError):
         geometry2d.weierstrass_profile(a=1.5, b=3.0)
     with pytest.raises(ValueError):
         geometry2d.weierstrass_profile(a=0.5, b=0.9)
-
-
-def test_functional_aliases_agree_with_methods():
-    profile = geometry2d.cosine_profile(np.pi)
-    theta = np.array([0.4, 2.2])
-    assert np.allclose(geometry2d.sector_area(profile, theta),
-                       profile.sector_area(theta))
-    assert geometry2d.area(profile) == profile.area
-    z = np.array([0.3 + 0.1j])
-    assert np.allclose(geometry2d.gauge2d(profile, z), profile.gauge(z))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -133,3 +133,15 @@ def test_boundary_sample_fixed_weights():
     g = domain.factor_gauges(pts)
     assert np.allclose(g[:, 0] ** 2, 0.25, atol=1e-12)
     assert np.allclose(g[:, 1] ** 2, 0.75, atol=1e-12)
+
+
+def test_rejection_sample_count_and_body():
+    domain = two_disks()
+    rng = np.random.default_rng(4)
+    pts = product.rejection_sample(rng, domain.bounding_radii(),
+                                   domain.gauge, 5000)
+    assert pts.shape == (5000, 2)
+    assert np.all(domain.gauge(pts) <= 1.0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        product.rejection_sample(rng, domain.bounding_radii(),
+                                 domain.gauge, 0)

@@ -93,6 +93,18 @@ def test_bad_value_is_line_anchored():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p = 0.5\n[factor]\ntype = disk\n", 1),
+    ("p = 2\n\n[factor]\ntype = polygon\nvertices = 1 1, 2 2, -1 1\n", 3),
+    ("[factor]\ntype = disk\n[factor]\ntype = disk\nN = 8\n", 3),
+], ids=["p-below-one", "non-star-polygon", "too-few-samples"])
+def test_library_rejected_value_is_line_anchored(text, line):
+    with pytest.raises(SpecFileError) as exc:
+        parse_spec(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# heading\np = 2  # inline\n\n[factor]\ntype = disk\n"
     assert len(parse_spec(text).factors) == 1
