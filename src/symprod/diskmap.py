@@ -215,21 +215,6 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def verify_cutoff_containment(profile, config, eps_prime, rings=5, angles=64):
-    """Check that the cutoff map sends D(delta) inside eps' * domain.
-
-    Scans concentric rings of D(delta); returns the worst gauge ratio
-    (<= 1 means the containment of the sandwich construction holds).
-    """
-    worst = 0.0
-    for level in np.linspace(0.2, 1.0, rings):
-        radius = np.sqrt(level * config.delta / np.pi)
-        theta = np.arange(angles) * (TWO_PI / angles)
-        img = cutoff_disk_map(profile, config, radius * np.exp(1j * theta))
-        worst = max(worst, float(np.max(profile.gauge(img))) / eps_prime)
-    return worst
-
-
 # -- epsilon-sandwich check -------------------------------------------------
 
 @dataclass

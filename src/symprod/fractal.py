@@ -4,10 +4,14 @@ Dimension claims are verified in box-counting (Minkowski) form only. Graph
 samplers emit filled-in graphs: vertical fill points are inserted between
 consecutive samples so that the point cloud is dense at the counting scale,
 which makes occupied-cell counting equivalent to column-range counting.
+The 4-D boundary patch of a 2-product is counted without its point cloud:
+each occupied cell of the fractal factor contributes the union of the
+cells that its circles in the ellipsoid factor meet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -117,6 +121,17 @@ def make_fractal(family, **params):
 
 # -- box counting -----------------------------------------------------------
 
+# Most int64 keys boundary_patch_counts hashes in one np.unique call.
+PATCH_KEY_BUDGET = 1 << 21
+
+
+def _check_key_range(size):
+    """Reject packed cell keys that would not fit in an int64."""
+    if size >= 1 << 63:
+        raise ValueError(f"{size} grid cells exceed the int64 key range; "
+                         "use a coarser scale or a smaller point set")
+
+
 def box_count(points, eps, offset=None):
     """Occupied cells of the grid eps * Z^d intersecting the point set."""
     points = np.asarray(points, dtype=float)
@@ -125,11 +140,13 @@ def box_count(points, eps, offset=None):
     if offset is None:
         offset = np.zeros(points.shape[1])
     idx = np.floor((points - offset) / eps).astype(np.int64)
-    # Collapse rows to single keys; ranges are far below the int64 overflow.
+    # Collapse rows to single keys, mixed radix over the per-axis ranges.
     idx -= idx.min(axis=0)
+    ranges = [int(idx[:, j].max()) + 1 for j in range(idx.shape[1])]
+    _check_key_range(math.prod(ranges))
     key = idx[:, 0]
     for j in range(1, idx.shape[1]):
-        key = key * (np.int64(idx[:, j].max()) + 1) + idx[:, j]
+        key = key * np.int64(ranges[j]) + idx[:, j]
     return int(np.unique(key).size)
 
 
@@ -249,16 +266,6 @@ def graph_sampler(fn, x_min=0.0, x_max=1.0, chunk=1 << 20):
     return sample
 
 
-def segment_sampler(length=1.0):
-    """Straight unit-speed segment in the plane (estimator baseline)."""
-
-    def sample(pitch):
-        t = np.arange(0.0, length + pitch, pitch)
-        return np.stack([t, 0.3 * t], axis=1)
-
-    return sample
-
-
 def product_interval_count(base_counts, scales, z_length=1.0):
     """Box counts of (point set) x (interval grid) from base counts.
 
@@ -283,11 +290,17 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                           oversample=8, n_offsets=2, pitch_factor=4.0):
     """Dithered box counts of a boundary patch of (profile) x_2 E(a_2).
 
-    Memory-bounded variant of counting boundary_graph_sampler output: the
-    smooth angle of the ellipsoid factor is processed in chunks and only
-    occupied-cell keys are retained. Counts are exact for the emitted point
-    set; the fractal angle is oversampled by ``oversample`` relative to the
-    base pitch eps / pitch_factor.
+    The patch is the set of points (z_1, r_2 e^{i theta_2}): z_1 runs over
+    the polar box r1_range x theta1_range, with r_2 = sqrt(a_2 (1 -
+    g_1(z_1)^2) / pi) filled vertically along the fractal angle, which is
+    oversampled by ``oversample`` relative to the base pitch eps /
+    pitch_factor; theta_2 runs over a grid of theta2_range. Counts are
+    exact for these points, but no (point x theta_2) array is built. The
+    occupied 4-D cells are the union over occupied z_1 cells c of {c} x
+    (the union of K(rho) over the r_2 values rho in c), where K(rho) is
+    the set of z_2 cells hit by rho e^{i theta_2}; so the count is the sum
+    over c of that union's size, and z_1 cells with the same r_2 set share
+    one union.
     """
     tail_areas = [float(a) for a in np.atleast_1d(tail_areas)]
     if len(tail_areas) != 1:
@@ -322,6 +335,8 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
         r1f = np.concatenate([np.full(pts.shape[0], r) for r, pts in rows])
         x1 = r1f * np.cos(t1f)
         y1 = r1f * np.sin(t1f)
+        rho, rho_id = np.unique(r2, return_inverse=True)
+        circle = (np.cos(t2), np.sin(t2))
 
         side = np.int64(np.ceil(2.0 * rmax / eps)) + 2
         scale_counts = []
@@ -329,67 +344,60 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
             off = rng.uniform(0.0, eps, 4)
             i0 = np.floor((x1 + rmax - off[0]) / eps).astype(np.int64)
             i1 = np.floor((y1 + rmax - off[1]) / eps).astype(np.int64)
-            base = (i0 * side + i1) * side
-            uniques = []
-            chunk = max(1, int(4e7 // max(r2.size, 1)))
-            for lo in range(0, t2.size, chunk):
-                tc = t2[lo:lo + chunk]
-                xc = r2[:, None] * np.cos(tc)[None, :]
-                yc = r2[:, None] * np.sin(tc)[None, :]
-                i2 = np.floor((xc + rmax - off[2]) / eps).astype(np.int64)
-                i3 = np.floor((yc + rmax - off[3]) / eps).astype(np.int64)
-                key = (base[:, None] + i2) * side + i3
-                uniques.append(np.unique(key))
-            scale_counts.append(np.unique(np.concatenate(uniques)).size)
+            sets, mult = _rho_sets(i0 * side + i1, rho_id, rho.size, side)
+            scale_counts.append(_union_cell_count(
+                sets, mult, rho, circle, rmax, off, eps, side))
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
 
 
-def boundary_graph_sampler(profile, tail_areas, r1_range=(0.25, 0.5),
-                           theta1_range=(0.0, 1.0), theta_ranges=None,
-                           margin=0.05, oversample=8):
-    """Sampler for a patch of the boundary of (profile) x_2 E(a_2, ..., a_n).
+def _rho_sets(cell, rho_id, n_rho, side):
+    """Distinct r_2 sets of the occupied z_1 cells, with multiplicities.
 
-    The boundary is the graph r_n(r_1, theta_1, ..., theta_n) =
-    sqrt((a_n / pi)(1 - g_1(z_1)^2 - ...)) in polar coordinates; the patch
-    is a compact parameter box bounded away from r_1 = 0 and z_n = 0
-    (radicand >= margin). The fractal theta_1 axis is oversampled so the
-    emitted point set stays dense at the counting scale. Points are in
-    R^{2n} with product gauge 1 up to rounding.
+    Returns (sets, mult): one row of sorted rho ids per distinct set,
+    padded with -1, and the number of z_1 cells that carry it.
     """
-    if profile is None:
-        raise ValueError("need a planar factor profile")
-    tail_areas = [float(a) for a in np.atleast_1d(tail_areas)]
-    if len(tail_areas) != 1:
-        raise NotImplementedError(
-            "full-dimensional counting is limited to one ellipsoid factor; "
-            "use the product-rule decomposition for higher n")
-    a2 = tail_areas[0]
-    if theta_ranges is None:
-        theta_ranges = [(0.0, 1.0)]
-    (t2_lo, t2_hi), = theta_ranges
+    _check_key_range(int(side) ** 2 * n_rho)
+    pair = np.unique(cell * n_rho + rho_id)
+    _, start, size = np.unique(pair // n_rho, return_index=True,
+                               return_counts=True)
+    rows = np.full((start.size, int(size.max())), -1, dtype=np.int64)
+    rows[np.repeat(np.arange(start.size), size),
+         np.arange(pair.size) - np.repeat(start, size)] = pair % n_rho
+    return np.unique(rows, axis=0, return_counts=True)
 
-    def sample(pitch):
-        r1 = _grid(r1_range[0], r1_range[1], pitch)
-        t1 = _grid(theta1_range[0], theta1_range[1], pitch / oversample)
-        t2 = _grid(t2_lo, t2_hi, pitch)
-        g1 = (r1[:, None] / profile.radius(t1)[None, :]) ** 2
-        radicand = 1.0 - g1
-        if np.min(radicand) < margin:
-            raise ValueError(
-                "parameter box reaches the singular locus; shrink r1_range")
-        r2 = np.sqrt(a2 * radicand / np.pi)  # (n_r1, n_t1)
-        x1 = (r1[:, None] * np.cos(t1)[None, :]).ravel()
-        y1 = (r1[:, None] * np.sin(t1)[None, :]).ravel()
-        r2f = r2.ravel()
-        cols = []
-        for t in t2:
-            pts = np.empty((r2f.size, 4))
-            pts[:, 0] = x1
-            pts[:, 1] = y1
-            pts[:, 2] = r2f * np.cos(t)
-            pts[:, 3] = r2f * np.sin(t)
-            cols.append(pts)
-        return np.concatenate(cols)
 
-    return sample
+def _union_cell_count(sets, mult, rho, circle, rmax, off, eps, side):
+    """Sum over distinct sets of multiplicity x |union of K(rho)|.
+
+    K(rho) holds the z_2 cells hit by rho e^{i theta_2} over the theta_2
+    grid. Whole sets go through np.unique together, as many as fit in
+    PATCH_KEY_BUDGET keys (a set larger than that alone).
+    """
+    cos2, sin2 = circle
+    length = np.count_nonzero(sets >= 0, axis=1)
+    members = sets[sets >= 0]
+    end = np.cumsum(length)
+    per_chunk = max(1, PATCH_KEY_BUDGET // cos2.size)
+    plane = side * side
+    total = 0
+    lo = 0
+    while lo < sets.shape[0]:
+        first = end[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(end, first + per_chunk,
+                                             side="right")))
+        _check_key_range((hi - lo) * int(plane))
+        r = rho[members[first:end[hi - 1]]][:, None]
+        i2 = np.floor((r * cos2 + rmax - off[2]) / eps).astype(np.int64)
+        i3 = np.floor((r * sin2 + rmax - off[3]) / eps).astype(np.int64)
+        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), length[lo:hi])
+        key = (owner[:, None] * side + i2) * side + i3
+        # Drop keys equal to their neighbour above or to the left before
+        # the sort: the first occurrence of each key survives, and since
+        # rows run in ascending rho most repeats are such neighbours.
+        fresh = np.ones(key.shape, dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        fresh[:, 1:] &= key[:, 1:] != key[:, :-1]
+        total += int(mult[lo:hi][np.unique(key[fresh]) // plane].sum())
+        lo = hi
+    return total

@@ -149,6 +149,15 @@ def check_boundary_minimal(samples=100000, seed=17):
             f"checked={report.checked}")
 
 
+# criterion-10's disk patch: a patch of the boundary of D(pi) x_2 E(1),
+# a smooth 3-manifold in R^4.
+PATCH_SCALES = 2.0 ** -np.arange(3.0, 6.75, 0.5)
+PATCH_CONFIG = dict(r1_range=(0.2, 0.8), theta1_range=(0.0, TWO_PI),
+                    theta2_range=(0.0, TWO_PI), oversample=1, pitch_factor=2,
+                    n_offsets=1)
+PATCH_TARGET, PATCH_TOL = 3.0, 0.1
+
+
 def check_boxdim(quick=False, seed=18):
     fn = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
     target = fn.graph_dimension
@@ -161,10 +170,17 @@ def check_boxdim(quick=False, seed=18):
     counts = fractal.count_scales(fractal.graph_sampler(fn), scales,
                                   seed=seed)
     est = fractal.estimate_dimension(scales, counts)
-    ok = abs(est.slope - target) <= tol
+    patch_counts = fractal.boundary_patch_counts(
+        geometry2d.disk_profile(np.pi), [1.0], PATCH_SCALES, seed=seed,
+        **PATCH_CONFIG)
+    patch = fractal.estimate_dimension(PATCH_SCALES, patch_counts)
+    ok = (abs(est.slope - target) <= tol and
+          abs(patch.slope - PATCH_TARGET) <= PATCH_TOL)
     return ("boxdim", ok,
             f"slope={_fmt(est.slope)} target={_fmt(target)} tol={_fmt(tol)} "
-            f"r2={_fmt(est.r_squared)}")
+            f"r2={_fmt(est.r_squared)} patch_slope={_fmt(patch.slope)} "
+            f"patch_target={_fmt(PATCH_TARGET)} "
+            f"patch_tol={_fmt(PATCH_TOL)}")
 
 
 def run_selftest(seed=7, threads=1, quick=False, out=print):

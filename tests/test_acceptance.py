@@ -90,23 +90,15 @@ def test_criterion_09_boundary_minimal(capsys):
 
 
 def test_criterion_10_fractal_dimension(capsys):
-    """Box-counting: graph, graph x interval, 4d boundary patch, baseline."""
-    graph_ok, graph_detail, graph_time = timed(selftest.check_boxdim,
-                                               seed=110)
+    """Box-counting: graph and disk patch, graph x interval, fractal patch."""
+    boxdim_ok, boxdim_detail, boxdim_time = timed(selftest.check_boxdim,
+                                                  seed=110)
 
     fn = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
     coarse = 2.0 ** -np.arange(4, 10)
     base = fractal.count_scales(fractal.graph_sampler(fn), coarse, seed=110)
     prod_est = fractal.estimate_dimension(
         coarse, fractal.product_interval_count(base, coarse))
-
-    patch_scales = 2.0 ** -np.arange(3.0, 6.75, 0.5)
-    disk = geometry2d.disk_profile(np.pi)
-    disk_counts = fractal.boundary_patch_counts(
-        disk, [1.0], patch_scales, seed=110, r1_range=(0.2, 0.8),
-        theta1_range=(0.0, TWO_PI), theta2_range=(0.0, TWO_PI),
-        oversample=1, pitch_factor=2, n_offsets=1)
-    disk_est = fractal.estimate_dimension(patch_scales, disk_counts)
 
     # b = 4 so the graph excess and the Hoelder exponent coincide (1/2)
     wp = geometry2d.weierstrass_profile(amplitude=0.4, b=4.0)
@@ -124,14 +116,12 @@ def test_criterion_10_fractal_dimension(capsys):
     frac_est = fractal.estimate_dimension(frac_scales, frac_counts)
 
     target1 = fn.graph_dimension  # 2 + log 0.5 / log 3 = 1.3691
-    ok = (graph_ok and graph_time < 60.0 and
+    ok = (boxdim_ok and boxdim_time < 60.0 and
           abs(prod_est.slope - (target1 + 1.0)) <= 0.15 and
-          abs(disk_est.slope - 3.0) <= 0.1 and
           abs(frac_est.slope - 3.5) <= 0.2)
     report(capsys, "criterion-10 boxdim", ok,
-           f"graph {graph_detail}, {graph_time:.1f}s (< 60s), "
+           f"{boxdim_detail}, {boxdim_time:.1f}s (< 60s), "
            f"product={prod_est.slope:.4f} (2.3691±0.15), "
-           f"disk patch={disk_est.slope:.4f} (3±0.1), "
            f"fractal patch={frac_est.slope:.4f} (3.5±0.2)")
 
 

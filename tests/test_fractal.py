@@ -4,6 +4,94 @@ import numpy as np
 import pytest
 
 from symprod import fractal, geometry2d
+from symprod.geometry2d import TWO_PI
+
+
+def segment_sampler(length=1.0):
+    """Straight unit-speed segment in the plane (estimator baseline)."""
+
+    def sample(pitch):
+        t = np.arange(0.0, length + pitch, pitch)
+        return np.stack([t, 0.3 * t], axis=1)
+
+    return sample
+
+
+def boundary_graph_sampler(profile, a2, r1_range=(0.25, 0.5),
+                           theta1_range=(0.0, 1.0), theta2_range=(0.0, 1.0),
+                           margin=0.05, oversample=8):
+    """Sampler for a patch of the boundary of (profile) x_2 E(a2).
+
+    The boundary is the graph r_2 = sqrt((a2 / pi)(1 - g_1(z_1)^2)) over a
+    polar parameter box bounded away from r_1 = 0 and z_2 = 0 (radicand >=
+    margin), with the fractal theta_1 axis oversampled. Points are in R^4
+    with product gauge 1 up to rounding.
+    """
+
+    def sample(pitch):
+        r1 = fractal._grid(r1_range[0], r1_range[1], pitch)
+        t1 = fractal._grid(theta1_range[0], theta1_range[1],
+                           pitch / oversample)
+        t2 = fractal._grid(theta2_range[0], theta2_range[1], pitch)
+        radicand = 1.0 - (r1[:, None] / profile.radius(t1)[None, :]) ** 2
+        if np.min(radicand) < margin:
+            raise ValueError(
+                "parameter box reaches the singular locus; shrink r1_range")
+        r2 = np.sqrt(a2 * radicand / np.pi).ravel()
+        z1 = (r1[:, None] * np.exp(1j * t1)[None, :]).ravel()
+        z2 = r2[None, :] * np.exp(1j * t2)[:, None]
+        z1 = np.broadcast_to(z1, z2.shape)
+        return np.stack([z1.real, z1.imag, z2.real, z2.imag],
+                        axis=-1).reshape(-1, 4)
+
+    return sample
+
+
+def reference_patch_counts(profile, tail_areas, scales, seed=0,
+                           r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
+                           theta2_range=(0.0, 1.0), margin=0.05,
+                           oversample=8, n_offsets=2, pitch_factor=4.0):
+    """boundary_patch_counts by brute force: one 4-D key per (point, theta_2).
+
+    Same point set, offsets and float expressions as the library's counter,
+    so the two must agree exactly.
+    """
+    a2, = tail_areas
+    rng = np.random.default_rng(seed)
+    rmax = max(profile.max_radius * r1_range[1] * 1.5,
+               np.sqrt(a2 / np.pi)) + 1.0
+    counts = []
+    for eps in np.asarray(scales, dtype=float):
+        pitch = eps / pitch_factor
+        r1 = fractal._grid(r1_range[0], r1_range[1], pitch)
+        t1 = fractal._grid(theta1_range[0], theta1_range[1],
+                           pitch / oversample)
+        t2 = fractal._grid(theta2_range[0], theta2_range[1],
+                           pitch / max(np.sqrt(a2 / np.pi), 1.0))
+        R1 = profile.radius(t1)
+        rows = [(r, fractal.fill_segments(
+            t1, np.sqrt(a2 * (1.0 - (r / R1) ** 2) / np.pi), pitch))
+            for r in r1]
+        t1f = np.concatenate([pts[:, 0] for _, pts in rows])
+        r2 = np.concatenate([pts[:, 1] for _, pts in rows])
+        r1f = np.concatenate([np.full(pts.shape[0], r) for r, pts in rows])
+        x1 = r1f * np.cos(t1f)
+        y1 = r1f * np.sin(t1f)
+        side = np.int64(np.ceil(2.0 * rmax / eps)) + 2
+        scale_counts = []
+        for _ in range(n_offsets):
+            off = rng.uniform(0.0, eps, 4)
+            i0 = np.floor((x1 + rmax - off[0]) / eps).astype(np.int64)
+            i1 = np.floor((y1 + rmax - off[1]) / eps).astype(np.int64)
+            base = (i0 * side + i1) * side
+            xc = r2[:, None] * np.cos(t2)[None, :]
+            yc = r2[:, None] * np.sin(t2)[None, :]
+            i2 = np.floor((xc + rmax - off[2]) / eps).astype(np.int64)
+            i3 = np.floor((yc + rmax - off[3]) / eps).astype(np.int64)
+            scale_counts.append(
+                np.unique((base[:, None] + i2) * side + i3).size)
+        counts.append(float(np.mean(scale_counts)))
+    return np.asarray(counts)
 
 
 def test_weierstrass_eval_matches_series():
@@ -59,7 +147,7 @@ def test_box_count_unit_segment():
 
 def test_segment_dimension_is_one():
     scales = 2.0 ** -np.arange(4, 12)
-    counts = fractal.count_scales(fractal.segment_sampler(), scales, seed=0)
+    counts = fractal.count_scales(segment_sampler(), scales, seed=0)
     est = fractal.estimate_dimension(scales, counts)
     assert est.slope == pytest.approx(1.0, abs=0.02)
 
@@ -131,9 +219,52 @@ def test_boundary_patch_rejects_multiple_tail_factors():
 
 def test_boundary_graph_sampler_points_on_boundary():
     profile = geometry2d.disk_profile(np.pi)
-    sampler = fractal.boundary_graph_sampler(profile, [1.0])
+    sampler = boundary_graph_sampler(profile, 1.0)
     pts = sampler(pitch=0.05)
     z1 = pts[:, 0] + 1j * pts[:, 1]
     z2 = pts[:, 2] + 1j * pts[:, 3]
     g = profile.gauge(z1) ** 2 + np.pi * np.abs(z2) ** 2 / 1.0
     assert np.allclose(g, 1.0, atol=1e-10)
+
+
+def test_box_count_rejects_keys_past_int64():
+    """(65533, 5, 65533, 1) packs to 2^64 over ranges of 65537 per axis."""
+    pts = np.array([[0, 0, 0, 0], [65533, 5, 65533, 1], [65536] * 4],
+                   dtype=float)
+    with pytest.raises(ValueError, match="int64"):
+        fractal.box_count(pts, 1.0)
+    assert fractal.box_count(pts[:2], 1.0) == 2
+
+
+BENCH_DISK = dict(r1_range=(0.2, 0.8), theta1_range=(0.0, TWO_PI),
+                  theta2_range=(0.0, TWO_PI), oversample=1, pitch_factor=2,
+                  n_offsets=1)
+PATCH_CASES = {
+    "disk": (geometry2d.disk_profile(np.pi), [1.0],
+             2.0 ** -np.linspace(3.0, 4.0, 3), BENCH_DISK),
+    "weierstrass": (geometry2d.weierstrass_profile(), [1.0],
+                    2.0 ** -np.array([3.0, 4.0]), {}),
+    "theta2-window": (geometry2d.weierstrass_profile(amplitude=0.3), [2.0],
+                      2.0 ** -np.array([4.0, 5.0]),
+                      dict(theta2_range=(0.3, 1.2), r1_range=(0.3, 0.6),
+                           oversample=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATCH_CASES))
+def test_boundary_patch_counts_match_reference(case):
+    profile, tail, scales, config = PATCH_CASES[case]
+    expected = reference_patch_counts(profile, tail, scales, seed=5, **config)
+    np.testing.assert_array_equal(
+        fractal.boundary_patch_counts(profile, tail, scales, seed=5,
+                                      **config), expected)
+
+
+def test_boundary_patch_counts_chunk_boundaries(monkeypatch):
+    """A key budget of a few circles splits the sets over many chunks."""
+    profile, tail, scales, config = PATCH_CASES["weierstrass"]
+    expected = reference_patch_counts(profile, tail, scales, seed=5, **config)
+    monkeypatch.setattr(fractal, "PATCH_KEY_BUDGET", 10_000)
+    np.testing.assert_array_equal(
+        fractal.boundary_patch_counts(profile, tail, scales, seed=5,
+                                      **config), expected)
