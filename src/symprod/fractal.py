@@ -1,12 +1,17 @@
 """Fractal function families and box-counting dimension estimation.
 
-Dimension claims are verified in box-counting (Minkowski) form only. Graph
-samplers emit filled-in graphs: vertical fill points are inserted between
-consecutive samples so that the point cloud is dense at the counting scale,
-which makes occupied-cell counting equivalent to column-range counting.
-The 4-D boundary patch of a 2-product is counted without its point cloud:
-each occupied cell of the fractal factor contributes the union of the
-cells that its circles in the ellipsoid factor meet.
+Dimension claims are verified in box-counting (Minkowski) form only, and
+no counter builds the point cloud it counts. A graph is counted by column
+ranges. Its filled-in form puts, at each sample x_k, the sample y_k and
+vertical fill points toward y_{k+1} spaced at most the pitch eps / 4 apart,
+so within one grid column the filled graph is a chain of values with steps
+shorter than eps. The cells it meets there are therefore contiguous, and
+since floor is monotone the column holds floor(hi / eps) - floor(lo / eps)
++ 1 cells, where lo and hi are the column's extreme values: exactly the
+count of the cloud's distinct cells. The 4-D boundary patch of a 2-product
+is counted without its point cloud: each occupied cell of the fractal
+factor contributes the union of the cells that its circles in the
+ellipsoid factor meet.
 """
 
 from __future__ import annotations
@@ -123,6 +128,11 @@ def make_fractal(family, **params):
 
 # Most int64 keys boundary_patch_counts hashes in one np.unique call.
 PATCH_KEY_BUDGET = 1 << 21
+# count_scales samples graphs at pitch eps / PITCH_FACTOR, so the fill
+# spacing stays below eps, which column-range counting needs, and averages
+# N_OFFSETS random grid origins per scale.
+PITCH_FACTOR = 4.0
+N_OFFSETS = 4
 
 
 def _check_key_range(size):
@@ -141,34 +151,46 @@ def box_count(points, eps, offset=None):
         offset = np.zeros(points.shape[1])
     idx = np.floor((points - offset) / eps).astype(np.int64)
     # Collapse rows to single keys, mixed radix over the per-axis ranges.
-    idx -= idx.min(axis=0)
-    ranges = [int(idx[:, j].max()) + 1 for j in range(idx.shape[1])]
+    # Reduce column by column: an axis-0 reduction of (M, d) is far slower.
+    cols = [c - c.min() for c in idx.T]
+    ranges = [int(c.max()) + 1 for c in cols]
     _check_key_range(math.prod(ranges))
-    key = idx[:, 0]
-    for j in range(1, idx.shape[1]):
-        key = key * np.int64(ranges[j]) + idx[:, j]
+    key = cols[0]
+    for c, r in zip(cols[1:], ranges[1:]):
+        key = key * np.int64(r) + c
     return int(np.unique(key).size)
 
 
-def box_count_dithered(points, eps, rng, n_offsets=4):
-    """Mean occupied-cell count over random grid origins (lattice de-bias)."""
-    d = np.asarray(points).shape[1]
-    counts = [box_count(points, eps, offset=rng.uniform(0.0, eps, d))
-              for _ in range(n_offsets)]
-    return float(np.mean(counts))
+def column_cells(x, lo, hi, eps, offset):
+    """Grid cells met by vertical segments [lo_k, hi_k] at nondecreasing x_k.
+
+    Segments in one column must overlap or leave gaps shorter than eps, as
+    the fill of a graph sampled at a pitch below eps does; then the cells a
+    column meets are contiguous and it holds floor(max hi / eps) -
+    floor(min lo / eps) + 1 of them.
+    """
+    col = np.floor((x - offset[0]) / eps)
+    start = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    top = np.floor((np.maximum.reduceat(hi, start) - offset[1]) / eps)
+    bottom = np.floor((np.minimum.reduceat(lo, start) - offset[1]) / eps)
+    return int(np.sum(top - bottom)) + start.size
 
 
-def count_scales(sampler, scales, seed=0, n_offsets=4, pitch_factor=4.0):
-    """Counts N(eps) over a scale list, resampling at pitch eps/pitch_factor.
+def count_scales(sampler, scales, seed=0):
+    """Dithered box counts N(eps) of a graph sampler's filled graph.
 
-    ``sampler`` maps a resolution hint (target pitch) to an (M, d) point
-    array; the hint must be honored or the counts are rejected upstream.
+    Each scale samples at pitch eps / PITCH_FACTOR and averages
+    column_cells over N_OFFSETS random grid origins; the counts equal
+    box_count over the filled point cloud sampler(pitch), which is never
+    built.
     """
     rng = np.random.default_rng(seed)
     counts = []
     for eps in scales:
-        pts = sampler(eps / pitch_factor)
-        counts.append(box_count_dithered(pts, eps, rng, n_offsets))
+        x, lo, hi = sampler.column_extents(eps / PITCH_FACTOR)
+        cells = [column_cells(x, lo, hi, eps, rng.uniform(0.0, eps, 2))
+                 for _ in range(N_OFFSETS)]
+        counts.append(float(np.mean(cells)))
     return np.asarray(counts)
 
 
@@ -221,6 +243,17 @@ def estimate_dimension(scales, counts, bootstrap=0, seed=0):
 
 # -- samplers ---------------------------------------------------------------
 
+def _fill_reps(y, pitch):
+    """Segment rises dy and fill points per segment, ceil(|dy| / pitch) - 1."""
+    dy = np.diff(y)
+    return dy, np.maximum(np.ceil(np.abs(dy) / pitch).astype(np.int64) - 1, 0)
+
+
+def _fill_values(y0, dy, idx, steps):
+    """Fill point idx of a segment from y0 by dy, cut into ``steps`` parts."""
+    return y0 + dy * idx / steps
+
+
 def fill_segments(x, y, pitch):
     """Points of the filled-in graph: samples plus vertical fill at jumps.
 
@@ -230,8 +263,7 @@ def fill_segments(x, y, pitch):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    dy = np.abs(np.diff(y))
-    extra = np.maximum(np.ceil(dy / pitch).astype(np.int64) - 1, 0)
+    dy, extra = _fill_reps(y, pitch)
     base = np.stack([x, y], axis=1)
     if extra.sum() == 0:
         return base
@@ -239,31 +271,65 @@ def fill_segments(x, y, pitch):
     reps = extra[seg]
     xs = np.repeat(x[seg], reps)
     y0 = np.repeat(y[:-1][seg], reps)
-    dy_full = np.repeat(np.diff(y)[seg], reps)
+    dy_full = np.repeat(dy[seg], reps)
     steps = np.repeat(reps + 1, reps)
     # per-segment running index 1..reps
     idx = np.arange(reps.sum()) - np.repeat(
         np.concatenate(([0], np.cumsum(reps)[:-1])), reps) + 1
-    ys = y0 + dy_full * idx / steps
+    ys = _fill_values(y0, dy_full, idx, steps)
     return np.concatenate([base, np.stack([xs, ys], axis=1)])
+
+
+def fill_extents(y, pitch):
+    """Per-sample (lo, hi) of the filled graph's points at each x_k.
+
+    Those points are y_k and the fill of segment k. The fill expression is
+    monotone in its index and equals y_k at index 0, so its last point
+    (index reps) and y_k bound them all.
+    """
+    y = np.asarray(y, dtype=float)
+    dy, reps = _fill_reps(y, pitch)
+    last = np.append(_fill_values(y[:-1], dy, reps, reps + 1), y[-1])
+    return np.minimum(y, last), np.maximum(y, last)
+
+
+@dataclass(frozen=True)
+class GraphSampler:
+    """The filled graph of ``fn`` over [x_min, x_max] at a given pitch.
+
+    ``fn`` is evaluated ``chunk`` samples at a time, each chunk after the
+    first repeating the previous sample so fill spans chunk boundaries.
+    Calling the sampler returns the filled point cloud; column_extents
+    returns the per-sample hulls that count_scales counts instead.
+    """
+
+    fn: object
+    x_min: float = 0.0
+    x_max: float = 1.0
+    chunk: int = 1 << 20
+
+    def _chunks(self, pitch):
+        n = int(np.ceil((self.x_max - self.x_min) / pitch)) + 1
+        for start in range(0, n, self.chunk):
+            stop = min(start + self.chunk, n)
+            x = self.x_min + pitch * np.arange(start, stop)
+            if start > 0:
+                x = np.concatenate(([self.x_min + pitch * (start - 1)], x))
+            yield x, self.fn(x)
+
+    def __call__(self, pitch):
+        return np.concatenate([fill_segments(x, y, pitch)
+                               for x, y in self._chunks(pitch)])
+
+    def column_extents(self, pitch):
+        """(x, lo, hi) per sample, in nondecreasing x; see fill_extents."""
+        parts = [(x, *fill_extents(y, pitch)) for x, y in self._chunks(pitch)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def graph_sampler(fn, x_min=0.0, x_max=1.0, chunk=1 << 20):
     """Sampler for the filled graph of ``fn`` over [x_min, x_max]."""
-
-    def sample(pitch):
-        n = int(np.ceil((x_max - x_min) / pitch)) + 1
-        parts = []
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            x = x_min + pitch * np.arange(start, stop)
-            # overlap one sample so fill spans chunk boundaries
-            if start > 0:
-                x = np.concatenate(([x_min + pitch * (start - 1)], x))
-            parts.append(fill_segments(x, fn(x), pitch))
-        return np.concatenate(parts)
-
-    return sample
+    return GraphSampler(fn, x_min, x_max, chunk)
 
 
 def product_interval_count(base_counts, scales, z_length=1.0):

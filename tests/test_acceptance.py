@@ -116,11 +116,11 @@ def test_criterion_10_fractal_dimension(capsys):
     frac_est = fractal.estimate_dimension(frac_scales, frac_counts)
 
     target1 = fn.graph_dimension  # 2 + log 0.5 / log 3 = 1.3691
-    ok = (boxdim_ok and boxdim_time < 60.0 and
+    ok = (boxdim_ok and boxdim_time < 10.0 and
           abs(prod_est.slope - (target1 + 1.0)) <= 0.15 and
           abs(frac_est.slope - 3.5) <= 0.2)
     report(capsys, "criterion-10 boxdim", ok,
-           f"{boxdim_detail}, {boxdim_time:.1f}s (< 60s), "
+           f"{boxdim_detail}, {boxdim_time:.1f}s (< 10s), "
            f"product={prod_est.slope:.4f} (2.3691±0.15), "
            f"fractal patch={frac_est.slope:.4f} (3.5±0.2)")
 

@@ -2,19 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symprod import fractal, geometry2d
 from symprod.geometry2d import TWO_PI
 
 
-def segment_sampler(length=1.0):
-    """Straight unit-speed segment in the plane (estimator baseline)."""
+def box_count_dithered(points, eps, rng):
+    """Mean occupied-cell count over random grid origins (lattice de-bias)."""
+    d = np.asarray(points).shape[1]
+    counts = [fractal.box_count(points, eps, offset=rng.uniform(0.0, eps, d))
+              for _ in range(fractal.N_OFFSETS)]
+    return float(np.mean(counts))
 
-    def sample(pitch):
-        t = np.arange(0.0, length + pitch, pitch)
-        return np.stack([t, 0.3 * t], axis=1)
 
-    return sample
+def reference_graph_counts(sampler, scales, seed=0):
+    """count_scales through the filled point cloud and box_count.
+
+    Same pitch, offsets and rng draws as the library's column-range
+    counter, so the two must agree exactly.
+    """
+    rng = np.random.default_rng(seed)
+    return np.asarray([
+        box_count_dithered(sampler(eps / fractal.PITCH_FACTOR), eps, rng)
+        for eps in scales])
 
 
 def boundary_graph_sampler(profile, a2, r1_range=(0.25, 0.5),
@@ -147,7 +159,8 @@ def test_box_count_unit_segment():
 
 def test_segment_dimension_is_one():
     scales = 2.0 ** -np.arange(4, 12)
-    counts = fractal.count_scales(segment_sampler(), scales, seed=0)
+    counts = fractal.count_scales(fractal.graph_sampler(lambda x: 0.3 * x),
+                                  scales, seed=0)
     est = fractal.estimate_dimension(scales, counts)
     assert est.slope == pytest.approx(1.0, abs=0.02)
 
@@ -268,3 +281,56 @@ def test_boundary_patch_counts_chunk_boundaries(monkeypatch):
     np.testing.assert_array_equal(
         fractal.boundary_patch_counts(profile, tail, scales, seed=5,
                                       **config), expected)
+
+
+WEIER = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
+GRAPH_SCALES = 2.0 ** -np.arange(4, 11)
+GRAPH_CASES = {
+    **{f"seed{seed}": (fractal.graph_sampler(WEIER), seed)
+       for seed in range(20)},
+    "phase-shifted": (fractal.graph_sampler(
+        fractal.PhaseShiftedWeierstrass(terms=20, seed=4)), 1),
+    "xiao-zhou": (fractal.graph_sampler(fractal.XiaoZhou()), 2),
+    "steep": (fractal.graph_sampler(lambda x: 40.0 * np.sin(7.0 * x)), 3),
+    "flat": (fractal.graph_sampler(lambda x: np.full_like(x, 0.25)), 4),
+    "segment": (fractal.graph_sampler(lambda x: 0.3 * x), 5),
+    "x-window": (fractal.graph_sampler(WEIER, x_min=0.3, x_max=0.7), 6),
+    "chunk2": (fractal.graph_sampler(WEIER, chunk=2), 7),
+    "chunk997": (fractal.graph_sampler(WEIER, chunk=997), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_count_scales_matches_point_cloud(case):
+    sampler, seed = GRAPH_CASES[case]
+    np.testing.assert_array_equal(
+        fractal.count_scales(sampler, GRAPH_SCALES, seed=seed),
+        reference_graph_counts(sampler, GRAPH_SCALES, seed=seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+       gaps=st.lists(st.floats(0.0, 2.0), min_size=40, max_size=40),
+       pitch=st.floats(1e-3, 1.0),
+       offset=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(0.0, 1.0, exclude_max=True)))
+def test_column_cells_match_box_count(y, gaps, pitch, offset):
+    """Hull column ranges count the filled polyline's cells exactly."""
+    eps = fractal.PITCH_FACTOR * pitch
+    x = pitch * np.cumsum(gaps[:len(y)])
+    off = eps * np.asarray(offset)
+    expected = fractal.box_count(fractal.fill_segments(x, y, pitch), eps,
+                                 offset=off)
+    assert fractal.column_cells(x, *fractal.fill_extents(y, pitch), eps,
+                                off) == expected
+
+
+def test_count_scales_builds_no_point_cloud(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_scales built or hashed a point cloud")
+
+    monkeypatch.setattr(fractal, "fill_segments", forbidden)
+    monkeypatch.setattr(fractal, "box_count", forbidden)
+    counts = fractal.count_scales(fractal.graph_sampler(WEIER),
+                                  GRAPH_SCALES[:3], seed=0)
+    assert np.all(counts > 0)
