@@ -30,7 +30,6 @@ from .diskmap import (
 from .product import (
     ProductDomain,
     boundary_sample,
-    ellipsoid_volume,
     mc_volume,
 )
 from .dynamics import (

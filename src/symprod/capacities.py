@@ -17,7 +17,8 @@ from itertools import count
 import numpy as np
 
 from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import ProductDomain, rejection_sample
+from .product import (ProductDomain, common_area, rejection_sample,
+                      two_product)
 
 
 @dataclass(frozen=True)
@@ -138,19 +139,19 @@ def boundary_minimal_experiment(factors, point, width, target_area,
                                 samples, seed, eta=None):
     """Shrink every factor near a boundary point and test the containment.
 
-    ``point`` is a dynamics.FlowPoint on the product boundary with every
-    level positive (windows centered on its factor angles). The excluded
-    open set U consists of points whose product gauge lies in
-    (1 - eta, 1 + eta) and whose angle in *some* factor falls inside that
-    factor's window; eta defaults to the largest relative radial shrink
-    plus a margin, which makes the containment
-    product \\ U  subset  shrunken product hold with room to spare.
+    ``factors`` is a sequence of profiles or a ProductDomain with p = 2
+    (product.two_product), all of one area. ``point`` is a
+    dynamics.FlowPoint on the product boundary with every level positive
+    (windows centered on its factor angles). The excluded open set U
+    consists of points whose product gauge lies in (1 - eta, 1 + eta) and
+    whose angle in *some* factor falls inside that factor's window; eta
+    defaults to the largest relative radial shrink plus a margin, which
+    makes the containment product \\ U  subset  shrunken product hold
+    with room to spare.
     """
-    factors = list(factors)
-    areas = np.array([f.area for f in factors])
-    if np.max(areas) - np.min(areas) > 1e-10:
-        raise ValueError("experiment requires equal factor areas")
-    a = float(areas[0])
+    domain = two_product(factors)
+    factors = domain.factors
+    a = common_area(domain)
     if not target_area < a:
         raise ValueError("target area must be strictly below the common area")
     if np.any(point.levels <= 0.0):
@@ -170,7 +171,6 @@ def boundary_minimal_experiment(factors, point, width, target_area,
             f"eta={eta} is below the relative shrink {rel_shrink:.3f}; "
             "the excluded set would miss removed boundary")
 
-    domain = ProductDomain(factors, p=2.0)
     shrunk_domain = ProductDomain(shrunk, p=2.0)
 
     rng = np.random.default_rng(seed)

@@ -35,13 +35,6 @@ def _emit_csv(fh, columns, rows):
                           for v in row) + "\n")
 
 
-def _planar_factors(domain):
-    for f in domain.factors:
-        if not isinstance(f, geometry2d.RadialProfile):
-            raise ValueError("command requires planar (2d) factors only")
-    return list(domain.factors)
-
-
 def _parse_point(text, n):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
@@ -62,8 +55,7 @@ def cmd_area(args):
 
 
 def cmd_map(args):
-    domain = load_spec(args.spec)
-    factors = _planar_factors(domain)
+    factors = load_spec(args.spec).factors
     if not 0 <= args.factor < len(factors):
         raise ValueError(f"--factor must lie in 0..{len(factors) - 1}")
     profile = factors[args.factor]
@@ -89,16 +81,15 @@ def cmd_volume(args):
         fh.write(f"# symprod {__version__}\n")
         fh.write(f"estimate = {est.volume:.12g}\n")
         fh.write(f"stderr = {est.std_error:.12g}\n")
-        areas = domain.factor_areas
         if domain.p == 2.0:
-            exact = product_mod.ellipsoid_volume(areas)
+            exact = geometry2d.EllipsoidSpec(domain.factor_areas).volume
             fh.write(f"ellipsoid_reference = {exact:.12g}\n")
     return 0
 
 
 def cmd_flow(args):
-    domain = load_spec(args.spec)
-    factors = _planar_factors(domain)
+    domain = product_mod.two_product(load_spec(args.spec))
+    factors = domain.factors
     z0 = _parse_point(args.point, len(factors))
     t0, t1 = (float(tok) for tok in args.t_range.split(","))
     times = np.linspace(t0, t1, args.steps)
@@ -121,9 +112,8 @@ def cmd_flow(args):
 
 
 def cmd_conjugacy(args):
-    domain = load_spec(args.spec)
     residuals = dynamics.sample_conjugacy_residuals(
-        _planar_factors(domain), args.samples, args.seed)
+        load_spec(args.spec), args.samples, args.seed)
     with _writer(args) as fh:
         fh.write(f"# symprod {__version__}\n")
         fh.write(f"samples = {args.samples}\n")
@@ -145,10 +135,8 @@ def cmd_capacities(args):
 
 
 def cmd_sandwich(args):
-    domain = load_spec(args.spec)
-    factors = _planar_factors(domain)
-    report = diskmap.sandwich_check(factors, args.epsilon, args.samples,
-                                    args.seed, steps=args.steps)
+    report = diskmap.sandwich_check(load_spec(args.spec), args.epsilon,
+                                    args.samples, args.seed, steps=args.steps)
     with _writer(args) as fh:
         fh.write(f"# symprod {__version__}\n")
         fh.write(f"epsilon = {report.epsilon:.12g}\n")
@@ -167,14 +155,13 @@ def cmd_sandwich(args):
 
 def cmd_boundary_minimal(args):
     domain = load_spec(args.spec)
-    factors = _planar_factors(domain)
-    n = len(factors)
+    n = len(domain.factors)
     rng = np.random.default_rng(args.seed)
     point = FlowPoint(angles=rng.uniform(0.0, TWO_PI, n),
                       levels=np.full(n, np.sqrt(1.0 / n)))
-    a = factors[0].area
+    a = domain.factor_areas[0]
     report = capacities.boundary_minimal_experiment(
-        factors, point, width=args.width, target_area=args.target_ratio * a,
+        domain, point, width=args.width, target_area=args.target_ratio * a,
         samples=args.samples, seed=args.seed)
     with _writer(args) as fh:
         fh.write(f"# symprod {__version__}\n")
@@ -317,7 +304,7 @@ def run(argv=None):
         return 2
     except (FileNotFoundError, ValueError) as exc:
         # Library calls raise ValueError on invalid input (too few
-        # samples or scales, non-positive areas, non-planar factors).
+        # samples or scales, non-positive areas, p != 2 for a 2-product).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

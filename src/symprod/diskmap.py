@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry2d import TWO_PI
-from .product import ProductDomain, rejection_sample
+from .geometry2d import EllipsoidSpec, TWO_PI
+from .product import rejection_sample, two_product
 
 
 def disk_to_domain(profile, z):
@@ -126,10 +126,10 @@ class CutoffMapConfig:
                 30.0 * (x * (1.0 - x)) ** 2 / span)
 
 
-def sandwich_delta(profile, epsilon, n_factors, shrink=0.9):
-    """Cutoff level delta < a * eps'^2 with eps' < sqrt(eps/n)."""
-    eps_prime = shrink * np.sqrt(epsilon / n_factors)
-    return shrink * profile.area * eps_prime ** 2
+def sandwich_delta(profile, epsilon, n_factors):
+    """Cutoff level delta = 0.9 a eps'^2 with eps' = 0.9 sqrt(eps/n)."""
+    eps_prime = 0.9 * np.sqrt(epsilon / n_factors)
+    return 0.9 * profile.area * eps_prime ** 2
 
 
 def _contact_hamiltonian(profile, theta, t):
@@ -251,30 +251,29 @@ class SandwichReport:
                 and self.worst_inner_gauge + self.inner_error <= 1.0)
 
 
-def sandwich_check(factors, epsilon, samples, seed, steps=64, deltas=None):
+def sandwich_check(factors, epsilon, samples, seed, steps=64):
     """Verify (1-eps) product  subset  Psi(E)  subset  (1+eps) product.
 
-    Outer direction: map seeded uniform samples of E(a_1, ..., a_n) through
-    the cutoff map and check product gauge <= 1 + eps. Inner direction: draw
-    samples of (1-eps) * product, pull back per factor by the inverse cutoff
-    map, and check the preimage lies in E. ``steps`` is the RK4 step count
-    for coordinates in the cutoff ramp; those are rerun at steps // 2 for
-    an error estimate, which the verdict adds to the worst gauges.
+    ``factors`` is a sequence of profiles or a ProductDomain with p = 2
+    (product.two_product). Outer direction: map seeded uniform samples of
+    E(a_1, ..., a_n) through the cutoff map and check product gauge
+    <= 1 + eps. Inner direction: draw samples of (1-eps) * product, pull
+    back per factor by the inverse cutoff map, and check the preimage lies
+    in E. ``steps`` is the RK4 step count for coordinates in the cutoff
+    ramp; those are rerun at steps // 2 for an error estimate, which the
+    verdict adds to the worst gauges.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    factors = list(factors)
+    domain = two_product(factors)
+    factors = domain.factors
     n = len(factors)
-    areas = np.array([f.area for f in factors])
-    if deltas is None:
-        deltas = [sandwich_delta(f, epsilon, n) for f in factors]
+    areas = np.array(domain.factor_areas)
+    deltas = [sandwich_delta(f, epsilon, n) for f in factors]
     configs = [CutoffMapConfig(delta=d, steps=steps, epsilon=epsilon)
                for d in deltas]
-    domain = ProductDomain(factors, p=2.0)
+    ellipsoid_gauge = EllipsoidSpec(areas).gauge
     rng = np.random.default_rng(seed)
-
-    def ellipsoid_gauge(pts):
-        return np.sqrt(np.sum(np.pi * np.abs(pts) ** 2 / areas, axis=-1))
 
     # Outer: samples of E, pushed forward.
     ellipsoid_pts = rejection_sample(rng, np.sqrt(areas / np.pi),
@@ -303,7 +302,7 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64, deltas=None):
         epsilon=epsilon,
         samples=samples,
         seed=seed,
-        deltas=list(deltas),
+        deltas=deltas,
         violations_outer=int(np.count_nonzero(outer_bad)),
         violations_inner=int(np.count_nonzero(inner_bad)),
         worst_outer_gauge=float(np.max(outer_gauge)),

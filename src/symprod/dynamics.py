@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import ProductDomain, boundary_sample
+from .geometry2d import EllipsoidSpec, TWO_PI
+from .product import boundary_sample, common_area, two_product
 
 
 @dataclass
@@ -62,19 +62,6 @@ def char_flow_2d(profile, z, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def _planar_factors(domain):
-    if isinstance(domain, ProductDomain):
-        if domain.p != 2.0:
-            raise ValueError("splitting of the characteristic requires p = 2")
-        factors = domain.factors
-    else:
-        factors = tuple(domain)
-    for f in factors:
-        if not isinstance(f, RadialProfile):
-            raise TypeError("product flow needs planar (RadialProfile) factors")
-    return factors
-
-
 def _factor_flow(factors, w, t):
     """char_flow_2d on each factor of w (..., n) for times t (...)."""
     return np.stack([char_flow_2d(f, w[..., i], t)
@@ -101,8 +88,9 @@ def conjugacy_residual(factors, z, t):
     E(a_1, ..., a_n) onto the product boundary; Phi^t is char_flow_2d in
     every factor. ``z`` holds points of the ellipsoid boundary along its
     last axis and ``t`` one time per point; one point gives a float.
+    ``factors`` is a sequence of profiles or a 2-product (two_product).
     """
-    factors = _planar_factors(factors)
+    factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     z = np.asarray(z, dtype=complex)
     t = np.asarray(t, dtype=float)
@@ -122,7 +110,7 @@ def sample_conjugacy_residuals(factors, count, seed):
     angles (count, n) and times uniform in +-2 max(area), then returns the
     residual per sample.
     """
-    factors = _planar_factors(factors)
+    factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     rng = np.random.default_rng(seed)
     t_frac = rng.dirichlet(np.ones(len(factors)), size=count)
@@ -142,7 +130,7 @@ def orbit_period(domain, point, tol=1e-8, denominator_bound=1000):
     area. Candidate multiples of the largest active area are scanned with
     the tolerance applied to the fractional turn count.
     """
-    factors = _planar_factors(domain)
+    factors = two_product(domain).factors
     areas = [f.area for f in factors]
     active = [i for i in range(len(factors))
               if point.levels[i] > ACTIVE_LEVEL]
@@ -176,13 +164,10 @@ def is_foliated_by_systoles(domain, count, seed, tol=1e-8):
 
     The points are product.boundary_sample draws on the 2-product.
     """
-    factors = _planar_factors(domain)
-    areas = np.array([f.area for f in factors])
-    if np.max(areas) - np.min(areas) > 1e-10:
-        raise ValueError("systole foliation check requires equal factor areas")
-    a = float(areas[0])
-    start = boundary_sample(ProductDomain(factors, p=2.0), count, seed)
-    end = _factor_flow(factors, start, a)
+    domain = two_product(domain)
+    a = common_area(domain)
+    start = boundary_sample(domain, count, seed)
+    end = _factor_flow(domain.factors, start, a)
     dev = np.max(np.abs(end - start), axis=-1)
     failures = int(np.count_nonzero(dev > tol))
     return FoliationReport(area=a, samples=count, seed=seed,

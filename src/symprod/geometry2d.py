@@ -236,8 +236,6 @@ class EllipsoidSpec:
         if not all(a > 0.0 for a in areas):
             raise ValueError("ellipsoid areas must be positive")
         self.areas = areas
-        self.n = len(areas)
-        self.dim = 2 * self.n
 
     def gauge(self, z):
         """1-homogeneous gauge: sqrt(sum pi|z_i|^2 / a_i) over the block."""

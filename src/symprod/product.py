@@ -1,8 +1,11 @@
-"""Symplectic p-products of planar profiles and ellipsoid blocks.
+"""Symplectic p-products of planar star-shaped domains.
 
-The product is realized through its gauge: G(x_1, ..., x_k) =
-(sum_i g_i(x_i)^p)^(1/p) with g_i the 1-homogeneous factor gauges. The
-equivalence with the union-over-simplex definition is exercised by a
+The product is realized through its gauge: G(z_1, ..., z_n) =
+(sum_i g_i(z_i)^p)^(1/p), with g_i the 1-homogeneous gauge of the i-th
+RadialProfile and one complex coordinate z_i per factor. An ellipsoid
+E(a_1, ..., a_m) is no factor type of its own: it is the 2-product of the
+disks D(a_1), ..., D(a_m), whose gauges square-sum to the ellipsoid's.
+The equivalence with the union-over-simplex definition is exercised by a
 brute-force test, not assumed here.
 """
 
@@ -13,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import EllipsoidSpec, RadialProfile
+from .geometry2d import RadialProfile
 
 # Sample block size for deterministic, worker-count-independent Monte Carlo.
 MC_BLOCK = 1 << 16
 
 
 class ProductDomain:
-    """Ordered p-product of RadialProfile and EllipsoidSpec factors.
+    """Ordered p-product of RadialProfile factors.
 
-    Ambient points are complex arrays of length ``n_complex``: one slot per
-    planar factor, ``m`` consecutive slots per ellipsoid block E(a_1,...,a_m).
+    Ambient points are complex arrays whose last axis holds one coordinate
+    per factor.
     """
 
     def __init__(self, factors, p=2.0):
@@ -33,44 +36,25 @@ class ProductDomain:
         if not factors:
             raise ValueError("need at least one factor")
         for f in factors:
-            if not isinstance(f, (RadialProfile, EllipsoidSpec)):
+            if not isinstance(f, RadialProfile):
                 raise TypeError(f"unsupported factor type {type(f).__name__}")
         self.factors = factors
         self.p = float(p)
-        self._slots = []
-        pos = 0
-        for f in factors:
-            width = f.n if isinstance(f, EllipsoidSpec) else 1
-            self._slots.append((pos, pos + width))
-            pos += width
-        self.n_complex = pos
-        self.dim = 2 * pos
 
     @property
     def factor_areas(self):
-        """Flat list of symplectic areas, one per complex coordinate."""
-        out = []
-        for f in self.factors:
-            if isinstance(f, EllipsoidSpec):
-                out.extend(f.areas)
-            else:
-                out.append(f.area)
-        return out
-
-    def _split(self, x):
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-1] != self.n_complex:
-            raise ValueError(
-                f"point has {x.shape[-1]} complex coordinates, "
-                f"expected {self.n_complex}")
-        return [x[..., lo] if hi - lo == 1 else x[..., lo:hi]
-                for (lo, hi) in self._slots]
+        """Symplectic areas, one per factor."""
+        return [f.area for f in self.factors]
 
     def factor_gauges(self, x):
         """Stack of factor gauge values, shape (..., n_factors)."""
-        blocks = self._split(x)
-        vals = [f.gauge(b) for f, b in zip(self.factors, blocks)]
-        return np.stack([np.asarray(v, dtype=float) for v in vals], axis=-1)
+        x = np.asarray(x, dtype=complex)
+        if x.shape[-1] != len(self.factors):
+            raise ValueError(
+                f"point has {x.shape[-1]} complex coordinates, "
+                f"expected {len(self.factors)}")
+        return np.stack([np.asarray(f.gauge(x[..., i]), dtype=float)
+                         for i, f in enumerate(self.factors)], axis=-1)
 
     def gauge(self, x):
         """1-homogeneous product gauge (sum_i g_i^p)^(1/p)."""
@@ -79,24 +63,36 @@ class ProductDomain:
         return float(out) if out.ndim == 0 else out
 
     def bounding_radii(self):
-        """Per-complex-coordinate radii of a box enclosing the product."""
-        out = []
-        for f in self.factors:
-            if isinstance(f, EllipsoidSpec):
-                out.extend(np.sqrt(a / np.pi) for a in f.areas)
-            else:
-                out.append(f.max_radius)
-        return np.asarray(out)
+        """Per-factor radii of a box enclosing the product."""
+        return np.array([f.max_radius for f in self.factors])
 
     def __repr__(self):
         return f"ProductDomain(n_factors={len(self.factors)}, p={self.p})"
 
 
-def ellipsoid_volume(spec):
-    """Exact Euclidean volume a_1 ... a_n / n! of E(a_1, ..., a_n)."""
-    if not isinstance(spec, EllipsoidSpec):
-        spec = EllipsoidSpec(spec)
-    return spec.volume
+def two_product(factors):
+    """The 2-product of a factor sequence, or a ProductDomain with p = 2.
+
+    The experiments on the 2-product (the epsilon-sandwich, the Reeb
+    conjugacy, orbit periods, the systole foliation and boundary
+    minimality) compare it with the ellipsoid of its factor areas or split
+    its characteristic flow factor by factor; both hold only at p = 2, so
+    a ProductDomain with any other p is a ValueError.
+    """
+    if isinstance(factors, ProductDomain):
+        if factors.p != 2.0:
+            raise ValueError(
+                f"needs the 2-product (p = 2), got p = {factors.p:g}")
+        return factors
+    return ProductDomain(factors, p=2.0)
+
+
+def common_area(domain):
+    """The factors' common area; ValueError unless all agree to 1e-10."""
+    areas = np.array(domain.factor_areas)
+    if np.max(areas) - np.min(areas) > 1e-10:
+        raise ValueError("needs equal factor areas")
+    return float(areas[0])
 
 
 def sample_complex_box(rng, radii, count):
@@ -171,8 +167,8 @@ def boundary_sample(domain, count, seed=None, weights=None):
     """Points on the product boundary, G = 1 by construction.
 
     ``weights``: simplex weights t_i (one per factor); if omitted they are
-    drawn Dirichlet-uniform per point from the seeded stream. Each factor
-    block contributes a boundary point of t_i^(1/p) * factor_i.
+    drawn Dirichlet-uniform per point from the seeded stream. Factor i
+    contributes t_i^(1/p) times a uniform-angle point of its boundary.
     """
     rng = np.random.default_rng(seed)
     nf = len(domain.factors)
@@ -183,16 +179,8 @@ def boundary_sample(domain, count, seed=None, weights=None):
     else:
         t = rng.dirichlet(np.ones(nf), size=count)
 
-    out = np.empty((count, domain.n_complex), dtype=complex)
-    for i, (f, (lo, hi)) in enumerate(zip(domain.factors, domain._slots)):
-        scale = t[:, i] ** (1.0 / domain.p)
-        if isinstance(f, EllipsoidSpec):
-            g = rng.standard_normal((count, f.n)) + \
-                1j * rng.standard_normal((count, f.n))
-            norm = f.gauge(g)
-            norm = np.where(norm == 0.0, 1.0, norm)
-            out[:, lo:hi] = scale[:, None] * g / norm[:, None]
-        else:
-            theta = rng.uniform(0.0, 2.0 * np.pi, count)
-            out[:, lo] = scale * f.boundary_point(theta)
+    out = np.empty((count, nf), dtype=complex)
+    for i, f in enumerate(domain.factors):
+        theta = rng.uniform(0.0, 2.0 * np.pi, count)
+        out[:, i] = t[:, i] ** (1.0 / domain.p) * f.boundary_point(theta)
     return out

@@ -28,6 +28,10 @@ Recognized factor types and their keys:
     samples     values ("r0 r1 ..."), interpolation
     ellipsoid   areas ("a1 a2 ...")
 
+An ``ellipsoid`` section stands for one disk factor per area: the
+2-product of those disks is the ellipsoid E(a1, a2, ...). That holds only
+at p = 2, so under any other p the section is an error at its line.
+
 Unknown keys are rejected with a line-anchored message; so are values the
 library rejects, at the p line or at the factor's section line.
 """
@@ -37,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry2d
-from .geometry2d import EllipsoidSpec, RadialProfile
+from .geometry2d import RadialProfile
 from .product import ProductDomain
 
 
@@ -102,7 +106,8 @@ def _vertices(value, lineno):
     return verts
 
 
-def _build_factor(entries, section_line):
+def _build_factors(entries, section_line, p):
+    """The factors of one [factor] section: one, or one per ellipsoid area."""
     keys = {k: (v, ln) for k, (v, ln) in entries.items()}
     if "type" not in keys:
         raise SpecFileError("factor section missing 'type'", section_line)
@@ -116,6 +121,20 @@ def _build_factor(entries, section_line):
             raise SpecFileError(
                 f"unknown key {k!r} for factor type {ftype!r}", ln)
 
+    if ftype != "ellipsoid":
+        return [_build_profile(ftype, keys)]
+    if p != 2.0:
+        raise SpecFileError(
+            "an ellipsoid factor is the 2-product of its disks and needs "
+            f"p = 2, got p = {p:g}", section_line)
+    value, ln = keys["areas"]
+    areas = _floats(value, ln)
+    if not areas:
+        raise SpecFileError("'areas' needs at least one value", ln)
+    return [geometry2d.disk_profile(a) for a in areas]
+
+
+def _build_profile(ftype, keys):
     def get(key, cast, default=None):
         if key not in keys:
             return default
@@ -161,9 +180,6 @@ def _build_factor(entries, section_line):
     if ftype == "samples":
         value, ln = keys["values"]
         return RadialProfile(_floats(value, ln), interp)
-    if ftype == "ellipsoid":
-        value, ln = keys["areas"]
-        return EllipsoidSpec(_floats(value, ln))
     raise AssertionError(ftype)
 
 
@@ -189,9 +205,9 @@ def parse_spec(text):
             if payload != "factor":
                 raise SpecFileError(f"unknown section [{payload}]", lineno)
             if current is not None:
-                factors.append(
-                    _anchored(_build_factor, current_line, current,
-                              current_line))
+                factors.extend(
+                    _anchored(_build_factors, current_line, current,
+                              current_line, p))
             current = {}
             current_line = lineno
         else:
@@ -211,8 +227,8 @@ def parse_spec(text):
                     raise SpecFileError(f"duplicate key {key!r}", lineno)
                 current[key] = (value, lineno)
     if current is not None:
-        factors.append(
-            _anchored(_build_factor, current_line, current, current_line))
+        factors.extend(_anchored(_build_factors, current_line, current,
+                                 current_line, p))
     if not factors:
         raise SpecFileError("spec file declares no factors")
     return _anchored(ProductDomain, p_line, factors, p)

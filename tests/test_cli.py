@@ -141,7 +141,12 @@ def test_selftest_quick():
 
 
 @pytest.mark.parametrize("argv", [
-    ["sandwich", "--spec", "ELLIPSOID", "--seed", "1"],
+    ["sandwich", "--spec", "P3_WEIER", "--samples", "2000", "--seed", "1"],
+    ["conjugacy", "--spec", "P3_WEIER", "--samples", "50", "--seed", "1"],
+    ["boundary-minimal", "--spec", "P3_DISKS", "--samples", "2000",
+     "--seed", "1"],
+    ["flow", "--spec", "P3_DISKS", "--point", "0.1,0.1;0.2,0.1",
+     "--steps", "3"],
     ["flow", "--spec", str(SPECS / "cosine_disk.spec"), "--point", "0.1,0.1"],
     ["map", "--spec", str(SPECS / "cosine_disk.spec"), "--factor", "5"],
     ["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "10",
@@ -149,13 +154,18 @@ def test_selftest_quick():
     ["boxdim", "--max-exp", "6", "--seed", "1"],
     ["capacities", "--areas", "1,-2"],
     ["boxdim", "--family", "xiao_zhou", "--seed", "1"],
-], ids=["sandwich-ellipsoid", "flow-one-point", "map-factor-range",
-        "volume-few-samples", "boxdim-few-scales", "capacities-negative",
-        "boxdim-family-parameter"])
+], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
+        "flow-one-point", "map-factor-range", "volume-few-samples",
+        "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
-    spec = tmp_path / "ellipsoid.spec"
-    spec.write_text("[factor]\ntype = ellipsoid\nareas = 1 2\n")
-    argv = [str(spec) if a == "ELLIPSOID" else a for a in argv]
+    """P3_* stand for p = 3 copies of the bundled specs."""
+    p3 = {}
+    for token, name in (("P3_WEIER", "weier_square"),
+                        ("P3_DISKS", "disks_1_1")):
+        p3[token] = tmp_path / f"{name}_p3.spec"
+        p3[token].write_text(
+            (SPECS / f"{name}.spec").read_text().replace("p = 2", "p = 3"))
+    argv = [str(p3.get(a, a)) for a in argv]
     code, out = run_cli(argv)
     assert code == 2
     assert out == ""

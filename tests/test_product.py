@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from symprod import geometry2d, product
+from symprod import capacities, diskmap, dynamics, geometry2d, product
 from symprod.geometry2d import EllipsoidSpec
 from symprod.product import ProductDomain
+from symprod.specfile import parse_spec
 
 
 def two_disks(a1=1.0, a2=1.0, p=2.0):
@@ -14,9 +15,9 @@ def two_disks(a1=1.0, a2=1.0, p=2.0):
 
 
 def test_ellipsoid_volume_oracle():
-    assert product.ellipsoid_volume([1.0, 1.0]) == pytest.approx(0.5)
-    assert product.ellipsoid_volume([1.0, 2.0, 3.0]) == pytest.approx(1.0)
-    assert product.ellipsoid_volume([2.0]) == pytest.approx(2.0)
+    assert EllipsoidSpec([1.0, 1.0]).volume == pytest.approx(0.5)
+    assert EllipsoidSpec([1.0, 2.0, 3.0]).volume == pytest.approx(1.0)
+    assert EllipsoidSpec([2.0]).volume == pytest.approx(2.0)
 
 
 def test_two_product_of_disks_is_ellipsoid():
@@ -73,6 +74,39 @@ def test_rejects_p_below_one():
         two_disks(p=0.5)
 
 
+def test_rejects_non_planar_factor():
+    with pytest.raises(TypeError, match="EllipsoidSpec"):
+        ProductDomain([geometry2d.disk_profile(1.0), EllipsoidSpec([1.0])])
+
+
+def _flow_point():
+    return dynamics.FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.5, 0.5]))
+
+
+GATED = {
+    "sandwich_check": lambda d: diskmap.sandwich_check(d, 0.05, 100, 1),
+    "conjugacy_residual": lambda d: dynamics.conjugacy_residual(
+        d, np.sqrt([0.5 / np.pi, 0.5 / np.pi]) + 0j, 0.1),
+    "sample_conjugacy_residuals": lambda d:
+        dynamics.sample_conjugacy_residuals(d, 10, 1),
+    "orbit_period": lambda d: dynamics.orbit_period(d, _flow_point()),
+    "is_foliated_by_systoles": lambda d:
+        dynamics.is_foliated_by_systoles(d, 10, 1),
+    "boundary_minimal_experiment": lambda d:
+        capacities.boundary_minimal_experiment(
+            d, _flow_point(), width=0.9, target_area=0.9, samples=100,
+            seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_two_product_experiments_reject_other_p(name):
+    """The 2-product experiments accept a p = 2 domain and refuse p = 3."""
+    GATED[name](two_disks())
+    with pytest.raises(ValueError, match="p = 2"):
+        GATED[name](two_disks(p=3.0))
+
+
 def test_gauge_rejects_dimension_mismatch():
     domain = two_disks()
     with pytest.raises(ValueError):
@@ -114,8 +148,8 @@ def test_mc_volume_seed_reproducible():
 
 def test_mixed_ellipsoid_factor_volume():
     """disk x_2 E(1,1) is E(1,1,1): volume 1/6."""
-    domain = ProductDomain([geometry2d.disk_profile(1.0),
-                            EllipsoidSpec([1.0, 1.0])])
+    domain = parse_spec("[factor]\ntype = disk\narea = 1\n"
+                        "[factor]\ntype = ellipsoid\nareas = 1 1\n")
     est = product.mc_volume(domain, 400000, seed=21)
     assert abs(est.volume - 1.0 / 6.0) <= 3.0 * est.std_error
 

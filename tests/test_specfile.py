@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symprod.geometry2d import EllipsoidSpec
+from symprod.geometry2d import EllipsoidSpec, RadialProfile
 from symprod.specfile import SpecFileError, parse_spec
 
 GOOD = """\
@@ -28,9 +28,14 @@ def test_parse_good_spec():
 
 
 def test_parse_ellipsoid_factor():
+    """An ellipsoid section is its disks; their 2-product is E(1, 2, 3)."""
     domain = parse_spec("[factor]\ntype = ellipsoid\nareas = 1 2 3\n")
-    assert isinstance(domain.factors[0], EllipsoidSpec)
-    assert domain.n_complex == 3
+    assert len(domain.factors) == 3
+    assert all(isinstance(f, RadialProfile) for f in domain.factors)
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+    assert np.allclose(domain.gauge(z), EllipsoidSpec([1, 2, 3]).gauge(z),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_parse_samples_factor():
@@ -97,7 +102,11 @@ def test_bad_value_is_line_anchored():
     ("p = 0.5\n[factor]\ntype = disk\n", 1),
     ("p = 2\n\n[factor]\ntype = polygon\nvertices = 1 1, 2 2, -1 1\n", 3),
     ("[factor]\ntype = disk\n[factor]\ntype = disk\nN = 8\n", 3),
-], ids=["p-below-one", "non-star-polygon", "too-few-samples"])
+    ("p = 3\n[factor]\ntype = disk\n[factor]\ntype = ellipsoid\n"
+     "areas = 1 2\n", 4),
+    ("[factor]\ntype = ellipsoid\nareas = \n", 3),
+], ids=["p-below-one", "non-star-polygon", "too-few-samples", "ellipsoid-p3",
+        "ellipsoid-no-areas"])
 def test_library_rejected_value_is_line_anchored(text, line):
     with pytest.raises(SpecFileError) as exc:
         parse_spec(text)
