@@ -8,7 +8,6 @@ for identical configuration. Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
@@ -21,18 +20,28 @@ from .selftest import run_selftest
 from .specfile import SpecFileError, load_spec
 
 
-def _writer(args):
-    if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+def _fmt(value):
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _emit_csv(fh, columns, rows):
-    fh.write(f"# symprod {__version__}\n")
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                          for v in row) + "\n")
+def _emit(args, lines):
+    """Write the version header and ``lines`` to --output or stdout."""
+    text = "".join(f"{ln}\n" for ln in [f"# symprod {__version__}", *lines])
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_fields(args, report, names, extra):
+    """Emit ``name = value`` for the named report fields, then ``extra``."""
+    _emit(args, [f"{name} = {_fmt(getattr(report, name))}" for name in names]
+          + extra)
+
+
+def _csv(columns, rows):
+    return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
 def _parse_point(text, n):
@@ -48,9 +57,8 @@ def _parse_point(text, n):
 
 def cmd_area(args):
     domain = load_spec(args.spec)
-    with _writer(args) as fh:
-        rows = [(i, float(a)) for i, a in enumerate(domain.factor_areas)]
-        _emit_csv(fh, ["factor", "area"], rows)
+    rows = [(i, float(a)) for i, a in enumerate(domain.factor_areas)]
+    _emit(args, _csv(["factor", "area"], rows))
     return 0
 
 
@@ -68,8 +76,7 @@ def cmd_map(args):
     det = diskmap.jacobian_determinant(profile, z)
     rows = [(float(a.real), float(a.imag), float(b.real), float(b.imag),
              float(d)) for a, b, d in zip(z, w, det)]
-    with _writer(args) as fh:
-        _emit_csv(fh, ["x", "y", "u", "v", "jacobian"], rows)
+    _emit(args, _csv(["x", "y", "u", "v", "jacobian"], rows))
     return 0
 
 
@@ -77,13 +84,12 @@ def cmd_volume(args):
     domain = load_spec(args.spec)
     est = product_mod.mc_volume(domain, args.samples, args.seed,
                                 threads=args.threads)
-    with _writer(args) as fh:
-        fh.write(f"# symprod {__version__}\n")
-        fh.write(f"estimate = {est.volume:.12g}\n")
-        fh.write(f"stderr = {est.std_error:.12g}\n")
-        if domain.p == 2.0:
-            exact = geometry2d.EllipsoidSpec(domain.factor_areas).volume
-            fh.write(f"ellipsoid_reference = {exact:.12g}\n")
+    lines = [f"estimate = {_fmt(est.volume)}",
+             f"stderr = {_fmt(est.std_error)}"]
+    if domain.p == 2.0:
+        exact = geometry2d.EllipsoidSpec(domain.factor_areas).volume
+        lines.append(f"ellipsoid_reference = {_fmt(exact)}")
+    _emit(args, lines)
     return 0
 
 
@@ -92,64 +98,50 @@ def cmd_flow(args):
     factors = domain.factors
     z0 = _parse_point(args.point, len(factors))
     t0, t1 = (float(tok) for tok in args.t_range.split(","))
-    times = np.linspace(t0, t1, args.steps)
     rows = []
-    for t in times:
-        zt = np.array([dynamics.char_flow_2d(f, z0[i], t)
-                       for i, f in enumerate(factors)])
+    for t in np.linspace(t0, t1, args.steps):
+        zt = product_mod.factorwise(dynamics.char_flow_2d, factors, z0, t)
         row = [float(t)]
         for z in zt:
             row.extend([float(z.real), float(z.imag)])
         row.append(float(domain.gauge(zt)))
-        rows.append(tuple(row))
+        rows.append(row)
     cols = ["t"]
     for i in range(len(factors)):
         cols.extend([f"x{i}", f"y{i}"])
     cols.append("gauge")
-    with _writer(args) as fh:
-        _emit_csv(fh, cols, rows)
+    _emit(args, _csv(cols, rows))
     return 0
 
 
 def cmd_conjugacy(args):
     residuals = dynamics.sample_conjugacy_residuals(
         load_spec(args.spec), args.samples, args.seed)
-    with _writer(args) as fh:
-        fh.write(f"# symprod {__version__}\n")
-        fh.write(f"samples = {args.samples}\n")
-        fh.write(f"max_residual = {residuals.max():.12g}\n")
-        fh.write(f"mean_residual = {residuals.mean():.12g}\n")
+    _emit(args, [f"samples = {args.samples}",
+                 f"max_residual = {_fmt(residuals.max())}",
+                 f"mean_residual = {_fmt(residuals.mean())}"])
     return 0 if residuals.max() <= args.tolerance else 1
 
 
 def cmd_capacities(args):
     areas = [float(tok) for tok in args.areas.split(",")]
     table = capacities.gh_capacities(areas, args.count)
-    with _writer(args) as fh:
-        fh.write(f"# symprod {__version__}\n")
-        fh.write(",".join(f"{v:.12g}" for v in table.values) + "\n")
-        zoll, c1, cn = capacities.zoll_check(areas)
-        fh.write(f"zoll = {'true' if zoll else 'false'} "
-                 f"(c1={c1:.12g}, cn={cn:.12g})\n")
+    zoll, c1, cn = capacities.zoll_check(areas)
+    _emit(args, [",".join(map(_fmt, table.values)),
+                 f"zoll = {'true' if zoll else 'false'} "
+                 f"(c1={_fmt(c1)}, cn={_fmt(cn)})"])
     return 0
 
 
 def cmd_sandwich(args):
     report = diskmap.sandwich_check(load_spec(args.spec), args.epsilon,
                                     args.samples, args.seed, steps=args.steps)
-    with _writer(args) as fh:
-        fh.write(f"# symprod {__version__}\n")
-        fh.write(f"epsilon = {report.epsilon:.12g}\n")
-        fh.write(f"violations_outer = {report.violations_outer}\n")
-        fh.write(f"violations_inner = {report.violations_inner}\n")
-        fh.write(f"worst_outer_gauge = {report.worst_outer_gauge:.12g}\n")
-        fh.write(f"worst_inner_gauge = {report.worst_inner_gauge:.12g}\n")
-        fh.write(f"closed_form = {report.closed_form}\n")
-        fh.write(f"integrated = {report.integrated}\n")
-        fh.write(f"outer_error = {report.outer_error:.12g}\n")
-        fh.write(f"inner_error = {report.inner_error:.12g}\n")
-        for kind, point, gauge in report.offenders:
-            fh.write(f"offender {kind} gauge={gauge:.12g} point={point}\n")
+    _emit_fields(args, report, [
+        "epsilon", "violations_outer", "violations_inner",
+        "worst_outer_gauge", "worst_inner_gauge", "closed_form",
+        "integrated", "outer_error", "inner_error"],
+        [f"offender {kind} gauge={_fmt(gauge)} point={point}"
+         for kind, point, gauge in report.offenders])
     return 0 if report.passed else 1
 
 
@@ -163,46 +155,37 @@ def cmd_boundary_minimal(args):
     report = capacities.boundary_minimal_experiment(
         domain, point, width=args.width, target_area=args.target_ratio * a,
         samples=args.samples, seed=args.seed)
-    with _writer(args) as fh:
-        fh.write(f"# symprod {__version__}\n")
-        fh.write(f"area = {report.area:.12g}\n")
-        fh.write(f"target_area = {report.target_area:.12g}\n")
-        fh.write(f"capacity_gap = {report.capacity_gap:.12g}\n")
-        fh.write(f"eta = {report.eta:.12g}\n")
-        fh.write(f"checked = {report.checked}\n")
-        fh.write(f"violations = {report.violations}\n")
-        for point_, gauge in report.offenders:
-            fh.write(f"offender gauge={gauge:.12g} point={point_}\n")
+    _emit_fields(args, report, [
+        "area", "target_area", "capacity_gap", "eta", "checked",
+        "violations"],
+        [f"offender gauge={_fmt(gauge)} point={point_}"
+         for point_, gauge in report.offenders])
     return 0 if report.passed else 1
 
 
 def cmd_boxdim(args):
     scales = 2.0 ** -np.arange(args.min_exp, args.max_exp + 1)
-    if args.target == "function":
-        fn = fractal.make_fractal(args.family, a=args.a, b=args.b,
-                                  terms=args.terms)
-        sampler = fractal.graph_sampler(fn)
-        counts = fractal.count_scales(sampler, scales, seed=args.seed)
-    elif args.target == "product":
-        fn = fractal.make_fractal(args.family, a=args.a, b=args.b,
-                                  terms=args.terms)
-        sampler = fractal.graph_sampler(fn)
-        base = fractal.count_scales(sampler, scales, seed=args.seed)
-        counts = fractal.product_interval_count(base, scales)
-    elif args.target == "boundary":
+    if args.target == "boundary":
+        if args.family != "weierstrass":
+            raise ValueError("--target boundary takes only --family "
+                             f"weierstrass, got {args.family!r}")
         profile = geometry2d.weierstrass_profile(a=args.a, b=args.b,
                                                  terms=args.terms)
         counts = fractal.boundary_patch_counts(profile, [1.0], scales,
                                                seed=args.seed)
     else:
-        raise SystemExit(f"unknown target {args.target}")
+        fn = fractal.make_fractal(args.family, a=args.a, b=args.b,
+                                  terms=args.terms)
+        counts = fractal.count_scales(fractal.graph_sampler(fn), scales,
+                                      seed=args.seed)
+        if args.target == "product":
+            counts = fractal.product_interval_count(counts, scales)
     est = fractal.estimate_dimension(scales, counts)
     rows = [(float(e), float(c), float(np.log(1 / e)), float(np.log(c)))
             for e, c in zip(scales, counts)]
-    with _writer(args) as fh:
-        _emit_csv(fh, ["eps", "count", "log_inv_eps", "log_count"], rows)
-        fh.write(f"# slope = {est.slope:.12g}\n")
-        fh.write(f"# r_squared = {est.r_squared:.12g}\n")
+    _emit(args, _csv(["eps", "count", "log_inv_eps", "log_count"], rows)
+          + [f"# slope = {_fmt(est.slope)}",
+             f"# r_squared = {_fmt(est.r_squared)}"])
     return 0
 
 
@@ -277,7 +260,8 @@ def build_parser():
                    default="function")
     p.add_argument("--family", default="weierstrass",
                    help="weierstrass or weierstrass_phase (xiao_zhou takes "
-                        "no --b and is library-only)")
+                        "no --b and is library-only); the boundary target "
+                        "takes only weierstrass")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--terms", type=int, default=30)

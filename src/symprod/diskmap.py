@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry2d import EllipsoidSpec, TWO_PI
-from .product import rejection_sample, two_product
+from .product import factorwise, rejection_sample, two_product
 
 
 def disk_to_domain(profile, z):
@@ -67,21 +67,12 @@ def jacobian_determinant(profile, z):
 
 def product_map(factors, z):
     """Factor-wise disk_to_domain on a point of R^{2n} (complex length n)."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != len(factors):
-        raise ValueError("point length does not match factor count")
-    out = np.empty_like(z)
-    for i, profile in enumerate(factors):
-        out[..., i] = disk_to_domain(profile, z[..., i])
-    return out
+    return factorwise(disk_to_domain, factors, z)
 
 
 def product_map_inverse(factors, w):
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    for i, profile in enumerate(factors):
-        out[..., i] = domain_to_disk(profile, w[..., i])
-    return out
+    """Factor-wise domain_to_disk, the inverse of product_map."""
+    return factorwise(domain_to_disk, factors, w)
 
 
 # -- cutoff (smoothed) map --------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diskmap import product_map
 from .geometry2d import EllipsoidSpec, TWO_PI
-from .product import boundary_sample, common_area, two_product
+from .product import boundary_sample, common_area, factorwise, two_product
 
 
 @dataclass
@@ -62,12 +62,6 @@ def char_flow_2d(profile, z, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def _factor_flow(factors, w, t):
-    """char_flow_2d on each factor of w (..., n) for times t (...)."""
-    return np.stack([char_flow_2d(f, w[..., i], t)
-                     for i, f in enumerate(factors)], axis=-1)
-
-
 def reeb_ellipsoid(spec, z, t):
     """Reeb flow on E(a_1, ..., a_n): z_i -> e^{i 2 pi t / a_i} z_i."""
     if not isinstance(spec, EllipsoidSpec):
@@ -98,7 +92,7 @@ def conjugacy_residual(factors, z, t):
     if np.any(np.abs(level - 1.0) > ELLIPSOID_BOUNDARY_TOL):
         raise ValueError("point is not on the ellipsoid boundary")
     lhs = product_map(factors, reeb_ellipsoid(areas, z, t[..., None]))
-    rhs = _factor_flow(factors, product_map(factors, z), t)
+    rhs = factorwise(char_flow_2d, factors, product_map(factors, z), t)
     out = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=-1))
     return float(out) if out.ndim == 0 else out
 
@@ -167,7 +161,7 @@ def is_foliated_by_systoles(domain, count, seed, tol=1e-8):
     domain = two_product(domain)
     a = common_area(domain)
     start = boundary_sample(domain, count, seed)
-    end = _factor_flow(domain.factors, start, a)
+    end = factorwise(char_flow_2d, domain.factors, start, a)
     dev = np.max(np.abs(end - start), axis=-1)
     failures = int(np.count_nonzero(dev > tol))
     return FoliationReport(area=a, samples=count, seed=seed,

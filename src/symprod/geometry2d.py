@@ -233,8 +233,8 @@ class EllipsoidSpec:
 
     def __init__(self, areas):
         areas = tuple(float(a) for a in np.atleast_1d(areas))
-        if not all(a > 0.0 for a in areas):
-            raise ValueError("ellipsoid areas must be positive")
+        if not all(0.0 < a < np.inf for a in areas):
+            raise ValueError("ellipsoid areas must be finite and positive")
         self.areas = areas
 
     def gauge(self, z):
@@ -257,7 +257,7 @@ class EllipsoidSpec:
 
 # -- presets ----------------------------------------------------------------
 
-def disk_profile(area, N=4096, interpolation="linear"):
+def disk_profile(area=np.pi, N=4096, interpolation="linear"):
     """Disk of the given area centered at the origin."""
     if area <= 0.0:
         raise ValueError("disk area must be positive")

@@ -22,6 +22,20 @@ from .geometry2d import RadialProfile
 MC_BLOCK = 1 << 16
 
 
+def factorwise(fn, factors, z, *args):
+    """Stack fn(factor_i, z[..., i], *args) over the factors on the last axis.
+
+    ``z`` holds one complex coordinate per factor along its last axis; any
+    other length is a ValueError.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1] != len(factors):
+        raise ValueError(f"point has {z.shape[-1]} complex coordinates, "
+                         f"expected {len(factors)}")
+    return np.stack([fn(f, z[..., i], *args) for i, f in enumerate(factors)],
+                    axis=-1)
+
+
 class ProductDomain:
     """Ordered p-product of RadialProfile factors.
 
@@ -30,8 +44,8 @@ class ProductDomain:
     """
 
     def __init__(self, factors, p=2.0):
-        if p < 1.0:
-            raise ValueError("product exponent must satisfy p >= 1")
+        if not 1.0 <= p < np.inf:
+            raise ValueError("product exponent must be finite with p >= 1")
         factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
@@ -48,13 +62,7 @@ class ProductDomain:
 
     def factor_gauges(self, x):
         """Stack of factor gauge values, shape (..., n_factors)."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-1] != len(self.factors):
-            raise ValueError(
-                f"point has {x.shape[-1]} complex coordinates, "
-                f"expected {len(self.factors)}")
-        return np.stack([np.asarray(f.gauge(x[..., i]), dtype=float)
-                         for i, f in enumerate(self.factors)], axis=-1)
+        return factorwise(RadialProfile.gauge, self.factors, x)
 
     def gauge(self, x):
         """1-homogeneous product gauge (sum_i g_i^p)^(1/p)."""

@@ -17,31 +17,37 @@ Format: optional top-level keys, then one ``[factor]`` section per factor.
     type = polygon
     vertices = 1 1, -1 1, -1 -1, 1 -1
 
-Recognized factor types and their keys:
+Each factor type names one builder, and its keys are that builder's
+parameters, lowercased (so ``N`` is ``n``), except that ``RadialProfile``'s
+``samples`` is ``values``. A parameter without a default is a required key;
+the others default to the builder's own defaults, with one exception: specs
+default to linear interpolation, although ``cosine_profile`` defaults to
+cubic.
 
-    disk        area, N, interpolation
-    cosine      area, N, interpolation
-    polygon     vertices ("x y, x y, ..."), N
-    weierstrass r0, amplitude, a, b, terms, N
-    hunt        r0, amplitude, a, b, terms, seed, phases, N
-    xz          r0, amplitude, a, alpha, beta, terms, N
-    samples     values ("r0 r1 ..."), interpolation
-    ellipsoid   areas ("a1 a2 ...")
+    disk        geometry2d.disk_profile
+    cosine      geometry2d.cosine_profile
+    polygon     geometry2d.polygon_profile (vertices = "x y, x y, ...")
+    weierstrass geometry2d.weierstrass_profile
+    hunt        geometry2d.hunt_profile
+    xz          geometry2d.xz_profile
+    samples     geometry2d.RadialProfile (values = "r0 r1 ...")
+    ellipsoid   geometry2d.EllipsoidSpec (areas = "a1 a2 ...")
 
 An ``ellipsoid`` section stands for one disk factor per area: the
 2-product of those disks is the ellipsoid E(a1, a2, ...). That holds only
 at p = 2, so under any other p the section is an error at its line.
 
-Unknown keys are rejected with a line-anchored message; so are values the
-library rejects, at the p line or at the factor's section line.
+Unknown keys and unparsable values are rejected with a line-anchored
+message; a missing required key and a value the library rejects are
+reported at the factor's section line, or at the p line.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import inspect
 
 from . import geometry2d
-from .geometry2d import RadialProfile
+from .geometry2d import EllipsoidSpec, RadialProfile
 from .product import ProductDomain
 
 
@@ -56,16 +62,20 @@ class SpecFileError(ValueError):
 
 _TOP_KEYS = {"p"}
 
-_FACTOR_KEYS = {
-    "disk": {"area", "n", "interpolation"},
-    "cosine": {"area", "n", "interpolation"},
-    "polygon": {"vertices", "n"},
-    "weierstrass": {"r0", "amplitude", "a", "b", "terms", "n"},
-    "hunt": {"r0", "amplitude", "a", "b", "terms", "seed", "phases", "n"},
-    "xz": {"r0", "amplitude", "a", "alpha", "beta", "terms", "n"},
-    "samples": {"values", "interpolation"},
-    "ellipsoid": {"areas"},
+# Factor type -> the geometry2d builder its section calls.
+_BUILDERS = {
+    "disk": geometry2d.disk_profile,
+    "cosine": geometry2d.cosine_profile,
+    "polygon": geometry2d.polygon_profile,
+    "weierstrass": geometry2d.weierstrass_profile,
+    "hunt": geometry2d.hunt_profile,
+    "xz": geometry2d.xz_profile,
+    "samples": RadialProfile,
+    "ellipsoid": EllipsoidSpec,
 }
+
+# Builder parameters whose spec key is not their lowercased name.
+_KEY_OF = {"samples": "values"}
 
 
 def _tokenize(text):
@@ -85,102 +95,73 @@ def _tokenize(text):
             raise SpecFileError(f"expected 'key = value', got {line!r}", lineno)
 
 
-def _floats(value, lineno):
-    try:
-        return [float(tok) for tok in value.replace(",", " ").split()]
-    except ValueError:
-        raise SpecFileError(f"expected numbers, got {value!r}", lineno)
+def _floats(value):
+    out = [float(tok) for tok in value.replace(",", " ").split()]
+    if not out:
+        raise ValueError("expected at least one number")
+    return out
 
 
-def _vertices(value, lineno):
+def _vertices(value):
     pairs = [p.strip() for p in value.split(",") if p.strip()]
     verts = []
     for p in pairs:
         parts = p.split()
         if len(parts) != 2:
-            raise SpecFileError(f"bad vertex {p!r} (expected 'x y')", lineno)
-        try:
-            verts.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise SpecFileError(f"bad vertex {p!r}", lineno)
+            raise ValueError(f"bad vertex {p!r} (expected 'x y')")
+        verts.append((float(parts[0]), float(parts[1])))
     return verts
 
 
+# How a key's text becomes its value; every other key is one float.
+_PARSERS = {"n": int, "terms": int, "seed": int, "interpolation": str,
+            "vertices": _vertices, "values": _floats, "phases": _floats,
+            "areas": _floats}
+
+
+def _params(builder):
+    """Spec key -> inspect.Parameter, for each parameter of ``builder``."""
+    return {_KEY_OF.get(name, name.lower()): par
+            for name, par in inspect.signature(builder).parameters.items()}
+
+
 def _build_factors(entries, section_line, p):
-    """The factors of one [factor] section: one, or one per ellipsoid area."""
-    keys = {k: (v, ln) for k, (v, ln) in entries.items()}
+    """The factors of one [factor] section: one, or one per ellipsoid area.
+
+    The section's keys are its builder's parameters, and a parameter
+    without a default is a required key.
+    """
+    keys = dict(entries)
     if "type" not in keys:
         raise SpecFileError("factor section missing 'type'", section_line)
-    ftype, _ = keys.pop("type")
-    ftype = ftype.lower()
-    allowed = _FACTOR_KEYS.get(ftype)
-    if allowed is None:
+    ftype = keys.pop("type")[0].lower()
+    builder = _BUILDERS.get(ftype)
+    if builder is None:
         raise SpecFileError(f"unknown factor type {ftype!r}", section_line)
-    for k, (_, ln) in keys.items():
-        if k not in allowed:
+    params = _params(builder)
+    kwargs = {}
+    for key, (value, ln) in keys.items():
+        if key not in params:
             raise SpecFileError(
-                f"unknown key {k!r} for factor type {ftype!r}", ln)
+                f"unknown key {key!r} for factor type {ftype!r}", ln)
+        try:
+            kwargs[params[key].name] = _PARSERS.get(key, float)(value)
+        except ValueError as exc:
+            raise SpecFileError(f"bad value for {key!r}: {exc}", ln) from None
+    for key, par in params.items():
+        if par.default is par.empty and par.name not in kwargs:
+            raise SpecFileError(
+                f"factor type {ftype!r} needs {key!r}", section_line)
+    if "interpolation" in params:
+        kwargs.setdefault("interpolation", "linear")
 
     if ftype != "ellipsoid":
-        return [_build_profile(ftype, keys)]
+        return [builder(**kwargs)]
     if p != 2.0:
         raise SpecFileError(
             "an ellipsoid factor is the 2-product of its disks and needs "
             f"p = 2, got p = {p:g}", section_line)
-    value, ln = keys["areas"]
-    areas = _floats(value, ln)
-    if not areas:
-        raise SpecFileError("'areas' needs at least one value", ln)
-    return [geometry2d.disk_profile(a) for a in areas]
-
-
-def _build_profile(ftype, keys):
-    def get(key, cast, default=None):
-        if key not in keys:
-            return default
-        value, ln = keys[key]
-        try:
-            return cast(value)
-        except SpecFileError:
-            raise
-        except Exception:
-            raise SpecFileError(f"bad value for {key!r}: {value!r}", ln)
-
-    n = get("n", int, 4096)
-    interp = get("interpolation", str, "linear")
-    if ftype == "disk":
-        return geometry2d.disk_profile(get("area", float, np.pi), N=n,
-                                       interpolation=interp)
-    if ftype == "cosine":
-        return geometry2d.cosine_profile(get("area", float, np.pi), N=n,
-                                         interpolation=interp)
-    if ftype == "polygon":
-        value, ln = keys["vertices"]
-        return geometry2d.polygon_profile(_vertices(value, ln), N=n)
-    if ftype == "weierstrass":
-        return geometry2d.weierstrass_profile(
-            r0=get("r0", float, 1.0), amplitude=get("amplitude", float, 0.1),
-            a=get("a", float, 0.5), b=get("b", float, 3.0),
-            terms=get("terms", int, 20), N=n)
-    if ftype == "hunt":
-        phases = None
-        if "phases" in keys:
-            value, ln = keys["phases"]
-            phases = _floats(value, ln)
-        return geometry2d.hunt_profile(
-            r0=get("r0", float, 1.0), amplitude=get("amplitude", float, 0.1),
-            a=get("a", float, 0.5), b=get("b", float, 3.0),
-            terms=get("terms", int, 20), phases=phases,
-            seed=get("seed", int, 0), N=n)
-    if ftype == "xz":
-        return geometry2d.xz_profile(
-            r0=get("r0", float, 1.0), amplitude=get("amplitude", float, 0.1),
-            a=get("a", float, 0.5), alpha=get("alpha", float, 1.2),
-            beta=get("beta", float, 1.5), terms=get("terms", int, 12), N=n)
-    if ftype == "samples":
-        value, ln = keys["values"]
-        return RadialProfile(_floats(value, ln), interp)
-    raise AssertionError(ftype)
+    return [geometry2d.disk_profile(a) for a in builder(**kwargs).areas]
 
 
 def _anchored(build, line, *args):

@@ -154,9 +154,13 @@ def test_selftest_quick():
     ["boxdim", "--max-exp", "6", "--seed", "1"],
     ["capacities", "--areas", "1,-2"],
     ["boxdim", "--family", "xiao_zhou", "--seed", "1"],
+    ["capacities", "--areas", "inf,1"],
+    ["boxdim", "--target", "boundary", "--family", "xiao_zhou",
+     "--min-exp", "1", "--max-exp", "5", "--seed", "1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
-        "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter"])
+        "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
+        "capacities-infinite", "boxdim-boundary-family"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs."""
     p3 = {}

@@ -119,6 +119,17 @@ def test_product_map_sends_ellipsoid_levels_to_product_levels():
     assert np.max(np.abs(back - z)) < 1e-9
 
 
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("fn", [diskmap.product_map,
+                                diskmap.product_map_inverse],
+                         ids=["forward", "inverse"])
+def test_product_map_rejects_wrong_point_length(fn, width):
+    """A point needs one complex coordinate per factor, in both directions."""
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(2.0)]
+    with pytest.raises(ValueError, match="expected 2"):
+        fn(factors, np.full((4, width), 0.1 + 0.2j))
+
+
 def test_cutoff_map_matches_exact_map_above_cutoff():
     profile = geometry2d.cosine_profile(np.pi)
     config = diskmap.CutoffMapConfig(delta=0.05 * profile.area, steps=256)

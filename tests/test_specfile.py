@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symprod.geometry2d import EllipsoidSpec, RadialProfile
+from symprod import specfile
 from symprod.specfile import SpecFileError, parse_spec
 
 GOOD = """\
@@ -105,13 +106,53 @@ def test_bad_value_is_line_anchored():
     ("p = 3\n[factor]\ntype = disk\n[factor]\ntype = ellipsoid\n"
      "areas = 1 2\n", 4),
     ("[factor]\ntype = ellipsoid\nareas = \n", 3),
+    ("p = nan\n[factor]\ntype = disk\n", 1),
+    ("p = inf\n[factor]\ntype = disk\n", 1),
+    ("p = 2\n[factor]\ntype = polygon\nn = 64\n", 2),
+    ("[factor]\ntype = samples\ninterpolation = cubic\n", 1),
+    ("[factor]\ntype = disk\n\n[factor]\ntype = ellipsoid\n", 4),
 ], ids=["p-below-one", "non-star-polygon", "too-few-samples", "ellipsoid-p3",
-        "ellipsoid-no-areas"])
+        "ellipsoid-no-areas", "p-nan", "p-inf", "polygon-no-vertices",
+        "samples-no-values", "ellipsoid-no-areas-key"])
 def test_library_rejected_value_is_line_anchored(text, line):
     with pytest.raises(SpecFileError) as exc:
         parse_spec(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("ftype, key", [
+    ("polygon", "vertices"), ("samples", "values"), ("ellipsoid", "areas")])
+def test_missing_required_key_is_named(ftype, key):
+    with pytest.raises(SpecFileError,
+                       match=f"factor type '{ftype}' needs '{key}'"):
+        parse_spec(f"[factor]\ntype = {ftype}\n")
+
+
+def test_factor_keys_are_pinned():
+    """The keys each factor type accepts; renaming a builder parameter
+    changes the file format and must fail here."""
+    keys = {ftype: set(specfile._params(builder))
+            for ftype, builder in specfile._BUILDERS.items()}
+    assert keys == {
+        "disk": {"area", "n", "interpolation"},
+        "cosine": {"area", "n", "interpolation"},
+        "polygon": {"vertices", "n"},
+        "weierstrass": {"r0", "amplitude", "a", "b", "terms", "n"},
+        "hunt": {"r0", "amplitude", "a", "b", "terms", "seed", "phases",
+                 "n"},
+        "xz": {"r0", "amplitude", "a", "alpha", "beta", "terms", "n"},
+        "samples": {"values", "interpolation"},
+        "ellipsoid": {"areas"},
+    }
+
+
+def test_spec_factors_default_to_linear_interpolation():
+    """cosine_profile defaults to cubic; a spec's cosine factor is linear."""
+    domain = parse_spec("[factor]\ntype = cosine\n[factor]\ntype = disk\n")
+    assert [f.interpolation for f in domain.factors] == ["linear", "linear"]
+    text = "[factor]\ntype = cosine\ninterpolation = cubic\n"
+    assert parse_spec(text).factors[0].interpolation == "cubic"
 
 
 def test_comments_and_blank_lines_ignored():
