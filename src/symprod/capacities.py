@@ -136,7 +136,7 @@ class BoundaryMinimalReport:
 
 
 def boundary_minimal_experiment(factors, point, width, target_area,
-                                samples, seed, eta=None):
+                                samples, seed):
     """Shrink every factor near a boundary point and test the containment.
 
     ``factors`` is a sequence of profiles or a ProductDomain with p = 2
@@ -145,9 +145,9 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     (windows centered on its factor angles). The excluded open set U
     consists of points whose product gauge lies in (1 - eta, 1 + eta) and
     whose angle in *some* factor falls inside that factor's window; eta
-    defaults to the largest relative radial shrink plus a margin, which
-    makes the containment product \\ U  subset  shrunken product hold
-    with room to spare.
+    is the largest relative radial shrink plus a margin, which makes the
+    containment product \\ U  subset  shrunken product hold with room to
+    spare.
     """
     domain = two_product(factors)
     factors = domain.factors
@@ -164,12 +164,7 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     rel_shrink = max(
         float(np.max(1.0 - s.samples / f.samples))
         for f, s in zip(factors, shrunk))
-    if eta is None:
-        eta = min(0.999, rel_shrink + 0.02)
-    elif eta < rel_shrink:
-        raise ValueError(
-            f"eta={eta} is below the relative shrink {rel_shrink:.3f}; "
-            "the excluded set would miss removed boundary")
+    eta = min(0.999, rel_shrink + 0.02)
 
     shrunk_domain = ProductDomain(shrunk, p=2.0)
 

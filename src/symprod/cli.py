@@ -8,6 +8,7 @@ for identical configuration. Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -190,8 +191,12 @@ def cmd_boxdim(args):
 
 
 def cmd_selftest(args):
-    return run_selftest(seed=args.seed, threads=args.threads,
-                        quick=args.quick)
+    """Stream the report lines, headerless, to --output or stdout."""
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        return run_selftest(seed=args.seed, threads=args.threads,
+                            quick=args.quick,
+                            out=lambda line: print(line, file=fh))
 
 
 def build_parser():

@@ -117,12 +117,12 @@ def sample_conjugacy_residuals(factors, count, seed):
 ACTIVE_LEVEL = 1e-12
 
 
-def orbit_period(domain, point, tol=1e-8, denominator_bound=1000):
+def orbit_period(domain, point, denominator_bound=1000):
     """Least closing time of the product flow, or None within the bound.
 
     Closure requires t to be an integer multiple of every active factor's
-    area. Candidate multiples of the largest active area are scanned with
-    the tolerance applied to the fractional turn count.
+    area. Candidate multiples of the largest active area are scanned, and
+    a fractional turn count within 1e-8 of an integer counts as closed.
     """
     factors = two_product(domain).factors
     areas = [f.area for f in factors]
@@ -138,7 +138,7 @@ def orbit_period(domain, point, tol=1e-8, denominator_bound=1000):
     for k in range(1, denominator_bound + 1):
         t = k * a_max
         turns = np.array([t / a for a in others])
-        if np.all(np.abs(turns - np.round(turns)) <= tol):
+        if np.all(np.abs(turns - np.round(turns)) <= 1e-8):
             return t
     return None
 
@@ -153,17 +153,18 @@ class FoliationReport:
     failures: int
 
 
-def is_foliated_by_systoles(domain, count, seed, tol=1e-8):
+def is_foliated_by_systoles(domain, count, seed):
     """Check that every sampled boundary orbit closes at t = common area.
 
-    The points are product.boundary_sample draws on the 2-product.
+    The points are product.boundary_sample draws on the 2-product; an orbit
+    closes when |Phi^a(z) - z| <= 1e-8.
     """
     domain = two_product(domain)
     a = common_area(domain)
     start = boundary_sample(domain, count, seed)
     end = factorwise(char_flow_2d, domain.factors, start, a)
     dev = np.max(np.abs(end - start), axis=-1)
-    failures = int(np.count_nonzero(dev > tol))
+    failures = int(np.count_nonzero(dev > 1e-8))
     return FoliationReport(area=a, samples=count, seed=seed,
                            passed=failures == 0,
                            worst_deviation=float(np.max(dev, initial=0.0)),

@@ -9,15 +9,10 @@ and its inverse.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
-
-# Quadrature refinement factor for the cumulative sector-area table.
-REFINE = 8
 
 # 4-point Gauss-Legendre nodes/weights on [0, 1]; exact through degree 7,
 # in particular for the square of a cubic radius interpolant.
@@ -47,9 +42,15 @@ class RadialProfile:
     Parameters
     ----------
     samples : array_like
-        Strictly positive radii R(theta_j) at theta_j = 2*pi*j/N.
+        Finite, strictly positive radii R(theta_j) at theta_j = 2*pi*j/N.
     interpolation : {"linear", "cubic"}
         Periodic interpolation rule between grid nodes.
+
+    The cumulative sector-area table lives on the N sample cells, where
+    the cell integral is exact (closed form for the linear interpolant,
+    4-point Gauss-Legendre for the squared cubic). ``min_radius`` and
+    ``max_radius`` are the exact extrema of the interpolant, spline
+    overshoot included, and the build rejects ``min_radius <= 0``.
 
     The instance is immutable after construction; all methods are pure and
     accept scalars or arrays.
@@ -61,33 +62,38 @@ class RadialProfile:
             raise ValueError("need a 1-d array of at least 16 radius samples")
         if interpolation not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
-        if not np.all(samples > 0.0):
-            raise ValueError("radius samples must be strictly positive")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("radius samples must be finite")
 
         self.samples = samples
         self.samples.setflags(write=False)
         self.N = samples.size
         self.interpolation = interpolation
+        self._h = TWO_PI / self.N
+        self._closed = np.append(samples, samples[0])
 
+        # The interpolant's extrema lie at nodes or, for the spline, at
+        # interior critical points. A piece whose derivative vanishes
+        # identically (a constant profile) yields NaN roots, which are
+        # dropped: its values are node values.
+        extrema = samples
         if interpolation == "cubic":
             grid = np.linspace(0.0, TWO_PI, self.N + 1)
-            vals = np.append(samples, samples[0])
-            self._spline = CubicSpline(grid, vals, bc_type="periodic")
+            self._spline = CubicSpline(grid, self._closed, bc_type="periodic")
+            crit = self._spline.derivative().roots()
+            crit = self._spline(crit[np.isfinite(crit)])
+            extrema = np.concatenate((extrema, crit))
         else:
             self._spline = None
-
-        # Refined grid for the cumulative sector-area table.
-        self._M = REFINE * self.N
-        self._h = TWO_PI / self._M
-        self._ref_theta = np.arange(self._M + 1) * self._h
-        ref_r = self.radius(self._ref_theta[:-1])
-        if not np.all(ref_r > 0.0):
+        self.min_radius = float(np.min(extrema))
+        self.max_radius = float(np.max(extrema))
+        if self.min_radius <= 0.0:
             raise ValueError(
-                "interpolated radius is non-positive on the refined grid; "
-                "domain is not star-shaped with a single ray intersection")
-        self._ref_r = np.append(ref_r, ref_r[0])
+                "interpolated radius is non-positive "
+                f"(min_radius={self.min_radius:.6g}); domain is not "
+                "star-shaped with a single ray intersection")
 
-        cell = self._cell_integral(np.arange(self._M), np.full(self._M, self._h))
+        cell = self._cell_integral(np.arange(self.N), np.full(self.N, self._h))
         self._cumulative = np.concatenate(([0.0], np.cumsum(cell)))
         self.area = float(self._cumulative[-1])
 
@@ -95,66 +101,39 @@ class RadialProfile:
 
     def _segment(self, wrapped):
         """Grid segment [j, j + 1) holding each wrapped angle, and the offset."""
-        pos = wrapped / (TWO_PI / self.N)
+        pos = wrapped / self._h
         j = np.minimum(pos.astype(np.int64), self.N - 1)
-        return j, pos - j, (j + 1) % self.N
+        return j, pos - j
 
     def radius(self, theta):
         """Boundary radius R(theta), 2*pi-periodic."""
         wrapped, _ = wrap_angle(theta)
         if self._spline is not None:
             return self._spline(wrapped)
-        j, frac, nxt = self._segment(wrapped)
-        return (1.0 - frac) * self.samples[j] + frac * self.samples[nxt]
+        j, frac = self._segment(wrapped)
+        return (1.0 - frac) * self._closed[j] + frac * self._closed[j + 1]
 
     def radius_derivative(self, theta):
         """R'(theta); at a node of a linear profile, the slope to its right."""
         wrapped, _ = wrap_angle(theta)
         if self._spline is not None:
             return self._spline(wrapped, 1)
-        j, _, nxt = self._segment(wrapped)
-        return (self.samples[nxt] - self.samples[j]) * (self.N / TWO_PI)
-
-    @cached_property
-    def _radius_range(self):
-        """(min, max) of the interpolated radius over the circle.
-
-        The spline overshoots the samples; its extrema lie at nodes or at
-        interior critical points. A piece whose derivative vanishes
-        identically (a constant profile) yields NaN roots, which are
-        dropped: its values are node values. Computed on first use, since
-        profile builds that only need the area (shrink_profile) never ask.
-        """
-        extrema = self.samples
-        if self._spline is not None:
-            crit = self._spline.derivative().roots()
-            crit = self._spline(crit[np.isfinite(crit)])
-            extrema = np.concatenate((extrema, crit))
-        return float(np.min(extrema)), float(np.max(extrema))
-
-    @property
-    def max_radius(self):
-        """Maximum of the interpolated radius over the circle."""
-        return self._radius_range[1]
-
-    @property
-    def min_radius(self):
-        """Minimum of the interpolated radius over the circle."""
-        return self._radius_range[0]
+        j, _ = self._segment(wrapped)
+        return (self._closed[j + 1] - self._closed[j]) * (self.N / TWO_PI)
 
     # -- sector area and its inverse ---------------------------------------
 
     def _cell_integral(self, k, s):
-        """int of R(u)^2/2 from refined node t_k over a length s <= h.
+        """int of R(u)^2/2 from sample node theta_k over a length s <= h.
 
         Exact for the linear interpolant; 4-point Gauss-Legendre (exact for
         the squared cubic) otherwise.
         """
         if self._spline is None:
-            r0 = self._ref_r[k]
-            m = (self._ref_r[k + 1] - r0) / self._h
+            r0 = self._closed[k]
+            m = (self._closed[k + 1] - r0) / self._h
             return 0.5 * (r0 * r0 * s + r0 * m * s * s + m * m * s ** 3 / 3.0)
-        t0 = self._ref_theta[k]
+        t0 = k * self._h
         acc = 0.0
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
             r = self.radius(t0 + node * s)
@@ -166,7 +145,7 @@ class RadialProfile:
         theta = np.asarray(theta, dtype=float)
         scalar = theta.ndim == 0
         wrapped, winds = wrap_angle(theta)
-        k = np.minimum((wrapped / self._h).astype(np.int64), self._M - 1)
+        k = np.minimum((wrapped / self._h).astype(np.int64), self.N - 1)
         s = wrapped - k * self._h
         out = self._cumulative[k] + self._cell_integral(k, s) + winds * self.area
         return float(out) if scalar else out
@@ -174,8 +153,9 @@ class RadialProfile:
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
 
-        Bisection bracket from the cumulative table, then safeguarded Newton
-        with S'(theta) = R(theta)^2/2, to |S - s| <= 1e-12 * area.
+        Sample cell from the cumulative table, then safeguarded Newton with
+        S'(theta) = R(theta)^2/2 from the cell's secant point, to
+        |S - s| <= 1e-14 * area.
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -187,13 +167,13 @@ class RadialProfile:
         winds = winds + over
 
         k = np.searchsorted(self._cumulative, s0, side="right") - 1
-        k = np.clip(k, 0, self._M - 1)
-        start = self._ref_theta[k]
-        lo = start.copy()
-        hi = start + self._h
+        k = np.clip(k, 0, self.N - 1)
+        start = k * self._h
+        lo, hi = start, start + self._h
         target = s0 - self._cumulative[k]
-        theta = start + 0.5 * self._h
-        tol = 1e-12 * self.area
+        theta = start + self._h * target / (
+            self._cumulative[k + 1] - self._cumulative[k])
+        tol = 1e-14 * self.area
         for _ in range(80):
             val = self._cell_integral(k, theta - start) - target
             if np.max(np.abs(val)) <= tol:
@@ -259,8 +239,8 @@ class EllipsoidSpec:
 
 def disk_profile(area=np.pi, N=4096, interpolation="linear"):
     """Disk of the given area centered at the origin."""
-    if area <= 0.0:
-        raise ValueError("disk area must be positive")
+    if not 0.0 < area < np.inf:
+        raise ValueError("disk area must be finite and positive")
     r = np.sqrt(area / np.pi)
     return RadialProfile(np.full(N, r), interpolation)
 
@@ -365,6 +345,8 @@ def xz_profile(r0=1.0, amplitude=0.1, a=0.5, alpha=1.2, beta=1.5, terms=12,
 
 def cosine_profile(area=np.pi, N=4096, interpolation="cubic"):
     """Smooth reference profile with R(theta)^2 = (area/pi)(1 + cos(theta)/2)."""
+    if not 0.0 < area < np.inf:
+        raise ValueError("cosine profile area must be finite and positive")
     theta = np.arange(N) * (TWO_PI / N)
     radii = np.sqrt(area / np.pi * (1.0 + 0.5 * np.cos(theta)))
     return RadialProfile(radii, interpolation)

@@ -140,6 +140,17 @@ def test_selftest_quick():
     assert run(["selftest", "--seed", "7", "--quick"]) == 0
 
 
+def test_selftest_output_file(tmp_path, capsys):
+    """--output gets the exact stdout report: no header, nothing on stdout."""
+    argv = ["selftest", "--seed", "7", "--quick"]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "st.txt"
+    assert run(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="utf-8") == stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["sandwich", "--spec", "P3_WEIER", "--samples", "2000", "--seed", "1"],
     ["conjugacy", "--spec", "P3_WEIER", "--samples", "50", "--seed", "1"],

@@ -92,6 +92,11 @@ def test_empty_spec_rejected():
         parse_spec("p = 2\n")
 
 
+# A cubic spline through these 16 positive samples dips to -0.003.
+NON_STAR_CUBIC = ("0.69 0.88 0.73 0.99 1.34 1.41 1.16 0.84 0.85 0.84 1.31 "
+                  "0.75 1.28 0.01 1.07 1.47")
+
+
 def test_bad_value_is_line_anchored():
     text = "[factor]\ntype = disk\narea = big\n"
     with pytest.raises(SpecFileError) as exc:
@@ -111,10 +116,17 @@ def test_bad_value_is_line_anchored():
     ("p = 2\n[factor]\ntype = polygon\nn = 64\n", 2),
     ("[factor]\ntype = samples\ninterpolation = cubic\n", 1),
     ("[factor]\ntype = disk\n\n[factor]\ntype = ellipsoid\n", 4),
+    ("[factor]\ntype = disk\narea = inf\n", 1),
+    ("p = 2\n[factor]\ntype = cosine\narea = -1\n", 2),
+    (f"[factor]\ntype = disk\n[factor]\ntype = samples\n"
+     f"interpolation = cubic\nvalues = {NON_STAR_CUBIC}\n", 3),
 ], ids=["p-below-one", "non-star-polygon", "too-few-samples", "ellipsoid-p3",
         "ellipsoid-no-areas", "p-nan", "p-inf", "polygon-no-vertices",
-        "samples-no-values", "ellipsoid-no-areas-key"])
+        "samples-no-values", "ellipsoid-no-areas-key", "disk-area-inf",
+        "cosine-area-negative", "samples-cubic-non-star"])
+@pytest.mark.filterwarnings("error")
 def test_library_rejected_value_is_line_anchored(text, line):
+    """Rejected before any numpy warning: a RuntimeWarning fails the test."""
     with pytest.raises(SpecFileError) as exc:
         parse_spec(text)
     assert exc.value.line == line
