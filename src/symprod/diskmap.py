@@ -15,7 +15,9 @@ interpolated isotopy whose time-1 map is psi, and where rho = 0 it is the
 identity, so cutoff_disk_map uses those closed forms for every trajectory
 that stays in one of the two regions and integrates (RK4) only the points
 whose trajectories meet the ramp in between. sandwich_check uses it for the
-epsilon-sandwich, with a step-doubling error estimate for those points.
+epsilon-sandwich, with a step-doubling error estimate for those points: a
+factor's ramp coordinates of both directions, at both step counts, go
+through one RK4 loop, since every operation of the loop is elementwise.
 """
 
 from __future__ import annotations
@@ -152,41 +154,61 @@ def _cutoff_velocity(profile, config, z, t):
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
-def _rk4(profile, config, z, inverse, steps):
-    """Fixed-step RK4 of the cutoff field from t = 0 (t = 1 if inverse)."""
-    dt = -1.0 / steps if inverse else 1.0 / steps
-    t = 1.0 if inverse else 0.0
-    for _ in range(steps):
+def _rk4(profile, config, z, inverse, steps, n_full=None):
+    """Fixed-step RK4 of the cutoff field with per-point start times and steps.
+
+    Points with ``inverse`` set (a mask, or one flag for all) run backwards
+    from t = 1, the others forwards from t = 0. The first ``n_full`` points
+    (all by default) take ``steps`` steps of length 1/steps; the trailing
+    points take steps // 2 steps of length 1/(steps // 2) and then drop out
+    of the loop. Every operation is elementwise, so each point's result is
+    bit-identical to a run of its group alone.
+    """
+    out = np.array(z, dtype=complex)
+    inverse = np.broadcast_to(inverse, out.shape)
+    n_full = out.size if n_full is None else n_full
+    counts = np.full(out.shape, steps)
+    counts[n_full:] = steps // 2
+    dt = np.where(inverse, -1.0, 1.0) / counts
+    t = np.where(inverse, 1.0, 0.0)
+    z = out
+    for i in range(steps):
+        if i == steps // 2:
+            z, t, dt = z[:n_full], t[:n_full], dt[:n_full]
         k1 = _cutoff_velocity(profile, config, z, t)
         k2 = _cutoff_velocity(profile, config, z + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = _cutoff_velocity(profile, config, z + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = _cutoff_velocity(profile, config, z + dt * k3, t + dt)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return z
+        z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + dt
+    return out
 
 
 def _banded_map(profile, config, z, inverse):
-    """cutoff_disk_map on a 1-d array, plus the mask of its ramp band.
+    """Closed-form bands of cutoff_disk_map on a 1-d array, plus the ramp.
 
-    Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0, gauge^2 at
-    t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2 with
-    R_t^2 = (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory with
-    lev^2 min(a, pi R_min^2) >= ramp_hi delta therefore never leaves
+    ``inverse`` marks the points to map backwards (a mask, or one flag for
+    all). Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0,
+    gauge^2 at t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2
+    with R_t^2 = (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory
+    with lev^2 min(a, pi R_min^2) >= ramp_hi delta therefore never leaves
     rho = 1, and its time-1 map is psi (psi^-1 backwards). The field
     vanishes where pi|z|^2 <= ramp_lo delta, so such points are fixed.
+    Points of the ramp band in between are returned unchanged, for _rk4.
     """
+    inverse = np.broadcast_to(inverse, z.shape)
     pi_u = np.pi * np.abs(z) ** 2
-    lev2 = profile.gauge(z) ** 2 if inverse else pi_u / profile.area
+    lev2 = pi_u / profile.area
+    if np.any(inverse):
+        lev2[inverse] = profile.gauge(z[inverse]) ** 2
     floor = min(profile.area, np.pi * profile.min_radius ** 2)
     exact = lev2 * floor >= config.ramp_hi * config.delta
     ramp = ~exact & (pi_u > config.ramp_lo * config.delta)
     out = z.copy()
-    if np.any(exact):
-        closed_form = domain_to_disk if inverse else disk_to_domain
-        out[exact] = closed_form(profile, z[exact])
-    if np.any(ramp):
-        out[ramp] = _rk4(profile, config, z[ramp], inverse, config.steps)
+    for closed_form, band in ((disk_to_domain, exact & ~inverse),
+                              (domain_to_disk, exact & inverse)):
+        if np.any(band):
+            out[band] = closed_form(profile, z[band])
     return out, ramp
 
 
@@ -202,7 +224,10 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     (psi^-1 in the exact band).
     """
     z = np.asarray(z, dtype=complex)
-    out, _ = _banded_map(profile, config, z.reshape(-1), inverse)
+    flat = z.reshape(-1)
+    out, ramp = _banded_map(profile, config, flat, inverse)
+    if np.any(ramp):
+        out[ramp] = _rk4(profile, config, flat[ramp], inverse, config.steps)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -251,8 +276,9 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     <= 1 + eps. Inner direction: draw samples of (1-eps) * product, pull
     back per factor by the inverse cutoff map, and check the preimage lies
     in E. ``steps`` is the RK4 step count for coordinates in the cutoff
-    ramp; those are rerun at steps // 2 for an error estimate, which the
-    verdict adds to the worst gauges.
+    ramp; those are also run at steps // 2 for an error estimate, which
+    the verdict adds to the worst gauges. Both directions of a factor, at
+    both step counts, go through one _rk4 call.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -266,20 +292,36 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     ellipsoid_gauge = EllipsoidSpec(areas).gauge
     rng = np.random.default_rng(seed)
 
-    # Outer: samples of E, pushed forward.
+    # Outer: samples of E, pushed forward. Inner: samples of
+    # (1 - eps) * product, pulled back. Rows past ``samples`` are inner.
     ellipsoid_pts = rejection_sample(rng, np.sqrt(areas / np.pi),
                                      ellipsoid_gauge, samples)
-    outer_gauge, outer_error, outer_ramp = _map_and_gauge(
-        factors, configs, ellipsoid_pts, False, domain.gauge)
-    outer_bad = outer_gauge > 1.0 + epsilon
-
-    # Inner: samples of (1 - eps) * product, pulled back.
     box_radii = (1.0 - epsilon) * domain.bounding_radii()
     target = rejection_sample(
         rng, box_radii, lambda pts: domain.gauge(pts) / (1.0 - epsilon),
         samples)
-    inner_gauge, inner_error, inner_ramp = _map_and_gauge(
-        factors, configs, target, True, ellipsoid_gauge)
+    pts = np.concatenate([ellipsoid_pts, target])
+    inverse = np.arange(2 * samples) >= samples
+
+    image = np.empty_like(pts)
+    coarse = np.empty_like(pts)
+    ramps = np.empty(pts.shape, dtype=bool)
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        image[:, i], ramp = _banded_map(f, cfg, pts[:, i], inverse)
+        coarse[:, i] = image[:, i]
+        ramps[:, i] = ramp
+        if np.any(ramp):
+            z, back = pts[ramp, i], inverse[ramp]
+            fine_and_coarse = _rk4(f, cfg, np.concatenate([z, z]),
+                                   np.concatenate([back, back]), steps,
+                                   n_full=len(z))
+            image[ramp, i], coarse[ramp, i] = np.split(fine_and_coarse, 2)
+
+    outer_gauge, outer_error = _gauge_and_error(
+        domain.gauge, image[:samples], coarse[:samples], ramps[:samples])
+    inner_gauge, inner_error = _gauge_and_error(
+        ellipsoid_gauge, image[samples:], coarse[samples:], ramps[samples:])
+    outer_bad = outer_gauge > 1.0 + epsilon
     inner_bad = inner_gauge > 1.0
 
     offenders = []
@@ -288,7 +330,7 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     for idx in np.flatnonzero(inner_bad)[:5]:
         offenders.append(("inner", target[idx], float(inner_gauge[idx])))
 
-    integrated = outer_ramp + inner_ramp
+    integrated = int(np.count_nonzero(ramps))
     return SandwichReport(
         epsilon=epsilon,
         samples=samples,
@@ -306,27 +348,15 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     )
 
 
-def _map_and_gauge(factors, configs, pts, inverse, gauge_fn):
-    """Gauges of the factor-wise cutoff maps of pts, with error estimates.
+def _gauge_and_error(gauge_fn, image, coarse, ramps):
+    """Gauge of each mapped sample and its step-doubling error estimate.
 
-    Returns the gauge per sample, its step-doubling error estimate (0 for
-    samples with no coordinate in a ramp band) and the number of integrated
-    coordinates.
+    ``coarse`` is ``image`` with the ramp coordinates taken at steps // 2;
+    the estimate is 0 for samples with no coordinate in a ramp band.
     """
-    image = np.empty_like(pts)
-    ramps = np.empty(pts.shape, dtype=bool)
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
-        image[:, i], ramps[:, i] = _banded_map(f, cfg, pts[:, i], inverse)
     gauge = gauge_fn(image)
-
-    coarse = image.copy()
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
-        ramp = ramps[:, i]
-        if np.any(ramp):
-            coarse[ramp, i] = _rk4(f, cfg, pts[ramp, i], inverse,
-                                   cfg.steps // 2)
     rows = np.any(ramps, axis=1)
     error = np.zeros_like(gauge)
     if np.any(rows):
         error[rows] = np.abs(gauge[rows] - gauge_fn(coarse[rows]))
-    return gauge, error, int(np.count_nonzero(ramps))
+    return gauge, error

@@ -49,9 +49,9 @@ def test_criterion_02_level_mapping(capsys):
 
 
 def test_criterion_03_sandwich(capsys):
-    """Two-factor epsilon-sandwich: zero violations at M=1e5, < 60 s."""
+    """Two-factor epsilon-sandwich: zero violations at M=1e5, < 10 s."""
     run_check(capsys, "criterion-03 sandwich", selftest.check_sandwich,
-              bound=60.0, samples=100000, seed=103, steps=64)
+              bound=10.0, samples=100000, seed=103, steps=64)
 
 
 def test_criterion_04_volume(capsys):

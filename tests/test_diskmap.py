@@ -1,10 +1,12 @@
 """Disk-to-domain maps, their inverses, and the cutoff flow."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from symprod import diskmap, geometry2d
+from symprod import diskmap, geometry2d, product
 from symprod.geometry2d import TWO_PI
 
 SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
@@ -331,3 +333,187 @@ def test_sandwich_report_counts_and_certificate():
     assert report.passed
     assert report.worst_outer_gauge + report.outer_error <= 1.05
     assert report.worst_inner_gauge + report.inner_error <= 1.0
+
+
+# -- the one-loop sandwich against the per-direction path -------------------
+
+def reference_rk4(profile, config, z, inverse, steps):
+    """RK4 of one group: one direction, one step count, scalar t and dt."""
+    dt = -1.0 / steps if inverse else 1.0 / steps
+    t = 1.0 if inverse else 0.0
+    for _ in range(steps):
+        k1 = diskmap._cutoff_velocity(profile, config, z, t)
+        k2 = diskmap._cutoff_velocity(profile, config, z + 0.5 * dt * k1,
+                                      t + 0.5 * dt)
+        k3 = diskmap._cutoff_velocity(profile, config, z + 0.5 * dt * k2,
+                                      t + 0.5 * dt)
+        k4 = diskmap._cutoff_velocity(profile, config, z + dt * k3, t + dt)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return z
+
+
+def reference_map_and_gauge(factors, configs, pts, inverse, gauge_fn):
+    """Per-direction banded maps, then a steps // 2 rerun of the ramp."""
+    image = np.empty_like(pts)
+    ramps = np.empty(pts.shape, dtype=bool)
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        image[:, i], ramps[:, i] = diskmap._banded_map(f, cfg, pts[:, i],
+                                                       inverse)
+        ramp = ramps[:, i]
+        if np.any(ramp):
+            image[ramp, i] = reference_rk4(f, cfg, pts[ramp, i], inverse,
+                                           cfg.steps)
+    gauge = gauge_fn(image)
+    coarse = image.copy()
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        ramp = ramps[:, i]
+        if np.any(ramp):
+            coarse[ramp, i] = reference_rk4(f, cfg, pts[ramp, i], inverse,
+                                            cfg.steps // 2)
+    rows = np.any(ramps, axis=1)
+    error = np.zeros_like(gauge)
+    if np.any(rows):
+        error[rows] = np.abs(gauge[rows] - gauge_fn(coarse[rows]))
+    return gauge, error, ramps
+
+
+def reference_sandwich_check(factors, epsilon, samples, seed, steps):
+    """sandwich_check with one RK4 run per direction and step count.
+
+    Same rng draws, bands and gauges as the library's one-loop check, so
+    the two reports must agree exactly. Also returns the ramp masks of the
+    outer and inner samples.
+    """
+    domain = product.two_product(factors)
+    factors = domain.factors
+    n = len(factors)
+    areas = np.array(domain.factor_areas)
+    deltas = [diskmap.sandwich_delta(f, epsilon, n) for f in factors]
+    configs = [diskmap.CutoffMapConfig(delta=d, steps=steps, epsilon=epsilon)
+               for d in deltas]
+    ellipsoid_gauge = geometry2d.EllipsoidSpec(areas).gauge
+    rng = np.random.default_rng(seed)
+    source = product.rejection_sample(rng, np.sqrt(areas / np.pi),
+                                      ellipsoid_gauge, samples)
+    outer, outer_error, outer_ramps = reference_map_and_gauge(
+        factors, configs, source, False, domain.gauge)
+    target = product.rejection_sample(
+        rng, (1.0 - epsilon) * domain.bounding_radii(),
+        lambda pts: domain.gauge(pts) / (1.0 - epsilon), samples)
+    inner, inner_error, inner_ramps = reference_map_and_gauge(
+        factors, configs, target, True, ellipsoid_gauge)
+    outer_bad, inner_bad = outer > 1.0 + epsilon, inner > 1.0
+    offenders = (
+        [("outer", source[i], float(outer[i]))
+         for i in np.flatnonzero(outer_bad)[:5]] +
+        [("inner", target[i], float(inner[i]))
+         for i in np.flatnonzero(inner_bad)[:5]])
+    integrated = int(np.count_nonzero(outer_ramps) +
+                     np.count_nonzero(inner_ramps))
+    report = diskmap.SandwichReport(
+        epsilon=epsilon, samples=samples, seed=seed, deltas=deltas,
+        violations_outer=int(np.count_nonzero(outer_bad)),
+        violations_inner=int(np.count_nonzero(inner_bad)),
+        worst_outer_gauge=float(np.max(outer)),
+        worst_inner_gauge=float(np.max(inner)),
+        closed_form=2 * n * samples - integrated, integrated=integrated,
+        outer_error=float(np.max(outer_error)),
+        inner_error=float(np.max(inner_error)), offenders=offenders)
+    return report, outer_ramps, inner_ramps
+
+
+def cubic_cosine_disk():
+    return [geometry2d.cosine_profile(np.pi),
+            geometry2d.disk_profile(1.0, interpolation="cubic")]
+
+
+SANDWICH_PAIRS = {"weierstrass-square":
+                  lambda: list(sandwich_factors().values()),
+                  "cubic-cosine-disk": cubic_cosine_disk}
+
+
+def assert_same_report(report, ref):
+    for name in (f.name for f in dataclasses.fields(ref)):
+        if name != "offenders":
+            assert getattr(report, name) == getattr(ref, name), name
+    assert len(report.offenders) == len(ref.offenders)
+    for (side, point, gauge), (ref_side, ref_point, ref_gauge) in zip(
+            report.offenders, ref.offenders):
+        assert (side, gauge) == (ref_side, ref_gauge)
+        np.testing.assert_array_equal(point, ref_point)
+
+
+@pytest.mark.parametrize("pair,seed,steps", [
+    ("weierstrass-square", 1, 64), ("weierstrass-square", 3, 64),
+    ("weierstrass-square", 9, 64), ("weierstrass-square", 77, 64),
+    ("cubic-cosine-disk", 3, 64), ("weierstrass-square", 4, 9),
+    ("cubic-cosine-disk", 103, 9)])
+def test_one_loop_sandwich_matches_per_direction_path(pair, seed, steps):
+    factors = SANDWICH_PAIRS[pair]()
+    ref, _, _ = reference_sandwich_check(factors, 0.05, 500, seed, steps)
+    assert_same_report(
+        diskmap.sandwich_check(factors, 0.05, 500, seed, steps), ref)
+
+
+def test_one_loop_sandwich_with_an_empty_direction():
+    """Seed 4 puts no outer coordinate of the disk factor in its ramp."""
+    factors = cubic_cosine_disk()
+    ref, outer_ramps, inner_ramps = reference_sandwich_check(
+        factors, 0.05, 300, 4, 64)
+    assert not np.any(outer_ramps[:, 1]) and np.any(inner_ramps[:, 1])
+    assert_same_report(diskmap.sandwich_check(factors, 0.05, 300, 4, 64), ref)
+
+
+def test_one_loop_sandwich_offenders_match(monkeypatch):
+    """A field shifted by a constant pushes ramp points out both ways."""
+    field = diskmap._cutoff_velocity
+    monkeypatch.setattr(diskmap, "_cutoff_velocity",
+                        lambda *args: field(*args) + 5.0)
+    factors = SANDWICH_PAIRS["weierstrass-square"]()
+    ref, _, _ = reference_sandwich_check(factors, 0.05, 300, 1, 9)
+    assert ref.violations_outer > 0 and ref.violations_inner > 0
+    assert_same_report(diskmap.sandwich_check(factors, 0.05, 300, 1, 9), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_full=st.integers(0, 12),
+       n_half=st.integers(0, 12), steps=st.integers(8, 17))
+def test_batched_rk4_matches_each_group_alone(seed, n_full, n_half, steps):
+    """Forward and inverse points at steps and steps // 2, in one call."""
+    profile = sandwich_factors()["weierstrass"]
+    config = sandwich_config(profile, steps)
+    rng = np.random.default_rng(seed)
+    size = n_full + n_half
+    u = config.delta / np.pi * rng.uniform(0.0, 1.0, size)
+    z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, size))
+    inverse = rng.random(size) < 0.5
+    out = diskmap._rk4(profile, config, z, inverse, steps, n_full=n_full)
+    for block, block_steps in ((slice(None, n_full), steps),
+                               (slice(n_full, None), steps // 2)):
+        for back in (False, True):
+            group = inverse[block] == back
+            np.testing.assert_array_equal(
+                out[block][group],
+                reference_rk4(profile, config, z[block][group], back,
+                              block_steps))
+
+
+@pytest.mark.parametrize("steps", [64, 9])
+def test_sandwich_check_evaluates_field_four_times_per_step(monkeypatch,
+                                                            steps):
+    """One RK4 loop per factor covers both directions and step counts."""
+    factors = SANDWICH_PAIRS["weierstrass-square"]()
+    _, outer_ramps, inner_ramps = reference_sandwich_check(
+        factors, 0.05, 300, 1, 8)
+    assert np.all(np.any(outer_ramps, axis=0) & np.any(inner_ramps, axis=0))
+    calls = []
+    field = diskmap._cutoff_velocity
+
+    def counted(*args):
+        calls.append(1)
+        return field(*args)
+
+    monkeypatch.setattr(diskmap, "_cutoff_velocity", counted)
+    diskmap.sandwich_check(factors, 0.05, 300, 1, steps)
+    assert len(calls) == 4 * steps * len(factors)
