@@ -86,10 +86,8 @@ def cmd_volume(args):
     est = product_mod.mc_volume(domain, args.samples, args.seed,
                                 threads=args.threads)
     lines = [f"estimate = {_fmt(est.volume)}",
-             f"stderr = {_fmt(est.std_error)}"]
-    if domain.p == 2.0:
-        exact = geometry2d.EllipsoidSpec(domain.factor_areas).volume
-        lines.append(f"ellipsoid_reference = {_fmt(exact)}")
+             f"stderr = {_fmt(est.std_error)}",
+             f"reference = {_fmt(domain.volume)}"]
     _emit(args, lines)
     return 0
 

@@ -91,8 +91,9 @@ def conjugacy_residual(factors, z, t):
     level = np.sum(np.pi * np.abs(z) ** 2 / areas, axis=-1)
     if np.any(np.abs(level - 1.0) > ELLIPSOID_BOUNDARY_TOL):
         raise ValueError("point is not on the ellipsoid boundary")
-    lhs = product_map(factors, reeb_ellipsoid(areas, z, t[..., None]))
-    rhs = factorwise(char_flow_2d, factors, product_map(factors, z), t)
+    lhs, start = product_map(
+        factors, np.stack([reeb_ellipsoid(areas, z, t[..., None]), z]))
+    rhs = factorwise(char_flow_2d, factors, start, t)
     out = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=-1))
     return float(out) if out.ndim == 0 else out
 

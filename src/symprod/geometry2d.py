@@ -48,7 +48,10 @@ class RadialProfile:
 
     The cumulative sector-area table lives on the N sample cells, where
     the cell integral is exact (closed form for the linear interpolant,
-    4-point Gauss-Legendre for the squared cubic). ``min_radius`` and
+    4-point Gauss-Legendre for the squared cubic). On a linear cell the
+    swept area ((r0 + m*x)^3 - r0^3)/(6m) is a cubic in the offset x with
+    an exact real root, so ``inverse_sector_area`` takes a cube root there
+    and runs Newton only on cubic profiles. ``min_radius`` and
     ``max_radius`` are the exact extrema of the interpolant, spline
     overshoot included, and the build rejects ``min_radius <= 0``.
 
@@ -153,9 +156,19 @@ class RadialProfile:
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
 
-        Sample cell from the cumulative table, then safeguarded Newton with
-        S'(theta) = R(theta)^2/2 from the cell's secant point, to
-        |S - s| <= 1e-14 * area.
+        The sample cell k comes from the cumulative table; T = s - S(theta_k)
+        is then the area to sweep inside it. On a linear cell the radius is
+        r0 + m*x with m = (R_{k+1} - R_k)/h, and the area swept over its
+        first x is ((r0 + m*x)^3 - r0^3)/(6m) = T, whose root is
+
+            x = 6T / (r0^2 (c^2 + c + 1)),  c = cbrt(1 + 6mT/r0^3).
+
+        This form has no cancellation and tends to 2T/r0^2 as m -> 0. The
+        cube root's argument is (R(theta)/r0)^3, positive because the build
+        rejects min_radius <= 0; x is clamped to [0, h]. A cubic cell runs
+        safeguarded Newton with S'(theta) = R(theta)^2/2 from the cell's
+        secant point. Both meet |S - s| <= 1e-14 * area, beyond the
+        rounding of theta itself (S'(theta) = R^2/2 per unit of theta).
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -169,22 +182,29 @@ class RadialProfile:
         k = np.searchsorted(self._cumulative, s0, side="right") - 1
         k = np.clip(k, 0, self.N - 1)
         start = k * self._h
-        lo, hi = start, start + self._h
         target = s0 - self._cumulative[k]
-        theta = start + self._h * target / (
-            self._cumulative[k + 1] - self._cumulative[k])
-        tol = 1e-14 * self.area
-        for _ in range(80):
-            val = self._cell_integral(k, theta - start) - target
-            if np.max(np.abs(val)) <= tol:
-                break
-            r = self.radius(theta)
-            step = val / (0.5 * r * r)
-            hi = np.where(val > 0.0, theta, hi)
-            lo = np.where(val < 0.0, theta, lo)
-            newton = theta - step
-            bad = (newton < lo) | (newton > hi)
-            theta = np.where(bad, 0.5 * (lo + hi), newton)
+        if self._spline is None:
+            r0 = self._closed[k]
+            m = (self._closed[k + 1] - r0) / self._h
+            c = np.cbrt(1.0 + 6.0 * m * target / r0 ** 3)
+            x = 6.0 * target / (r0 * r0 * (c * c + c + 1.0))
+            theta = start + np.clip(x, 0.0, self._h)
+        else:
+            lo, hi = start, start + self._h
+            theta = start + self._h * target / (
+                self._cumulative[k + 1] - self._cumulative[k])
+            tol = 1e-14 * self.area
+            for _ in range(80):
+                val = self._cell_integral(k, theta - start) - target
+                if np.max(np.abs(val)) <= tol:
+                    break
+                r = self.radius(theta)
+                step = val / (0.5 * r * r)
+                hi = np.where(val > 0.0, theta, hi)
+                lo = np.where(val < 0.0, theta, lo)
+                newton = theta - step
+                bad = (newton < lo) | (newton > hi)
+                theta = np.where(bad, 0.5 * (lo + hi), newton)
         out = theta + winds * TWO_PI
         return float(out[0]) if scalar else out
 

@@ -11,6 +11,7 @@ brute-force test, not assumed here.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,6 +60,20 @@ class ProductDomain:
     def factor_areas(self):
         """Symplectic areas, one per factor."""
         return [f.area for f in self.factors]
+
+    @property
+    def volume(self):
+        """Closed-form volume prod_i a_i * Gamma(1 + 2/p)^n / Gamma(1 + 2n/p).
+
+        In the level variables s_i = g_i^2 each factor contributes a_i ds_i,
+        so the product is the positive l_{p/2} ball of the s_i scaled by the
+        areas (Barthe-Guedon-Mendelson-Naor, Ann. Probab. 2005). At p = 2
+        it is the ellipsoid volume a_1 ... a_n / n!.
+        """
+        n = len(self.factors)
+        ball = math.gamma(1.0 + 2.0 / self.p) ** n / math.gamma(
+            1.0 + 2.0 * n / self.p)
+        return math.prod(self.factor_areas) * ball
 
     def factor_gauges(self, x):
         """Stack of factor gauge values, shape (..., n_factors)."""

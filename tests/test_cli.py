@@ -1,6 +1,7 @@
 """CLI surface: exit codes, CSV reproducibility, subcommand output."""
 
 import io
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -44,7 +45,19 @@ def test_volume_near_exact(tmp_path):
     est = float([ln for ln in text.splitlines()
                  if ln.startswith("estimate")][0].split("=")[1])
     assert abs(est - 0.5) < 0.01
-    assert "ellipsoid_reference = 0.5" in text
+    assert "reference = 0.5" in text
+
+
+def test_volume_reference_at_every_p(tmp_path):
+    """The closed-form reference is printed away from p = 2 as well."""
+    spec = tmp_path / "p3.spec"
+    spec.write_text((SPECS / "disks_1_1.spec").read_text().replace(
+        "p = 2", "p = 3"))
+    code, out = run_cli(["volume", "--spec", str(spec),
+                         "--samples", "20000", "--seed", "7"])
+    assert code == 0
+    exact = math.gamma(1.0 + 2.0 / 3.0) ** 2 / math.gamma(1.0 + 4.0 / 3.0)
+    assert f"reference = {exact:.12g}" in out.splitlines()
 
 
 def test_map_command_jacobian_column(tmp_path):

@@ -119,6 +119,45 @@ def test_conjugacy_residual_is_tiny():
     assert np.max(residuals) < 1e-8
 
 
+def test_conjugacy_residual_batched_matches_per_point():
+    """One call on 50 points equals 50 one-point calls, bit for bit.
+
+    The benchmark's closed_form workload makes the one-point calls and
+    selftest the batched one; both must report the same residuals.
+    """
+    factors = [geometry2d.weierstrass_profile(terms=20),
+               geometry2d.polygon_profile(SQUARE)]
+    areas = np.array([f.area for f in factors])
+    seed = 6
+    batched = dynamics.sample_conjugacy_residuals(factors, 50, seed)
+    # The same draws, in the same order, as sample_conjugacy_residuals.
+    rng = np.random.default_rng(seed)
+    t_frac = rng.dirichlet(np.ones(2), size=50)
+    ang = rng.uniform(0.0, TWO_PI, size=(50, 2))
+    times = rng.uniform(-2.0, 2.0, 50) * float(np.max(areas))
+    z = np.sqrt(t_frac * areas / np.pi) * np.exp(1j * ang)
+    per_point = [dynamics.conjugacy_residual(factors, z[j], times[j])
+                 for j in range(50)]
+    np.testing.assert_array_equal(batched, per_point)
+
+
+def test_conjugacy_residual_maps_once(monkeypatch):
+    """One call applies psi to Reeb^t z and to z in one product_map call."""
+    factors = [geometry2d.weierstrass_profile(terms=20),
+               geometry2d.polygon_profile(SQUARE)]
+    calls = []
+    product_map = dynamics.product_map
+
+    def spy(fs, z):
+        calls.append(np.shape(z))
+        return product_map(fs, z)
+
+    monkeypatch.setattr(dynamics, "product_map", spy)
+    z = np.sqrt([f.area / TWO_PI for f in factors]) * np.exp([0.4j, 2.5j])
+    assert dynamics.conjugacy_residual(factors, z, 0.7) < 1e-8
+    assert calls == [(2, 2)]
+
+
 def test_conjugacy_residual_rejects_interior_point():
     factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.0)]
     z = np.array([0.1 + 0.0j, 0.1 + 0.0j])  # strictly inside E(1, 1)

@@ -81,14 +81,48 @@ def test_inverse_sector_area_roundtrip_random_profiles(seed, n,
     assert np.max(err) / profile.area <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       flat=st.floats(0.0, 0.5))
+def test_inverse_sector_area_closed_form_random_linear_profiles(seed, n, flat):
+    """Linear cells over radii 1e-3 ... 10, a share ``flat`` of them constant.
+
+    |S(S^-1(s)) - s| <= 1e-14 area for s over three turns, beyond the
+    rounding of theta itself: two ulps of theta move S by R(theta)^2 ulp,
+    up to 1.8e-13 at R = 10 and theta near 4 pi. S^-1 is nondecreasing to
+    within one ulp of max(|theta|, 2 pi), also at and one ulp either side
+    of the cell edges.
+    """
+    rng = np.random.default_rng(seed)
+    radii = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    same = np.flatnonzero(rng.uniform(size=n - 1) < flat)
+    radii[same + 1] = radii[same]  # constant cells, slope m = 0
+    profile = RadialProfile(radii, "linear")
+    s = rng.uniform(-1.0, 2.0, 2000) * profile.area
+    theta = profile.inverse_sector_area(s)
+    err = np.abs(profile.sector_area(theta) - s)
+    rounding = profile.radius(theta) ** 2 * np.spacing(np.abs(theta))
+    assert np.all(err <= 1e-14 * profile.area + rounding)
+
+    turns = np.array([-1.0, 0.0, 1.0])[:, None] * profile.area
+    edges = (profile._cumulative + turns).ravel()
+    s = np.sort(np.concatenate((
+        s, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf))))
+    theta = profile.inverse_sector_area(s)
+    ulp = np.spacing(np.maximum(np.abs(theta[1:]), TWO_PI))
+    assert np.all(np.diff(theta) >= -ulp)
+
+
 @pytest.mark.parametrize("name", ["weierstrass", "square", "cosine"])
 def test_inverse_sector_area_newton_converges(name, monkeypatch):
-    """Converged points stay on Newton: few iterations for 20,000 points.
+    """Linear profiles invert in closed form; cubic ones by few Newton steps.
 
-    Each iteration makes one _cell_integral call; Newton from the secant
-    point of the sample cell needs at most 3, bisection about 28.
+    Each Newton iteration makes one _cell_integral call; from the secant
+    point of the sample cell 20,000 points need at most 3, bisection about
+    28. A linear cell takes a cube root and makes none.
     """
     profile = preset_profiles()[name]
+    most = 0 if profile.interpolation == "linear" else 4
     calls = []
     cell_integral = profile._cell_integral
 
@@ -99,7 +133,7 @@ def test_inverse_sector_area_newton_converges(name, monkeypatch):
     monkeypatch.setattr(profile, "_cell_integral", spy)
     s = np.random.default_rng(8).uniform(0.0, profile.area, 20000)
     theta = profile.inverse_sector_area(s)
-    assert len(calls) <= 4
+    assert len(calls) <= most
     monkeypatch.undo()
     err = np.abs(profile.sector_area(theta) - s)
     assert np.max(err) <= 1e-14 * profile.area

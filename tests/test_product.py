@@ -146,6 +146,22 @@ def test_mc_volume_seed_reproducible():
     assert a.volume != c.volume
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, 6.0])
+def test_closed_form_volume_matches_monte_carlo(p):
+    domain = ProductDomain([geometry2d.weierstrass_profile(),
+                            geometry2d.polygon_profile(
+                                [(1, 1), (-1, 1), (-1, -1), (1, -1)])], p=p)
+    est = product.mc_volume(domain, 200000, seed=31)
+    assert abs(est.volume - domain.volume) <= 3.0 * est.std_error
+
+
+def test_closed_form_volume_is_ellipsoid_volume_at_p2():
+    areas = [1.0, 2.0, 3.0]
+    domain = ProductDomain([geometry2d.disk_profile(a) for a in areas])
+    assert domain.volume == pytest.approx(
+        EllipsoidSpec([f.area for f in domain.factors]).volume, rel=1e-12)
+
+
 def test_mixed_ellipsoid_factor_volume():
     """disk x_2 E(1,1) is E(1,1,1): volume 1/6."""
     domain = parse_spec("[factor]\ntype = disk\narea = 1\n"
