@@ -15,13 +15,17 @@ interpolated isotopy whose time-1 map is psi, and where rho = 0 it is the
 identity, so cutoff_disk_map uses those closed forms for every trajectory
 that stays in one of the two regions and integrates (RK4) only the points
 whose trajectories meet the ramp in between. sandwich_check uses it for the
-epsilon-sandwich, with a step-doubling error estimate for those points: a
-factor's ramp coordinates of both directions, at both step counts, go
-through one RK4 loop, since every operation of the loop is elementwise.
+epsilon-sandwich, with a step-doubling error estimate for those points:
+the ramp coordinates of every factor, of both directions and at both step
+counts, go through one RK4 loop, since every operation of the loop is
+elementwise. The field reads R, R' and S for each point from one table
+that stacks the factors' per-cell polynomials (_CellTable), with one angle
+reduction and one cell lookup per point.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,24 +103,14 @@ class CutoffMapConfig:
     ramp_hi: float = 0.6
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("cutoff level delta must be positive")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("cutoff level delta must be finite and positive")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError("integration step count must be an integer")
         if self.steps < 8:
             raise ValueError("need at least 8 integration steps")
         if not 0.0 < self.ramp_lo < self.ramp_hi <= 1.0:
             raise ValueError("need 0 < ramp_lo < ramp_hi <= 1")
-
-    def rho(self, u):
-        """Cutoff rho(u) and d rho / du in u = |z|^2.
-
-        A quintic smoothstep across the ramp: 0 below ramp_lo delta / pi,
-        1 above ramp_hi delta / pi, C^2 across.
-        """
-        span = (self.ramp_hi - self.ramp_lo) * self.delta / np.pi
-        x = np.minimum(np.maximum(
-            (u - self.ramp_lo * self.delta / np.pi) / span, 0.0), 1.0)
-        return (x ** 3 * (10.0 + x * (-15.0 + 6.0 * x)),
-                30.0 * (x * (1.0 - x)) ** 2 / span)
 
 
 def sandwich_delta(profile, epsilon, n_factors):
@@ -125,47 +119,100 @@ def sandwich_delta(profile, epsilon, n_factors):
     return 0.9 * profile.area * eps_prime ** 2
 
 
-def _contact_hamiltonian(profile, theta, t):
-    """f_t on the circle for the interpolated isotopy, plus its derivative.
+class _CellTable:
+    """The cutoff fields of several factors, stacked for one RK4 loop.
 
-    The isotopy interpolates cumulative sector areas linearly,
-    S_t = (1 - t) S_disk + t S, and f_t = -(a/2pi)(S - S_disk)/S_t', with
-    S_t' = (1 - t) a/2pi + t R^2/2. The derivative is analytic: with
-    num = S - (a/2pi) theta and den = S_t', num' = R^2/2 - a/2pi and
-    den' = t R R'.
+    ``coef`` holds every factor's per-cell polynomials of R, R' and S
+    (RadialProfile.cell_polynomials) in one column per cell, padded with
+    zeros to the highest degree present, which leaves each factor's
+    Horner values unchanged. ``params`` and ``cells`` hold one column per
+    factor: cell width, a/2pi, pi/a, the ramp's lower end and width in
+    |z|^2, then the last cell and the factor's first column in ``coef``.
     """
-    rate = profile.area / TWO_PI
-    r = profile.radius(theta)
-    half_r2 = 0.5 * r * r
-    num = profile.sector_area(theta) - rate * theta
-    den = (1.0 - t) * rate + t * half_r2
-    val = -rate * num / den
-    deriv = -rate * ((half_r2 - rate) * den -
-                     num * t * r * profile.radius_derivative(theta)) / den ** 2
-    return val, deriv
+
+    def __init__(self, factors, configs):
+        polys = [f.cell_polynomials() for f in factors]
+        ends = np.cumsum([max(p[k].shape[1] for p in polys) for k in range(3)])
+        self.rows = (slice(0, ends[0]), slice(ends[0], ends[1]),
+                     slice(ends[1], ends[2]))
+        sizes = np.array([f.N for f in factors])
+        first = np.cumsum(sizes) - sizes
+        self.coef = np.zeros((ends[-1], sizes.sum()))
+        for poly, start, size in zip(polys, first, sizes):
+            for c, rows in zip(poly, self.rows):
+                self.coef[rows.start:rows.start + c.shape[1],
+                          start:start + size] = c.T
+        self.params = np.array([
+            [TWO_PI / f.N for f in factors],
+            [f.area / TWO_PI for f in factors],
+            [np.pi / f.area for f in factors],
+            [c.ramp_lo * c.delta / np.pi for c in configs],
+            [(c.ramp_hi - c.ramp_lo) * c.delta / np.pi for c in configs]])
+        self.cells = np.array([sizes - 1, first])
+
+    def points(self, which):
+        """Per-point (params, cells) for points of factors ``which``."""
+        return self.params[:, which], self.cells[:, which]
 
 
-def _cutoff_velocity(profile, config, z, t):
-    """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a."""
+def _polyval(coef, s):
+    """Horner evaluation of per-point coefficient rows, lowest order first."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * s + c
+    return out
+
+
+def _cutoff_velocity(table, points, z, t):
+    """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a.
+
+    rho is a quintic smoothstep across each point's ramp: 0 below
+    ramp_lo delta / pi in u = |z|^2, 1 above ramp_hi delta / pi, C^2
+    across. f_t is the contact Hamiltonian of the interpolated isotopy
+    S_t = (1 - t) S_disk + t S on the circle: f_t = -(a/2pi)(S - S_disk)/S_t'
+    with S_t' = (1 - t) a/2pi + t R^2/2. Its angle derivative is analytic:
+    with num = S - (a/2pi) theta and den = S_t', num' = R^2/2 - a/2pi and
+    den' = t R R'. R, R' and S come from one angle reduction and one cell
+    lookup per point in ``table``; ``points`` is table.points(...) of z.
+    """
+    (h, rate, scale, lo, span), (last, first) = points
     u = z.real ** 2 + z.imag ** 2
-    rho, rho_d = config.rho(u)
-    f, fd = _contact_hamiltonian(profile, np.mod(np.angle(z), TWO_PI), t)
-    scale = np.pi / profile.area
+    x = np.minimum(np.maximum((u - lo) / span, 0.0), 1.0)
+    rho = x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
+    rho_d = 30.0 * (x * (1.0 - x)) ** 2 / span
+
+    # np.mod may round a tiny negative angle up to 2 pi; the clamp to the
+    # last cell then evaluates that cell's end, where S = a.
+    theta = np.mod(np.arctan2(z.imag, z.real), TWO_PI)
+    j = np.minimum((theta / h).astype(np.int64), last)
+    s = theta - j * h
+    coef = table.coef[:, j + first]
+    r_rows, rd_rows, s_rows = table.rows
+    r = _polyval(coef[r_rows], s)
+    half_r2 = 0.5 * r * r
+    num = _polyval(coef[s_rows], s) - rate * theta
+    den = (1.0 - t) * rate + t * half_r2
+    f = -rate * num / den
+    fd = -rate * ((half_r2 - rate) * den -
+                  num * t * r * _polyval(coef[rd_rows], s)) / den ** 2
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
-def _rk4(profile, config, z, inverse, steps, n_full=None):
+def _rk4(table, which, z, inverse, steps, n_full=None):
     """Fixed-step RK4 of the cutoff field with per-point start times and steps.
 
-    Points with ``inverse`` set (a mask, or one flag for all) run backwards
-    from t = 1, the others forwards from t = 0. The first ``n_full`` points
-    (all by default) take ``steps`` steps of length 1/steps; the trailing
-    points take steps // 2 steps of length 1/(steps // 2) and then drop out
-    of the loop. Every operation is elementwise, so each point's result is
-    bit-identical to a run of its group alone.
+    Each point moves in the field of its factor ``which`` (an index into
+    ``table``, per point or one for all). Points with ``inverse`` set (a
+    mask, or one flag for all) run backwards from t = 1, the others
+    forwards from t = 0. The first ``n_full`` points (all by default) take
+    ``steps`` steps of length 1/steps; the trailing points take steps // 2
+    steps of length 1/(steps // 2) and then drop out of the loop. Every
+    operation is elementwise, so each point's result is bit-identical to
+    a run of its group alone, in a table of its factor alone.
     """
     out = np.array(z, dtype=complex)
     inverse = np.broadcast_to(inverse, out.shape)
+    params, cells = table.points(np.broadcast_to(which, out.shape))
     n_full = out.size if n_full is None else n_full
     counts = np.full(out.shape, steps)
     counts[n_full:] = steps // 2
@@ -175,10 +222,12 @@ def _rk4(profile, config, z, inverse, steps, n_full=None):
     for i in range(steps):
         if i == steps // 2:
             z, t, dt = z[:n_full], t[:n_full], dt[:n_full]
-        k1 = _cutoff_velocity(profile, config, z, t)
-        k2 = _cutoff_velocity(profile, config, z + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = _cutoff_velocity(profile, config, z + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = _cutoff_velocity(profile, config, z + dt * k3, t + dt)
+            params, cells = params[:, :n_full], cells[:, :n_full]
+        points = params, cells
+        k1 = _cutoff_velocity(table, points, z, t)
+        k2 = _cutoff_velocity(table, points, z + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = _cutoff_velocity(table, points, z + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = _cutoff_velocity(table, points, z + dt * k3, t + dt)
         z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + dt
     return out
@@ -227,7 +276,8 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     flat = z.reshape(-1)
     out, ramp = _banded_map(profile, config, flat, inverse)
     if np.any(ramp):
-        out[ramp] = _rk4(profile, config, flat[ramp], inverse, config.steps)
+        out[ramp] = _rk4(_CellTable([profile], [config]), 0, flat[ramp],
+                         inverse, config.steps)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -277,8 +327,8 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     back per factor by the inverse cutoff map, and check the preimage lies
     in E. ``steps`` is the RK4 step count for coordinates in the cutoff
     ramp; those are also run at steps // 2 for an error estimate, which
-    the verdict adds to the worst gauges. Both directions of a factor, at
-    both step counts, go through one _rk4 call.
+    the verdict adds to the worst gauges. Every factor's ramp coordinates,
+    of both directions and at both step counts, go through one _rk4 call.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -304,18 +354,18 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     inverse = np.arange(2 * samples) >= samples
 
     image = np.empty_like(pts)
-    coarse = np.empty_like(pts)
     ramps = np.empty(pts.shape, dtype=bool)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
-        image[:, i], ramp = _banded_map(f, cfg, pts[:, i], inverse)
-        coarse[:, i] = image[:, i]
-        ramps[:, i] = ramp
-        if np.any(ramp):
-            z, back = pts[ramp, i], inverse[ramp]
-            fine_and_coarse = _rk4(f, cfg, np.concatenate([z, z]),
-                                   np.concatenate([back, back]), steps,
-                                   n_full=len(z))
-            image[ramp, i], coarse[ramp, i] = np.split(fine_and_coarse, 2)
+        image[:, i], ramps[:, i] = _banded_map(f, cfg, pts[:, i], inverse)
+    coarse = image.copy()
+    # Every ramp coordinate, at steps and then at steps // 2, in one loop.
+    rows, cols = np.nonzero(ramps)
+    if rows.size:
+        fine_and_coarse = _rk4(
+            _CellTable(factors, configs), np.tile(cols, 2),
+            np.tile(pts[rows, cols], 2), np.tile(inverse[rows], 2), steps,
+            n_full=rows.size)
+        image[rows, cols], coarse[rows, cols] = np.split(fine_and_coarse, 2)
 
     outer_gauge, outer_error = _gauge_and_error(
         domain.gauge, image[:samples], coarse[:samples], ramps[:samples])

@@ -124,6 +124,30 @@ class RadialProfile:
         j, _ = self._segment(wrapped)
         return (self._closed[j + 1] - self._closed[j]) * (self.N / TWO_PI)
 
+    def cell_polynomials(self):
+        """R, R' and S on each sample cell as polynomials in the offset s.
+
+        Returns three (N, k) coefficient arrays, lowest order first, with
+        R(theta_j + s) = sum_i r[j, i] s^i for 0 <= s <= h, and R', S the
+        same way. A linear profile gives its node radius and slope (degree
+        1), a cubic one the spline's coefficients (degree 3). The S rows
+        are the cumulative table entry S(theta_j) followed by the exact
+        antiderivative of R^2/2, of degree 3 or 7.
+        """
+        if self._spline is None:
+            r = np.stack([self.samples,
+                          (self._closed[1:] - self.samples) / self._h], axis=1)
+        else:
+            r = self._spline.c[::-1].T
+        degree = r.shape[1] - 1
+        rd = r[:, 1:] * np.arange(1, degree + 1)
+        half_r2 = np.zeros((self.N, 2 * degree + 1))
+        for i in range(degree + 1):
+            half_r2[:, i:i + degree + 1] += 0.5 * r[:, i:i + 1] * r
+        s = np.concatenate([self._cumulative[:-1, None],
+                            half_r2 / np.arange(1, 2 * degree + 2)], axis=1)
+        return r, rd, s
+
     # -- sector area and its inverse ---------------------------------------
 
     def _cell_integral(self, k, s):

@@ -139,6 +139,34 @@ def test_inverse_sector_area_newton_converges(name, monkeypatch):
     assert np.max(err) <= 1e-14 * profile.area
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_cell_polynomials_match_profile(seed, n, interpolation):
+    """R, R' and S from one cell lookup agree with the profile's methods."""
+    rng = np.random.default_rng(seed)
+    try:
+        profile = RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    r, rd, s = profile.cell_polynomials()
+    assert r.shape[1] == rd.shape[1] + 1 == s.shape[1] // 2
+    theta = rng.uniform(0.0, TWO_PI, 400)
+    j = np.minimum((theta / (TWO_PI / n)).astype(np.int64), n - 1)
+    offset = theta - j * (TWO_PI / n)
+
+    def poly(coef):
+        return sum(coef[j, i] * offset ** i for i in range(coef.shape[1]))
+
+    scale = profile.max_radius
+    np.testing.assert_allclose(poly(r), profile.radius(theta), rtol=0.0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(poly(rd), profile.radius_derivative(theta),
+                               rtol=0.0, atol=1e-12 * n * scale)
+    np.testing.assert_allclose(poly(s), profile.sector_area(theta), rtol=0.0,
+                               atol=1e-12 * profile.area)
+
+
 def test_sector_area_monotone_and_total():
     profile = geometry2d.weierstrass_profile(terms=20)
     theta = np.linspace(0.0, TWO_PI, 10001)
