@@ -51,7 +51,6 @@ from .fractal import (
     DimensionEstimate,
     Weierstrass,
     PhaseShiftedWeierstrass,
-    XiaoZhou,
     box_count,
     estimate_dimension,
     graph_sampler,

@@ -262,9 +262,8 @@ def build_parser():
     p.add_argument("--target", choices=["function", "product", "boundary"],
                    default="function")
     p.add_argument("--family", default="weierstrass",
-                   help="weierstrass or weierstrass_phase (xiao_zhou takes "
-                        "no --b and is library-only); the boundary target "
-                        "takes only weierstrass")
+                   help="weierstrass or weierstrass_phase; the boundary "
+                        "target takes only weierstrass")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--terms", type=int, default=30)
@@ -289,9 +288,10 @@ def run(argv=None):
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # Library calls raise ValueError on invalid input (too few
-        # samples or scales, non-positive areas, p != 2 for a 2-product).
+        # samples or scales, non-positive areas, p != 2 for a 2-product);
+        # OSError covers a spec or output path that cannot be opened.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry2d import EllipsoidSpec, TWO_PI
+from .geometry2d import EllipsoidSpec, TWO_PI, horner
 from .product import factorwise, rejection_sample, two_product
 
 
@@ -123,11 +123,12 @@ class _CellTable:
     """The cutoff fields of several factors, stacked for one RK4 loop.
 
     ``coef`` holds every factor's per-cell polynomials of R, R' and S
-    (RadialProfile.cell_polynomials) in one column per cell, padded with
-    zeros to the highest degree present, which leaves each factor's
-    Horner values unchanged. ``params`` and ``cells`` hold one column per
-    factor: cell width, a/2pi, pi/a, the ramp's lower end and width in
-    |z|^2, then the last cell and the factor's first column in ``coef``.
+    (RadialProfile.cell_polynomials, the tables behind the profile's own
+    methods) in one column per cell, padded with zeros to the highest
+    degree present, which leaves each factor's Horner values unchanged.
+    ``params`` and ``cells`` hold one column per factor: cell width,
+    a/2pi, pi/a, the ramp's lower end and width in |z|^2, then the last
+    cell and the factor's first column in ``coef``.
     """
 
     def __init__(self, factors, configs):
@@ -155,14 +156,6 @@ class _CellTable:
         return self.params[:, which], self.cells[:, which]
 
 
-def _polyval(coef, s):
-    """Horner evaluation of per-point coefficient rows, lowest order first."""
-    out = coef[-1]
-    for c in coef[-2::-1]:
-        out = out * s + c
-    return out
-
-
 def _cutoff_velocity(table, points, z, t):
     """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a.
 
@@ -186,15 +179,15 @@ def _cutoff_velocity(table, points, z, t):
     theta = np.mod(np.arctan2(z.imag, z.real), TWO_PI)
     j = np.minimum((theta / h).astype(np.int64), last)
     s = theta - j * h
-    coef = table.coef[:, j + first]
+    coef = np.take(table.coef, j + first, axis=1)
     r_rows, rd_rows, s_rows = table.rows
-    r = _polyval(coef[r_rows], s)
+    r = horner(coef[r_rows], s)
     half_r2 = 0.5 * r * r
-    num = _polyval(coef[s_rows], s) - rate * theta
+    num = horner(coef[s_rows], s) - rate * theta
     den = (1.0 - t) * rate + t * half_r2
     f = -rate * num / den
     fd = -rate * ((half_r2 - rate) * den -
-                  num * t * r * _polyval(coef[rd_rows], s)) / den ** 2
+                  num * t * r * horner(coef[rd_rows], s)) / den ** 2
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 

@@ -52,13 +52,12 @@ def char_flow_2d(profile, z, t):
     area units; the minimal period on the boundary equals the domain area.
     """
     z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    theta = np.mod(np.angle(z), TWO_PI)
-    level = np.where(r == 0.0, 0.0, r / profile.radius(theta))
-    theta2 = np.mod(
-        profile.inverse_sector_area(profile.sector_area(theta) + t), TWO_PI)
-    out = level * profile.radius(theta2) * np.exp(1j * theta2)
-    out = np.where(r == 0.0, 0.0 + 0.0j, out)
+    level = profile.gauge(z)
+    theta = np.mod(
+        profile.inverse_sector_area(profile.sector_area(np.angle(z)) + t),
+        TWO_PI)
+    out = level * profile.radius(theta) * np.exp(1j * theta)
+    out = np.where(level == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry2d import (_check_weierstrass, _check_xz, weierstrass_series,
-                         xz_series)
+from .geometry2d import _check_weierstrass, weierstrass_series
 
 
 def _check_graph(a, b, terms):
@@ -84,30 +83,9 @@ class PhaseShiftedWeierstrass:
         return 2.0 + np.log(self.a) / np.log(self.b)
 
 
-@dataclass(frozen=True)
-class XiaoZhou:
-    """f(x) = sum_{k>=1} a^(k^alpha) phi(a^(-k^beta) x), phi a triangle wave.
-
-    Exposed without a numeric dimension target: the truncated sums have no
-    quantified box-counting behavior at finite resolution.
-    """
-
-    a: float = 0.5
-    alpha: float = 1.2
-    beta: float = 1.5
-    terms: int = 12
-
-    def __post_init__(self):
-        _check_xz(self.a, self.alpha, self.beta)
-
-    def __call__(self, x):
-        return xz_series(x, self.a, self.alpha, self.beta, self.terms)
-
-
 _FAMILIES = {
     "weierstrass": Weierstrass,
     "weierstrass_phase": PhaseShiftedWeierstrass,
-    "xiao_zhou": XiaoZhou,
 }
 
 

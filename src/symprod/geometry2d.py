@@ -4,7 +4,8 @@ A domain is encoded by its boundary radius R(theta) sampled on a uniform
 angular grid. Everything downstream (area-preserving maps, boundary flows,
 volume estimates) reduces to three primitives implemented here: the radius
 interpolant, the cumulative sector area S(theta) = int_0^theta R(u)^2/2 du,
-and its inverse.
+and its inverse. All three read one table of per-cell polynomials of R, R'
+and S, evaluated by ``horner``.
 """
 
 from __future__ import annotations
@@ -14,26 +15,13 @@ from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
 
-# 4-point Gauss-Legendre nodes/weights on [0, 1]; exact through degree 7,
-# in particular for the square of a cubic radius interpolant.
-_GL_NODES = 0.5 * (1.0 + np.array(
-    [-0.8611363115940526, -0.3399810435848563,
-     0.3399810435848563, 0.8611363115940526]))
-_GL_WEIGHTS = 0.5 * np.array(
-    [0.3478548451374538, 0.6521451548625461,
-     0.6521451548625461, 0.3478548451374538])
 
-
-def wrap_angle(theta):
-    """Reduce angles to [0, 2*pi), returning (wrapped, winding number)."""
-    theta = np.asarray(theta, dtype=float)
-    winds = np.floor(theta / TWO_PI)
-    wrapped = theta - winds * TWO_PI
-    # Guard against wrapped == 2*pi from rounding.
-    over = wrapped >= TWO_PI
-    wrapped = np.where(over, 0.0, wrapped)
-    winds = winds + over
-    return wrapped, winds
+def horner(coef, s):
+    """Evaluate coefficient rows, lowest order first, at s (per column)."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * s + c
+    return out
 
 
 class RadialProfile:
@@ -42,16 +30,23 @@ class RadialProfile:
     Parameters
     ----------
     samples : array_like
-        Finite, strictly positive radii R(theta_j) at theta_j = 2*pi*j/N.
+        Finite, strictly positive radii R(theta_j) at theta_j = 2*pi*j/N;
+        the profile keeps its own copy.
     interpolation : {"linear", "cubic"}
         Periodic interpolation rule between grid nodes.
 
-    The cumulative sector-area table lives on the N sample cells, where
-    the cell integral is exact (closed form for the linear interpolant,
-    4-point Gauss-Legendre for the squared cubic). On a linear cell the
-    swept area ((r0 + m*x)^3 - r0^3)/(6m) is a cubic in the offset x with
-    an exact real root, so ``inverse_sector_area`` takes a cube root there
-    and runs Newton only on cubic profiles. ``min_radius`` and
+    The build stores R, R' and S on each of the N sample cells as
+    polynomials in the offset from the cell's left node
+    (``cell_polynomials``): node radius and slope for a linear profile,
+    the periodic cubic spline's coefficients for a cubic one, and for S
+    the cumulative area at the node plus the exact antiderivative of
+    R^2/2. The cumulative table and ``area`` are these S polynomials at
+    the cell width. ``radius``, ``radius_derivative`` and ``sector_area``
+    are each one cell lookup and one Horner evaluation. On a linear cell
+    the swept area ((r0 + m*x)^3 - r0^3)/(6m) is a cubic in the offset x
+    with an exact real root, so ``inverse_sector_area`` takes a cube root
+    there and runs Newton on the cell's polynomials only on cubic
+    profiles. ``min_radius`` and
     ``max_radius`` are the exact extrema of the interpolant, spline
     overshoot included, and the build rejects ``min_radius <= 0``.
 
@@ -60,7 +55,7 @@ class RadialProfile:
     """
 
     def __init__(self, samples, interpolation="linear"):
-        samples = np.asarray(samples, dtype=float)
+        samples = np.array(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 16:
             raise ValueError("need a 1-d array of at least 16 radius samples")
         if interpolation not in ("linear", "cubic"):
@@ -73,7 +68,7 @@ class RadialProfile:
         self.N = samples.size
         self.interpolation = interpolation
         self._h = TWO_PI / self.N
-        self._closed = np.append(samples, samples[0])
+        closed = np.append(samples, samples[0])
 
         # The interpolant's extrema lie at nodes or, for the spline, at
         # interior critical points. A piece whose derivative vanishes
@@ -82,12 +77,13 @@ class RadialProfile:
         extrema = samples
         if interpolation == "cubic":
             grid = np.linspace(0.0, TWO_PI, self.N + 1)
-            self._spline = CubicSpline(grid, self._closed, bc_type="periodic")
-            crit = self._spline.derivative().roots()
-            crit = self._spline(crit[np.isfinite(crit)])
+            spline = CubicSpline(grid, closed, bc_type="periodic")
+            crit = spline.derivative().roots()
+            crit = spline(crit[np.isfinite(crit)])
             extrema = np.concatenate((extrema, crit))
+            r = np.ascontiguousarray(spline.c[::-1])
         else:
-            self._spline = None
+            r = np.stack([samples, (closed[1:] - samples) / self._h])
         self.min_radius = float(np.min(extrema))
         self.max_radius = float(np.max(extrema))
         if self.min_radius <= 0.0:
@@ -96,86 +92,62 @@ class RadialProfile:
                 f"(min_radius={self.min_radius:.6g}); domain is not "
                 "star-shaped with a single ray intersection")
 
-        cell = self._cell_integral(np.arange(self.N), np.full(self.N, self._h))
+        # Coefficient rows, lowest order first, one column per cell.
+        degree = r.shape[0] - 1
+        half_r2 = np.zeros((2 * degree + 1, self.N))
+        for i in range(degree + 1):
+            half_r2[i:i + degree + 1] += 0.5 * r[i] * r
+        swept = half_r2 / np.arange(1, 2 * degree + 2)[:, None]
+        cell = horner(swept, self._h) * self._h
         self._cumulative = np.concatenate(([0.0], np.cumsum(cell)))
         self.area = float(self._cumulative[-1])
+        self._r = r
+        self._rd = r[1:] * np.arange(1, degree + 1)[:, None]
+        self._s = np.concatenate((self._cumulative[None, :-1], swept))
+        for table in (self._r, self._rd, self._s):
+            table.setflags(write=False)
 
-    # -- radius interpolant -------------------------------------------------
+    def _locate(self, theta):
+        """Sample cell, offset from its left node and winding of each angle.
 
-    def _segment(self, wrapped):
-        """Grid segment [j, j + 1) holding each wrapped angle, and the offset."""
-        pos = wrapped / self._h
-        j = np.minimum(pos.astype(np.int64), self.N - 1)
-        return j, pos - j
+        An angle that rounds onto 2*pi lands at the end of the last cell,
+        where the polynomials take their values at 2*pi.
+        """
+        theta = np.asarray(theta, dtype=float)
+        winds = np.floor(theta / TWO_PI)
+        wrapped = theta - winds * TWO_PI
+        j = np.minimum((wrapped / self._h).astype(np.int64), self.N - 1)
+        return j, wrapped - j * self._h, winds
 
     def radius(self, theta):
         """Boundary radius R(theta), 2*pi-periodic."""
-        wrapped, _ = wrap_angle(theta)
-        if self._spline is not None:
-            return self._spline(wrapped)
-        j, frac = self._segment(wrapped)
-        return (1.0 - frac) * self._closed[j] + frac * self._closed[j + 1]
+        j, s, _ = self._locate(theta)
+        return horner(np.take(self._r, j, axis=1), s)
 
     def radius_derivative(self, theta):
         """R'(theta); at a node of a linear profile, the slope to its right."""
-        wrapped, _ = wrap_angle(theta)
-        if self._spline is not None:
-            return self._spline(wrapped, 1)
-        j, _ = self._segment(wrapped)
-        return (self._closed[j + 1] - self._closed[j]) * (self.N / TWO_PI)
+        j, s, _ = self._locate(theta)
+        return horner(np.take(self._rd, j, axis=1), s)
 
     def cell_polynomials(self):
         """R, R' and S on each sample cell as polynomials in the offset s.
 
-        Returns three (N, k) coefficient arrays, lowest order first, with
-        R(theta_j + s) = sum_i r[j, i] s^i for 0 <= s <= h, and R', S the
-        same way. A linear profile gives its node radius and slope (degree
-        1), a cubic one the spline's coefficients (degree 3). The S rows
-        are the cumulative table entry S(theta_j) followed by the exact
-        antiderivative of R^2/2, of degree 3 or 7.
+        Returns three read-only (N, k) coefficient arrays, lowest order
+        first, with R(theta_j + s) = sum_i r[j, i] s^i for 0 <= s <= h,
+        and R', S the same way. A linear profile gives its node radius and
+        slope (degree 1), a cubic one the spline's coefficients (degree 3).
+        The S rows are the cumulative table entry S(theta_j) followed by
+        the exact antiderivative of R^2/2, of degree 3 or 7.
         """
-        if self._spline is None:
-            r = np.stack([self.samples,
-                          (self._closed[1:] - self.samples) / self._h], axis=1)
-        else:
-            r = self._spline.c[::-1].T
-        degree = r.shape[1] - 1
-        rd = r[:, 1:] * np.arange(1, degree + 1)
-        half_r2 = np.zeros((self.N, 2 * degree + 1))
-        for i in range(degree + 1):
-            half_r2[:, i:i + degree + 1] += 0.5 * r[:, i:i + 1] * r
-        s = np.concatenate([self._cumulative[:-1, None],
-                            half_r2 / np.arange(1, 2 * degree + 2)], axis=1)
-        return r, rd, s
+        return self._r.T, self._rd.T, self._s.T
 
     # -- sector area and its inverse ---------------------------------------
 
-    def _cell_integral(self, k, s):
-        """int of R(u)^2/2 from sample node theta_k over a length s <= h.
-
-        Exact for the linear interpolant; 4-point Gauss-Legendre (exact for
-        the squared cubic) otherwise.
-        """
-        if self._spline is None:
-            r0 = self._closed[k]
-            m = (self._closed[k + 1] - r0) / self._h
-            return 0.5 * (r0 * r0 * s + r0 * m * s * s + m * m * s ** 3 / 3.0)
-        t0 = k * self._h
-        acc = 0.0
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            r = self.radius(t0 + node * s)
-            acc = acc + weight * 0.5 * r * r
-        return s * acc
-
     def sector_area(self, theta):
         """Cumulative sector area S(theta), unwrapped by +area per turn."""
-        theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
-        wrapped, winds = wrap_angle(theta)
-        k = np.minimum((wrapped / self._h).astype(np.int64), self.N - 1)
-        s = wrapped - k * self._h
-        out = self._cumulative[k] + self._cell_integral(k, s) + winds * self.area
-        return float(out) if scalar else out
+        j, s, winds = self._locate(theta)
+        out = horner(np.take(self._s, j, axis=1), s) + winds * self.area
+        return float(out) if out.ndim == 0 else out
 
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
@@ -190,9 +162,11 @@ class RadialProfile:
         This form has no cancellation and tends to 2T/r0^2 as m -> 0. The
         cube root's argument is (R(theta)/r0)^3, positive because the build
         rejects min_radius <= 0; x is clamped to [0, h]. A cubic cell runs
-        safeguarded Newton with S'(theta) = R(theta)^2/2 from the cell's
-        secant point. Both meet |S - s| <= 1e-14 * area, beyond the
-        rounding of theta itself (S'(theta) = R^2/2 per unit of theta).
+        safeguarded Newton from the cell's secant point on its S polynomial
+        less the constant S(theta_k), so that the residual does not carry
+        the rounding of S itself, with S'(theta) = R(theta)^2/2 from its R
+        polynomial. Both meet |S - s| <= 1e-14 * area, beyond the rounding
+        of theta itself (S'(theta) = R^2/2 per unit of theta).
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
@@ -207,22 +181,24 @@ class RadialProfile:
         k = np.clip(k, 0, self.N - 1)
         start = k * self._h
         target = s0 - self._cumulative[k]
-        if self._spline is None:
-            r0 = self._closed[k]
-            m = (self._closed[k + 1] - r0) / self._h
+        r_coef = np.take(self._r, k, axis=1)
+        if self.interpolation == "linear":
+            r0, m = r_coef
             c = np.cbrt(1.0 + 6.0 * m * target / r0 ** 3)
             x = 6.0 * target / (r0 * r0 * (c * c + c + 1.0))
             theta = start + np.clip(x, 0.0, self._h)
         else:
+            swept = np.take(self._s[1:], k, axis=1)  # (S - S(theta_k)) / x
             lo, hi = start, start + self._h
             theta = start + self._h * target / (
                 self._cumulative[k + 1] - self._cumulative[k])
             tol = 1e-14 * self.area
             for _ in range(80):
-                val = self._cell_integral(k, theta - start) - target
+                x = theta - start
+                val = horner(swept, x) * x - target
                 if np.max(np.abs(val)) <= tol:
                     break
-                r = self.radius(theta)
+                r = horner(r_coef, x)
                 step = val / (0.5 * r * r)
                 hi = np.where(val > 0.0, theta, hi)
                 lo = np.where(val < 0.0, theta, lo)
@@ -238,8 +214,7 @@ class RadialProfile:
         """Minkowski gauge g(z) = |z| / R(arg z); g(0) = 0 by definition."""
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        ang = np.mod(np.angle(z), TWO_PI)
-        out = np.where(r == 0.0, 0.0, r / self.radius(ang))
+        out = np.where(r == 0.0, 0.0, r / self.radius(np.angle(z)))
         return float(out) if out.ndim == 0 else out
 
     def boundary_point(self, theta):

@@ -181,13 +181,16 @@ def test_selftest_output_file(tmp_path, capsys):
     ["capacities", "--areas", "inf,1"],
     ["boxdim", "--target", "boundary", "--family", "xiao_zhou",
      "--min-exp", "1", "--max-exp", "5", "--seed", "1"],
+    ["area", "--spec", "DIR"],
+    ["area", "--spec", str(SPECS / "disks_1_1.spec"), "--output", "DIR"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
-        "capacities-infinite", "boxdim-boundary-family"])
+        "capacities-infinite", "boxdim-boundary-family", "spec-is-directory",
+        "output-is-directory"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
-    """P3_* stand for p = 3 copies of the bundled specs."""
-    p3 = {}
+    """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
+    p3 = {"DIR": tmp_path}
     for token, name in (("P3_WEIER", "weier_square"),
                         ("P3_DISKS", "disks_1_1")):
         p3[token] = tmp_path / f"{name}_p3.spec"

@@ -135,12 +135,6 @@ def test_phase_shifted_family_seeded():
     assert f1.graph_dimension == pytest.approx(2.0 + np.log(0.5) / np.log(3.0))
 
 
-def test_xiao_zhou_family_evaluates():
-    fn = fractal.XiaoZhou(a=0.5, alpha=1.2, beta=1.5, terms=10)
-    vals = fn(np.linspace(0.0, 1.0, 32))
-    assert np.all(np.isfinite(vals))
-
-
 def test_make_fractal_dispatch():
     fn = fractal.make_fractal("weierstrass", a=0.5, b=3.0, terms=5)
     assert isinstance(fn, fractal.Weierstrass)
@@ -290,7 +284,8 @@ GRAPH_CASES = {
        for seed in range(20)},
     "phase-shifted": (fractal.graph_sampler(
         fractal.PhaseShiftedWeierstrass(terms=20, seed=4)), 1),
-    "xiao-zhou": (fractal.graph_sampler(fractal.XiaoZhou()), 2),
+    "xiao-zhou": (fractal.graph_sampler(
+        lambda x: geometry2d.xz_series(x, 0.5, 1.2, 1.5, 12)), 2),
     "steep": (fractal.graph_sampler(lambda x: 40.0 * np.sin(7.0 * x)), 3),
     "flat": (fractal.graph_sampler(lambda x: np.full_like(x, 0.25)), 4),
     "segment": (fractal.graph_sampler(lambda x: 0.3 * x), 5),

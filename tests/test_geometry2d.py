@@ -2,12 +2,88 @@
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import given, reject, settings, strategies as st
 
 from symprod import geometry2d
 from symprod.geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
 
 SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+
+# Reference evaluation, independent of the per-cell tables: linear node
+# interpolation or a scipy periodic spline for R and R', and S from a
+# cumulative table of exact cell integrals (closed form for the linear
+# interpolant, 4-point Gauss-Legendre, exact for the squared cubic).
+GL_NODES = 0.5 * (1.0 + np.array(
+    [-0.8611363115940526, -0.3399810435848563,
+     0.3399810435848563, 0.8611363115940526]))
+GL_WEIGHTS = 0.5 * np.array(
+    [0.3478548451374538, 0.6521451548625461,
+     0.6521451548625461, 0.3478548451374538])
+
+
+def reference_wrap(theta):
+    """Angles reduced to [0, 2 pi), and their winding numbers."""
+    theta = np.asarray(theta, dtype=float)
+    winds = np.floor(theta / TWO_PI)
+    wrapped = theta - winds * TWO_PI
+    over = wrapped >= TWO_PI
+    return np.where(over, 0.0, wrapped), winds + over
+
+
+def reference_nodes(profile, theta):
+    """Closed node radii, wrapped angles, their cells and cell fractions."""
+    closed = np.append(profile.samples, profile.samples[0])
+    wrapped, _ = reference_wrap(theta)
+    pos = wrapped / (TWO_PI / profile.N)
+    j = np.minimum(pos.astype(np.int64), profile.N - 1)
+    return closed, wrapped, j, pos - j
+
+
+def reference_spline(profile):
+    grid = np.linspace(0.0, TWO_PI, profile.N + 1)
+    closed = np.append(profile.samples, profile.samples[0])
+    return scipy.interpolate.CubicSpline(grid, closed, bc_type="periodic")
+
+
+def reference_radius(profile, theta):
+    closed, wrapped, j, frac = reference_nodes(profile, theta)
+    if profile.interpolation == "cubic":
+        return reference_spline(profile)(wrapped)
+    return (1.0 - frac) * closed[j] + frac * closed[j + 1]
+
+
+def reference_radius_derivative(profile, theta):
+    closed, wrapped, j, _ = reference_nodes(profile, theta)
+    if profile.interpolation == "cubic":
+        return reference_spline(profile)(wrapped, 1)
+    return (closed[j + 1] - closed[j]) * (profile.N / TWO_PI)
+
+
+def reference_cell_integral(profile, k, s):
+    """int of R(u)^2/2 from node theta_k over a length s <= h."""
+    if profile.interpolation == "linear":
+        closed = np.append(profile.samples, profile.samples[0])
+        r0 = closed[k]
+        m = (closed[k + 1] - r0) / (TWO_PI / profile.N)
+        return 0.5 * (r0 * r0 * s + r0 * m * s * s + m * m * s ** 3 / 3.0)
+    t0 = k * (TWO_PI / profile.N)
+    acc = 0.0
+    for node, weight in zip(GL_NODES, GL_WEIGHTS):
+        r = reference_radius(profile, t0 + node * s)
+        acc = acc + weight * 0.5 * r * r
+    return s * acc
+
+
+def reference_sector_area(profile, theta):
+    h = TWO_PI / profile.N
+    cells = np.arange(profile.N)
+    cumulative = np.concatenate(([0.0], np.cumsum(
+        reference_cell_integral(profile, cells, np.full(profile.N, h)))))
+    wrapped, winds = reference_wrap(theta)
+    k = np.minimum((wrapped / h).astype(np.int64), profile.N - 1)
+    return (cumulative[k] + reference_cell_integral(profile, k, wrapped - k * h)
+            + winds * cumulative[-1])
 
 
 def preset_profiles():
@@ -117,20 +193,22 @@ def test_inverse_sector_area_closed_form_random_linear_profiles(seed, n, flat):
 def test_inverse_sector_area_newton_converges(name, monkeypatch):
     """Linear profiles invert in closed form; cubic ones by few Newton steps.
 
-    Each Newton iteration makes one _cell_integral call; from the secant
-    point of the sample cell 20,000 points need at most 3, bisection about
-    28. A linear cell takes a cube root and makes none.
+    Each Newton iteration evaluates the cell's S polynomial and, unless it
+    has converged, its R polynomial, one ``horner`` call each; from the
+    secant point of the sample cell 20,000 points need at most 3
+    iterations and a final check, bisection about 28. A linear cell takes
+    a cube root and evaluates no polynomial.
     """
     profile = preset_profiles()[name]
-    most = 0 if profile.interpolation == "linear" else 4
+    most = 0 if profile.interpolation == "linear" else 7
     calls = []
-    cell_integral = profile._cell_integral
+    horner = geometry2d.horner
 
-    def spy(k, s):
+    def spy(coef, s):
         calls.append(None)
-        return cell_integral(k, s)
+        return horner(coef, s)
 
-    monkeypatch.setattr(profile, "_cell_integral", spy)
+    monkeypatch.setattr(geometry2d, "horner", spy)
     s = np.random.default_rng(8).uniform(0.0, profile.area, 20000)
     theta = profile.inverse_sector_area(s)
     assert len(calls) <= most
@@ -139,16 +217,20 @@ def test_inverse_sector_area_newton_converges(name, monkeypatch):
     assert np.max(err) <= 1e-14 * profile.area
 
 
+def random_profile(seed, n, interpolation):
+    rng = np.random.default_rng(seed)
+    try:
+        return rng, RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
        interpolation=st.sampled_from(["linear", "cubic"]))
 def test_cell_polynomials_match_profile(seed, n, interpolation):
-    """R, R' and S from one cell lookup agree with the profile's methods."""
-    rng = np.random.default_rng(seed)
-    try:
-        profile = RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
-    except ValueError:
-        reject()  # cubic overshoot below zero
+    """R, R' and S from one cell lookup agree with the reference evaluation."""
+    rng, profile = random_profile(seed, n, interpolation)
     r, rd, s = profile.cell_polynomials()
     assert r.shape[1] == rd.shape[1] + 1 == s.shape[1] // 2
     theta = rng.uniform(0.0, TWO_PI, 400)
@@ -159,12 +241,96 @@ def test_cell_polynomials_match_profile(seed, n, interpolation):
         return sum(coef[j, i] * offset ** i for i in range(coef.shape[1]))
 
     scale = profile.max_radius
-    np.testing.assert_allclose(poly(r), profile.radius(theta), rtol=0.0,
-                               atol=1e-12 * scale)
-    np.testing.assert_allclose(poly(rd), profile.radius_derivative(theta),
+    np.testing.assert_allclose(poly(r), reference_radius(profile, theta),
+                               rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(poly(rd),
+                               reference_radius_derivative(profile, theta),
                                rtol=0.0, atol=1e-12 * n * scale)
-    np.testing.assert_allclose(poly(s), profile.sector_area(theta), rtol=0.0,
-                               atol=1e-12 * profile.area)
+    np.testing.assert_allclose(poly(s), reference_sector_area(profile, theta),
+                               rtol=0.0, atol=1e-12 * profile.area)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_profile_matches_reference_evaluation(seed, n, interpolation):
+    """radius, radius_derivative, sector_area and area over three turns."""
+    rng, profile = random_profile(seed, n, interpolation)
+    theta = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 400)
+    scale = profile.max_radius
+    np.testing.assert_allclose(profile.radius(theta),
+                               reference_radius(profile, theta),
+                               rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(profile.radius_derivative(theta),
+                               reference_radius_derivative(profile, theta),
+                               rtol=0.0, atol=1e-12 * n * scale)
+    np.testing.assert_allclose(profile.sector_area(theta),
+                               reference_sector_area(profile, theta),
+                               rtol=0.0, atol=1e-12 * profile.area)
+    assert profile.area == pytest.approx(
+        reference_sector_area(profile, TWO_PI), rel=0.0,
+        abs=1e-12 * profile.area)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_angle_wrap_at_turns_and_cell_edges(seed, n, interpolation):
+    """At -2 pi, 0, 2 pi, 4 pi, the cell edges, and one ulp either side.
+
+    S is nondecreasing to within what one ulp of max(|theta|, 2 pi) moves
+    it (at most max_radius^2 / 2 per unit angle), and R is continuous
+    across each of these angles within 1e-12 max_radius.
+    """
+    _, profile = random_profile(seed, n, interpolation)
+    turns = TWO_PI * np.array([-1.0, 0.0, 1.0, 2.0])
+    edges = (np.arange(n + 1) * (TWO_PI / n) + turns[:, None]).ravel()
+    points = np.concatenate((turns, edges))
+    theta = np.sort(np.concatenate((
+        points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf))))
+    area = profile.sector_area(theta)
+    ulp = np.spacing(np.maximum(np.abs(theta[1:]), TWO_PI))
+    assert np.all(np.diff(area) >= -0.5 * profile.max_radius ** 2 * ulp)
+
+    radius = profile.radius(points)
+    for side in (-np.inf, np.inf):
+        np.testing.assert_allclose(
+            profile.radius(np.nextafter(points, side)), radius, rtol=0.0,
+            atol=1e-12 * profile.max_radius)
+
+
+def test_profile_copies_its_samples():
+    """The caller's array stays writable and later writes do not leak in."""
+    radii = np.linspace(1.0, 2.0, 32)
+    RadialProfile(radii)
+    assert radii.flags.writeable
+
+    base = np.ones(32)
+    profile = RadialProfile(base[:])
+    area = profile.area
+    base[0] = 5.0
+    assert profile.samples[0] == 1.0
+    assert profile.radius(0.0) == 1.0
+    assert profile.area == area
+
+
+def test_cubic_profile_calls_no_scipy_after_build(monkeypatch):
+    """Every primitive reads the per-cell tables, not the build's spline."""
+    profile = geometry2d.cosine_profile(1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy spline evaluated after the build")
+
+    monkeypatch.setattr(scipy.interpolate.PPoly, "__call__", forbidden)
+    with pytest.raises(AssertionError, match="after the build"):
+        geometry2d.cosine_profile(1.0)  # the patch is in effect
+    theta = np.linspace(-1.0, 7.0, 101)
+    assert np.all(profile.radius(theta) > 0.0)
+    s = profile.sector_area(theta)
+    np.testing.assert_allclose(profile.inverse_sector_area(s), theta,
+                               rtol=0.0, atol=1e-12)
+    z = profile.boundary_point(theta)
+    np.testing.assert_allclose(profile.gauge(z), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_sector_area_monotone_and_total():
