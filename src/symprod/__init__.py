@@ -24,7 +24,6 @@ from .diskmap import (
     disk_to_domain,
     domain_to_disk,
     product_map,
-    product_map_inverse,
     sandwich_check,
 )
 from .product import (

@@ -26,40 +26,22 @@ class CapacityTable:
     areas: tuple
     values: tuple
 
-    @property
-    def c1(self):
-        return self.values[0]
 
-    def __getitem__(self, k):
-        return self.values[k]
-
-
-def _areas_of(spec):
-    """Factor areas; a plain sequence must pass EllipsoidSpec's checks."""
-    if isinstance(spec, ProductDomain):
-        return tuple(spec.factor_areas)
-    if not isinstance(spec, EllipsoidSpec):
-        spec = EllipsoidSpec(spec)
-    return spec.areas
-
-
-def gh_capacities(spec, K):
+def gh_capacities(areas, K):
     """First K ellipsoid capacities: an n-way merge of {i * a_j : i >= 1}."""
     if K < 1:
         raise ValueError("need K >= 1")
-    areas = _areas_of(spec)
+    areas = EllipsoidSpec(areas).areas
     streams = [map(float(a).__mul__, count(1)) for a in areas]
     merged = heapq.merge(*streams)
     values = tuple(v for v, _ in zip(merged, range(K)))
     return CapacityTable(areas=areas, values=values)
 
 
-def zoll_check(spec):
+def zoll_check(areas):
     """True iff c_1 = c_n on the ellipsoid model (equal-area products)."""
-    areas = _areas_of(spec)
-    n = len(areas)
-    table = gh_capacities(areas, n)
-    c1, cn = table.values[0], table.values[-1]
+    values = gh_capacities(areas, len(areas)).values
+    c1, cn = values[0], values[-1]
     return c1 == cn, c1, cn
 
 

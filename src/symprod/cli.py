@@ -45,13 +45,21 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
+def _finite_floats(text, option):
+    """The comma-separated numbers of ``text``; each must be finite."""
+    values = [float(tok) for tok in text.split(",")]
+    if not all(np.isfinite(values)):
+        raise ValueError(f"{option} needs finite numbers, got {text!r}")
+    return values
+
+
 def _parse_point(text, n):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
         raise ValueError(f"expected {n} 'x,y' pairs separated by ';'")
     out = np.empty(n, dtype=complex)
     for i, p in enumerate(parts):
-        x, y = (float(tok) for tok in p.split(","))
+        x, y = _finite_floats(p, "--point")
         out[i] = complex(x, y)
     return out
 
@@ -96,7 +104,7 @@ def cmd_flow(args):
     domain = product_mod.two_product(load_spec(args.spec))
     factors = domain.factors
     z0 = _parse_point(args.point, len(factors))
-    t0, t1 = (float(tok) for tok in args.t_range.split(","))
+    t0, t1 = _finite_floats(args.t_range, "--t-range")
     rows = []
     for t in np.linspace(t0, t1, args.steps):
         zt = product_mod.factorwise(dynamics.char_flow_2d, factors, z0, t)

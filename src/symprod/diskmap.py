@@ -76,31 +76,29 @@ def product_map(factors, z):
     return factorwise(disk_to_domain, factors, z)
 
 
-def product_map_inverse(factors, w):
-    """Factor-wise domain_to_disk, the inverse of product_map."""
-    return factorwise(domain_to_disk, factors, w)
-
-
 # -- cutoff (smoothed) map --------------------------------------------------
+
+# The smoothing ramp runs over [RAMP_LO, RAMP_HI] * delta / pi in |z|^2,
+# leaving a safety band so trajectories started at pi |z|^2 >= delta stay
+# in the exact regime whenever pi R_min^2 / a >= RAMP_HI (0.64 for the
+# Weierstrass preset, 0.79 for the square).
+RAMP_LO = 0.2
+RAMP_HI = 0.6
+
 
 @dataclass
 class CutoffMapConfig:
     """Parameters of the smoothed disk map.
 
     delta is the cutoff level in area units: the Hamiltonian is frozen well
-    below it and untouched for pi |z|^2 >= delta. The smoothing ramp runs
-    over [ramp_lo, ramp_hi] * delta / pi in |z|^2, leaving a safety band so
-    trajectories started at pi |z|^2 >= delta stay in the exact regime
-    whenever pi R_min^2 / a >= ramp_hi (0.64 for the Weierstrass preset,
-    0.79 for the square). ``steps`` is the RK4 step count for points whose
-    trajectories meet the ramp.
+    below it and untouched for pi |z|^2 >= delta; the ramp in between is
+    set by RAMP_LO and RAMP_HI. ``steps`` is the RK4 step count for points
+    whose trajectories meet the ramp.
     """
 
     delta: float
     steps: int = 256
     epsilon: float = 0.05
-    ramp_lo: float = 0.2
-    ramp_hi: float = 0.6
 
     def __post_init__(self):
         if not 0.0 < self.delta < np.inf:
@@ -109,8 +107,6 @@ class CutoffMapConfig:
             raise ValueError("integration step count must be an integer")
         if self.steps < 8:
             raise ValueError("need at least 8 integration steps")
-        if not 0.0 < self.ramp_lo < self.ramp_hi <= 1.0:
-            raise ValueError("need 0 < ramp_lo < ramp_hi <= 1")
 
 
 def sandwich_delta(profile, epsilon, n_factors):
@@ -147,8 +143,8 @@ class _CellTable:
             [TWO_PI / f.N for f in factors],
             [f.area / TWO_PI for f in factors],
             [np.pi / f.area for f in factors],
-            [c.ramp_lo * c.delta / np.pi for c in configs],
-            [(c.ramp_hi - c.ramp_lo) * c.delta / np.pi for c in configs]])
+            [RAMP_LO * c.delta / np.pi for c in configs],
+            [(RAMP_HI - RAMP_LO) * c.delta / np.pi for c in configs]])
         self.cells = np.array([sizes - 1, first])
 
     def points(self, which):
@@ -160,7 +156,7 @@ def _cutoff_velocity(table, points, z, t):
     """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a.
 
     rho is a quintic smoothstep across each point's ramp: 0 below
-    ramp_lo delta / pi in u = |z|^2, 1 above ramp_hi delta / pi, C^2
+    RAMP_LO delta / pi in u = |z|^2, 1 above RAMP_HI delta / pi, C^2
     across. f_t is the contact Hamiltonian of the interpolated isotopy
     S_t = (1 - t) S_disk + t S on the circle: f_t = -(a/2pi)(S - S_disk)/S_t'
     with S_t' = (1 - t) a/2pi + t R^2/2. Its angle derivative is analytic:
@@ -233,9 +229,9 @@ def _banded_map(profile, config, z, inverse):
     all). Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0,
     gauge^2 at t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2
     with R_t^2 = (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory
-    with lev^2 min(a, pi R_min^2) >= ramp_hi delta therefore never leaves
+    with lev^2 min(a, pi R_min^2) >= RAMP_HI delta therefore never leaves
     rho = 1, and its time-1 map is psi (psi^-1 backwards). The field
-    vanishes where pi|z|^2 <= ramp_lo delta, so such points are fixed.
+    vanishes where pi|z|^2 <= RAMP_LO delta, so such points are fixed.
     Points of the ramp band in between are returned unchanged, for _rk4.
     """
     inverse = np.broadcast_to(inverse, z.shape)
@@ -244,8 +240,8 @@ def _banded_map(profile, config, z, inverse):
     if np.any(inverse):
         lev2[inverse] = profile.gauge(z[inverse]) ** 2
     floor = min(profile.area, np.pi * profile.min_radius ** 2)
-    exact = lev2 * floor >= config.ramp_hi * config.delta
-    ramp = ~exact & (pi_u > config.ramp_lo * config.delta)
+    exact = lev2 * floor >= RAMP_HI * config.delta
+    ramp = ~exact & (pi_u > RAMP_LO * config.delta)
     out = z.copy()
     for closed_form, band in ((disk_to_domain, exact & ~inverse),
                               (domain_to_disk, exact & inverse)):
@@ -258,7 +254,7 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     """Time-1 map of the cutoff Hamiltonian flow.
 
     Smooth at the origin (identity in a neighborhood of 0) and equal to
-    disk_to_domain wherever pi |z|^2 min(1, pi R_min^2 / a) >= ramp_hi delta.
+    disk_to_domain wherever pi |z|^2 min(1, pi R_min^2 / a) >= RAMP_HI delta.
     Each point is sorted into one of three bands: trajectories that stay
     where rho = 1 get psi exactly, points where rho = 0 are returned
     unchanged, and the rest are integrated by RK4 with ``config.steps``

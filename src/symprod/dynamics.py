@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import EllipsoidSpec, TWO_PI
+from .geometry2d import TWO_PI
 from .product import boundary_sample, common_area, factorwise, two_product
 
 
@@ -39,11 +39,6 @@ class FlowPoint:
         if np.any(self.levels < 0.0):
             raise ValueError("levels must be nonnegative")
 
-    def ambient(self, factors):
-        """Reconstruct the point in complex coordinates."""
-        radii = np.array([f.radius(t) for f, t in zip(factors, self.angles)])
-        return self.levels * radii * np.exp(1j * self.angles)
-
 
 def char_flow_2d(profile, z, t):
     """Closed-form characteristic flow: sector area swept equals t.
@@ -61,13 +56,10 @@ def char_flow_2d(profile, z, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def reeb_ellipsoid(spec, z, t):
+def reeb_ellipsoid(areas, z, t):
     """Reeb flow on E(a_1, ..., a_n): z_i -> e^{i 2 pi t / a_i} z_i."""
-    if not isinstance(spec, EllipsoidSpec):
-        spec = EllipsoidSpec(spec)
     z = np.asarray(z, dtype=complex)
-    phases = np.exp(1j * TWO_PI * t / np.asarray(spec.areas))
-    return z * phases
+    return z * np.exp(1j * TWO_PI * t / np.asarray(areas, dtype=float))
 
 
 # Largest |sum pi |z_i|^2 / a_i - 1| accepted as the ellipsoid boundary.
@@ -104,6 +96,8 @@ def sample_conjugacy_residuals(factors, count, seed):
     angles (count, n) and times uniform in +-2 max(area), then returns the
     residual per sample.
     """
+    if count < 1:
+        raise ValueError("need at least one sample")
     factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     rng = np.random.default_rng(seed)
@@ -121,26 +115,20 @@ def orbit_period(domain, point, denominator_bound=1000):
     """Least closing time of the product flow, or None within the bound.
 
     Closure requires t to be an integer multiple of every active factor's
-    area. Candidate multiples of the largest active area are scanned, and
-    a fractional turn count within 1e-8 of an integer counts as closed.
+    area. The candidates k * a_max, k = 1 ... denominator_bound, for the
+    largest active area a_max are tested in one array pass; the first
+    whose turn counts t / a_i all lie within 1e-8 of an integer is the
+    period.
     """
     factors = two_product(domain).factors
-    areas = [f.area for f in factors]
-    active = [i for i in range(len(factors))
-              if point.levels[i] > ACTIVE_LEVEL]
-    if not active:
-        return None
-    if len(active) == 1:
-        return areas[active[0]]
-
-    a_max = max(areas[i] for i in active)
-    others = [areas[i] for i in active]
-    for k in range(1, denominator_bound + 1):
-        t = k * a_max
-        turns = np.array([t / a for a in others])
-        if np.all(np.abs(turns - np.round(turns)) <= 1e-8):
-            return t
-    return None
+    areas = np.array([f.area for f in factors])[point.levels > ACTIVE_LEVEL]
+    if areas.size < 2:
+        return float(areas[0]) if areas.size else None
+    t = np.arange(1, denominator_bound + 1) * np.max(areas)
+    turns = t[:, None] / areas
+    closed = np.flatnonzero(np.all(np.abs(turns - np.round(turns)) <= 1e-8,
+                                   axis=1))
+    return float(t[closed[0]]) if closed.size else None
 
 
 @dataclass

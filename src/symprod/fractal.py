@@ -17,7 +17,7 @@ ellipsoid factor meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +55,19 @@ class Weierstrass:
 
 
 @dataclass(frozen=True)
-class PhaseShiftedWeierstrass:
-    """Weierstrass series with per-term phase shifts theta_k in [0, 1)."""
+class PhaseShiftedWeierstrass(Weierstrass):
+    """Weierstrass series with per-term phase shifts theta_k in [0, 1).
 
-    a: float = 0.5
-    b: float = 3.0
-    terms: int = 30
-    phases: tuple = None
+    The terms + 1 phases are uniform draws from a generator seeded with
+    ``seed``.
+    """
+
     seed: int = 0
 
-    def __post_init__(self):
-        _check_graph(self.a, self.b, self.terms)
-        if self.phases is None:
-            rng = np.random.default_rng(self.seed)
-            object.__setattr__(
-                self, "phases",
-                tuple(rng.uniform(0.0, 1.0, self.terms + 1)))
-        elif len(self.phases) != self.terms + 1:
-            raise ValueError("need one phase per term")
-
     def __call__(self, x):
-        return weierstrass_series(x, self.a, self.b, self.terms,
-                                  np.asarray(self.phases))
-
-    @property
-    def graph_dimension(self):
-        return 2.0 + np.log(self.a) / np.log(self.b)
+        phases = np.random.default_rng(self.seed).uniform(
+            0.0, 1.0, self.terms + 1)
+        return weierstrass_series(x, self.a, self.b, self.terms, phases)
 
 
 _FAMILIES = {
@@ -90,15 +77,11 @@ _FAMILIES = {
 
 
 def make_fractal(family, **params):
-    """Build a family by name; a parameter it does not take is an error."""
+    """Build a family by name from its parameters."""
     try:
         cls = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown fractal family {family!r}") from None
-    unknown = sorted(set(params) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"fractal family {family!r} takes no parameter "
-                         + ", ".join(unknown))
     return cls(**params)
 
 
@@ -106,6 +89,8 @@ def make_fractal(family, **params):
 
 # Most int64 keys boundary_patch_counts hashes in one np.unique call.
 PATCH_KEY_BUDGET = 1 << 21
+# Samples a GraphSampler evaluates and fills at a time, bounding memory.
+GRAPH_CHUNK = 1 << 20
 # count_scales samples graphs at pitch eps / PITCH_FACTOR, so the fill
 # spacing stays below eps, which column-range counting needs, and averages
 # N_OFFSETS random grid origins per scale.
@@ -177,14 +162,8 @@ class DimensionEstimate:
     scales: np.ndarray
     counts: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     ci_halfwidth: float = None
-    residuals: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def dimension(self):
-        return self.slope
 
 
 def estimate_dimension(scales, counts, bootstrap=0, seed=0):
@@ -215,8 +194,7 @@ def estimate_dimension(scales, counts, bootstrap=0, seed=0):
             slopes.append(np.polyfit(x[pick], y[pick], 1)[0])
         ci = float(1.96 * np.std(slopes))
     return DimensionEstimate(scales=scales, counts=counts, slope=float(slope),
-                            intercept=float(intercept), r_squared=r2,
-                            ci_halfwidth=ci, residuals=y - fit)
+                            r_squared=r2, ci_halfwidth=ci)
 
 
 # -- samplers ---------------------------------------------------------------
@@ -273,26 +251,23 @@ def fill_extents(y, pitch):
 
 @dataclass(frozen=True)
 class GraphSampler:
-    """The filled graph of ``fn`` over [x_min, x_max] at a given pitch.
+    """The filled graph of ``fn`` over [0, 1] at a given pitch.
 
-    ``fn`` is evaluated ``chunk`` samples at a time, each chunk after the
+    ``fn`` is evaluated GRAPH_CHUNK samples at a time, each chunk after the
     first repeating the previous sample so fill spans chunk boundaries.
     Calling the sampler returns the filled point cloud; column_extents
     returns the per-sample hulls that count_scales counts instead.
     """
 
     fn: object
-    x_min: float = 0.0
-    x_max: float = 1.0
-    chunk: int = 1 << 20
 
     def _chunks(self, pitch):
-        n = int(np.ceil((self.x_max - self.x_min) / pitch)) + 1
-        for start in range(0, n, self.chunk):
-            stop = min(start + self.chunk, n)
-            x = self.x_min + pitch * np.arange(start, stop)
+        n = int(np.ceil(1.0 / pitch)) + 1
+        for start in range(0, n, GRAPH_CHUNK):
+            stop = min(start + GRAPH_CHUNK, n)
+            x = pitch * np.arange(start, stop)
             if start > 0:
-                x = np.concatenate(([self.x_min + pitch * (start - 1)], x))
+                x = np.concatenate(([pitch * (start - 1)], x))
             yield x, self.fn(x)
 
     def __call__(self, pitch):
@@ -305,21 +280,20 @@ class GraphSampler:
         return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def graph_sampler(fn, x_min=0.0, x_max=1.0, chunk=1 << 20):
-    """Sampler for the filled graph of ``fn`` over [x_min, x_max]."""
-    return GraphSampler(fn, x_min, x_max, chunk)
+def graph_sampler(fn):
+    """Sampler for the filled graph of ``fn`` over [0, 1]."""
+    return GraphSampler(fn)
 
 
-def product_interval_count(base_counts, scales, z_length=1.0):
-    """Box counts of (point set) x (interval grid) from base counts.
+def product_interval_count(base_counts, scales):
+    """Box counts of (point set) x [0, 1] from the point set's counts.
 
     For a Cartesian product of point sets with an axis-aligned grid the
     occupied-cell set is the product of the occupied sets, so the counts
-    multiply exactly; the interval contributes ceil(L / eps) cells.
+    multiply exactly; the unit interval contributes ceil(1 / eps) cells.
     """
     scales = np.asarray(scales, dtype=float)
-    n_z = np.ceil(z_length / scales)
-    return np.asarray(base_counts) * n_z
+    return np.asarray(base_counts) * np.ceil(1.0 / scales)
 
 
 def _grid(lo, hi, pitch):

@@ -10,6 +10,9 @@ and S, evaluated by ``horner``.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -242,14 +245,6 @@ class EllipsoidSpec:
         a = np.asarray(self.areas)
         return np.sqrt(np.sum(np.pi * np.abs(z) ** 2 / a, axis=-1))
 
-    @property
-    def volume(self):
-        """Euclidean volume a_1 ... a_n / n!."""
-        vol = 1.0
-        for i, a in enumerate(self.areas, start=1):
-            vol *= a / i
-        return vol
-
     def __repr__(self):
         return f"EllipsoidSpec(areas={self.areas})"
 
@@ -372,10 +367,14 @@ def cosine_profile(area=np.pi, N=4096, interpolation="cubic"):
 
 
 def _check_weierstrass(a, b, terms):
-    if not 0.0 < a < 1.0 < b:
-        raise ValueError("need 0 < a < 1 < b")
+    """Parameters whose every term a^k cos(2 pi b^k x) is finite."""
+    if not 0.0 < a < 1.0 < b < np.inf:
+        raise ValueError("need 0 < a < 1 < b with b finite")
     if terms < 0:
         raise ValueError("term count must be nonnegative")
+    if terms * math.log(b) >= math.log(sys.float_info.max):
+        raise ValueError(f"b ** terms overflows a float (b={b:g}, "
+                         f"terms={terms})")
 
 
 def _check_xz(a, alpha, beta):

@@ -186,22 +186,16 @@ def mc_volume(domain, samples, seed, threads=1):
     return VolumeEstimate(est, stderr, samples, hits, seed)
 
 
-def boundary_sample(domain, count, seed=None, weights=None):
+def boundary_sample(domain, count, seed=None):
     """Points on the product boundary, G = 1 by construction.
 
-    ``weights``: simplex weights t_i (one per factor); if omitted they are
-    drawn Dirichlet-uniform per point from the seeded stream. Factor i
-    contributes t_i^(1/p) times a uniform-angle point of its boundary.
+    Simplex weights t_i are drawn Dirichlet-uniform per point from the
+    seeded stream; factor i contributes t_i^(1/p) times a uniform-angle
+    point of its boundary.
     """
     rng = np.random.default_rng(seed)
     nf = len(domain.factors)
-    if weights is not None:
-        t = np.broadcast_to(np.asarray(weights, dtype=float), (count, nf)).copy()
-        if np.any(t < 0.0) or not np.allclose(t.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("weights must be nonnegative and sum to 1")
-    else:
-        t = rng.dirichlet(np.ones(nf), size=count)
-
+    t = rng.dirichlet(np.ones(nf), size=count)
     out = np.empty((count, nf), dtype=complex)
     for i, f in enumerate(domain.factors):
         theta = rng.uniform(0.0, 2.0 * np.pi, count)

@@ -15,8 +15,6 @@ def brute_force_capacities(areas, K):
 def test_gh_capacities_e12():
     table = capacities.gh_capacities([1.0, 2.0], 4)
     assert table.values == (1.0, 2.0, 2.0, 3.0)
-    assert table.c1 == 1.0
-    assert table[2] == 2.0
 
 
 def test_gh_capacities_against_brute_force():

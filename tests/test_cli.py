@@ -2,15 +2,17 @@
 
 import io
 import math
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from symprod.cli import run
+from symprod.cli import build_parser, run
 from symprod.selftest import run_selftest
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 
 def run_cli(argv):
@@ -183,11 +185,20 @@ def test_selftest_output_file(tmp_path, capsys):
      "--min-exp", "1", "--max-exp", "5", "--seed", "1"],
     ["area", "--spec", "DIR"],
     ["area", "--spec", str(SPECS / "disks_1_1.spec"), "--output", "DIR"],
+    ["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--point", "nan,0;0.3,0.2"],
+    ["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--point", "0.4,0.1;0.3,0.2", "--t-range", "0,inf"],
+    ["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "0",
+     "--seed", "1"],
+    ["boxdim", "--b", "1e300", "--seed", "1"],
+    ["boxdim", "--b", "inf", "--seed", "1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
         "capacities-infinite", "boxdim-boundary-family", "spec-is-directory",
-        "output-is-directory"])
+        "output-is-directory", "flow-nan-point", "flow-infinite-t-range",
+        "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}
@@ -201,3 +212,16 @@ def test_usage_error_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_readme_examples_parse():
+    """Every README line starting with ``symprod `` parses, and names
+    spec files that exist."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    examples = [shlex.split(ln)[1:] for ln in lines
+                if ln.startswith("symprod ")]
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        spec = getattr(parser.parse_args(argv), "spec", None)
+        assert spec is None or (ROOT / spec).is_file(), argv

@@ -211,11 +211,3 @@ def test_foliation_rejects_unequal_areas():
             [geometry2d.disk_profile(1.0), geometry2d.disk_profile(2.0)],
             10, seed=6)
 
-
-def test_flow_point_ambient_reconstruction():
-    factors = [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)]
-    point = FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.3, 0.7]))
-    z = point.ambient(factors)
-    for i, f in enumerate(factors):
-        assert f.gauge(z[i]) == pytest.approx(point.levels[i], abs=1e-12)
-        assert np.angle(z[i]) == pytest.approx(point.angles[i], abs=1e-12)

@@ -191,7 +191,7 @@ def test_truncation_stability():
 def test_product_rule_counts_multiply():
     base = np.array([10.0, 40.0, 160.0])
     scales = np.array([0.25, 0.125, 0.0625])
-    out = fractal.product_interval_count(base, scales, z_length=1.0)
+    out = fractal.product_interval_count(base, scales)
     assert np.allclose(out, base * np.ceil(1.0 / scales))
 
 
@@ -289,15 +289,18 @@ GRAPH_CASES = {
     "steep": (fractal.graph_sampler(lambda x: 40.0 * np.sin(7.0 * x)), 3),
     "flat": (fractal.graph_sampler(lambda x: np.full_like(x, 0.25)), 4),
     "segment": (fractal.graph_sampler(lambda x: 0.3 * x), 5),
-    "x-window": (fractal.graph_sampler(WEIER, x_min=0.3, x_max=0.7), 6),
-    "chunk2": (fractal.graph_sampler(WEIER, chunk=2), 7),
-    "chunk997": (fractal.graph_sampler(WEIER, chunk=997), 8),
+    "chunk2": (fractal.graph_sampler(WEIER), 7),
+    "chunk997": (fractal.graph_sampler(WEIER), 8),
 }
+# Cases that evaluate and fill the graph this many samples at a time.
+GRAPH_CHUNKS = {"chunk2": 2, "chunk997": 997}
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
-def test_count_scales_matches_point_cloud(case):
+def test_count_scales_matches_point_cloud(case, monkeypatch):
     sampler, seed = GRAPH_CASES[case]
+    if case in GRAPH_CHUNKS:
+        monkeypatch.setattr(fractal, "GRAPH_CHUNK", GRAPH_CHUNKS[case])
     np.testing.assert_array_equal(
         fractal.count_scales(sampler, GRAPH_SCALES, seed=seed),
         reference_graph_counts(sampler, GRAPH_SCALES, seed=seed))

@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from symprod import geometry2d
 from symprod.geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
+from symprod.product import ProductDomain
 
 SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 
@@ -425,7 +426,8 @@ def test_profile_rejects_nonfinite_samples(bad):
 
 def test_ellipsoid_gauge_and_volume():
     spec = EllipsoidSpec([1.0, 2.0])
-    assert spec.volume == pytest.approx(1.0, abs=1e-15)
+    disks = [geometry2d.disk_profile(a) for a in spec.areas]
+    assert ProductDomain(disks).volume == pytest.approx(1.0, abs=1e-15)
     z = np.array([np.sqrt(1.0 / np.pi), 0.0], dtype=complex)
     assert spec.gauge(z) == pytest.approx(1.0, abs=1e-12)
     z = np.array([0.0, np.sqrt(2.0 / np.pi)], dtype=complex)

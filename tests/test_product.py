@@ -15,9 +15,12 @@ def two_disks(a1=1.0, a2=1.0, p=2.0):
 
 
 def test_ellipsoid_volume_oracle():
-    assert EllipsoidSpec([1.0, 1.0]).volume == pytest.approx(0.5)
-    assert EllipsoidSpec([1.0, 2.0, 3.0]).volume == pytest.approx(1.0)
-    assert EllipsoidSpec([2.0]).volume == pytest.approx(2.0)
+    """At p = 2 the closed form is the ellipsoid volume a_1 ... a_n / n!."""
+    for areas, volume in (([1.0, 1.0], 0.5), ([1.0, 2.0, 3.0], 1.0),
+                          ([2.0], 2.0)):
+        disks = [geometry2d.disk_profile(a) for a in areas]
+        assert ProductDomain(disks).volume == pytest.approx(volume,
+                                                            rel=1e-12)
 
 
 def test_two_product_of_disks_is_ellipsoid():
@@ -155,13 +158,6 @@ def test_closed_form_volume_matches_monte_carlo(p):
     assert abs(est.volume - domain.volume) <= 3.0 * est.std_error
 
 
-def test_closed_form_volume_is_ellipsoid_volume_at_p2():
-    areas = [1.0, 2.0, 3.0]
-    domain = ProductDomain([geometry2d.disk_profile(a) for a in areas])
-    assert domain.volume == pytest.approx(
-        EllipsoidSpec([f.area for f in domain.factors]).volume, rel=1e-12)
-
-
 def test_mixed_ellipsoid_factor_volume():
     """disk x_2 E(1,1) is E(1,1,1): volume 1/6."""
     domain = parse_spec("[factor]\ntype = disk\narea = 1\n"
@@ -175,14 +171,6 @@ def test_boundary_sample_lies_on_boundary():
                             geometry2d.disk_profile(2.0)])
     pts = product.boundary_sample(domain, 500, seed=17)
     assert np.allclose(domain.gauge(pts), 1.0, atol=1e-9)
-
-
-def test_boundary_sample_fixed_weights():
-    domain = two_disks()
-    pts = product.boundary_sample(domain, 100, seed=19, weights=[0.25, 0.75])
-    g = domain.factor_gauges(pts)
-    assert np.allclose(g[:, 0] ** 2, 0.25, atol=1e-12)
-    assert np.allclose(g[:, 1] ** 2, 0.75, atol=1e-12)
 
 
 def test_rejection_sample_count_and_body():

@@ -120,10 +120,12 @@ def test_bad_value_is_line_anchored():
     ("p = 2\n[factor]\ntype = cosine\narea = -1\n", 2),
     (f"[factor]\ntype = disk\n[factor]\ntype = samples\n"
      f"interpolation = cubic\nvalues = {NON_STAR_CUBIC}\n", 3),
+    ("p = 2\n[factor]\ntype = weierstrass\nb = 1e300\n", 2),
 ], ids=["p-below-one", "non-star-polygon", "too-few-samples", "ellipsoid-p3",
         "ellipsoid-no-areas", "p-nan", "p-inf", "polygon-no-vertices",
         "samples-no-values", "ellipsoid-no-areas-key", "disk-area-inf",
-        "cosine-area-negative", "samples-cubic-non-star"])
+        "cosine-area-negative", "samples-cubic-non-star",
+        "weierstrass-b-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_library_rejected_value_is_line_anchored(text, line):
     """Rejected before any numpy warning: a RuntimeWarning fails the test."""
