@@ -1,5 +1,7 @@
 """Product domains, gauges, volumes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,14 @@ def test_closed_form_volume_matches_monte_carlo(p):
                                 [(1, 1), (-1, 1), (-1, -1), (1, -1)])], p=p)
     est = product.mc_volume(domain, 200000, seed=31)
     assert abs(est.volume - domain.volume) <= 3.0 * est.std_error
+
+
+def test_closed_form_volume_is_ellipsoid_volume_at_p2():
+    areas = [1.0, 2.0, 3.0]
+    domain = ProductDomain([geometry2d.disk_profile(a) for a in areas])
+    factor_areas = [f.area for f in domain.factors]
+    ellipsoid_volume = math.prod(factor_areas) / math.factorial(len(areas))
+    assert domain.volume == pytest.approx(ellipsoid_volume, rel=1e-12)
 
 
 def test_mixed_ellipsoid_factor_volume():
