@@ -53,6 +53,14 @@ def _finite_floats(text, option):
     return values
 
 
+def _count(args, name):
+    """The integer option ``--name``, which must be at least 1."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+    return value
+
+
 def _parse_point(text, n):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
@@ -76,7 +84,7 @@ def cmd_map(args):
     if not 0 <= args.factor < len(factors):
         raise ValueError(f"--factor must lie in 0..{len(factors) - 1}")
     profile = factors[args.factor]
-    k = args.grid
+    k = _count(args, "grid")
     rho = np.sqrt(np.linspace(0.05, 1.0, k) * profile.area / np.pi)
     theta = np.linspace(0.0, TWO_PI, k, endpoint=False)
     rr, tt = np.meshgrid(rho, theta)
@@ -106,7 +114,7 @@ def cmd_flow(args):
     z0 = _parse_point(args.point, len(factors))
     t0, t1 = _finite_floats(args.t_range, "--t-range")
     rows = []
-    for t in np.linspace(t0, t1, args.steps):
+    for t in np.linspace(t0, t1, _count(args, "steps")):
         zt = product_mod.factorwise(dynamics.char_flow_2d, factors, z0, t)
         row = [float(t)]
         for z in zt:
@@ -198,9 +206,10 @@ def cmd_boxdim(args):
 
 def cmd_selftest(args):
     """Stream the report lines, headerless, to --output or stdout."""
+    threads = _count(args, "threads")
     with (open(args.output, "w", encoding="utf-8") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
-        return run_selftest(seed=args.seed, threads=args.threads,
+        return run_selftest(seed=args.seed, threads=threads,
                             quick=args.quick,
                             out=lambda line: print(line, file=fh))
 

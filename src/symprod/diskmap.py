@@ -39,8 +39,7 @@ def disk_to_domain(profile, z):
     z = np.asarray(z, dtype=complex)
     a = profile.area
     rho = np.abs(z)
-    theta = np.mod(np.angle(z), TWO_PI)
-    phi = profile.inverse_sector_area(theta * (a / TWO_PI))
+    phi = profile.inverse_sector_area(np.angle(z) * (a / TWO_PI))
     out = rho * np.sqrt(np.pi / a) * profile.radius(phi) * np.exp(1j * phi)
     out = np.where(rho == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
@@ -50,7 +49,7 @@ def domain_to_disk(profile, w):
     """Inverse of disk_to_domain."""
     w = np.asarray(w, dtype=complex)
     a = profile.area
-    alpha = np.mod(np.angle(w), TWO_PI)
+    alpha = np.angle(w)
     level = np.abs(w) / profile.radius(alpha)
     theta = profile.sector_area(alpha) * (TWO_PI / a)
     out = level * np.sqrt(a / np.pi) * np.exp(1j * theta)

@@ -14,7 +14,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,6 +24,47 @@ def horner(coef, s):
     for c in coef[-2::-1]:
         out = out * s + c
     return out
+
+
+def _periodic_spline(samples, h):
+    """Cell rows [y_j, b_j, c_j, d_j] of the periodic cubic spline.
+
+    On a uniform periodic grid of spacing h the spline's second
+    derivatives M solve M_{j-1} + 4 M_j + M_{j+1} = 6 (y_{j+1} - 2 y_j +
+    y_{j-1}) / h^2. The system is circulant with eigenvalues
+    4 + 2 cos(2 pi k / N), all in [2, 6], so one FFT pair solves it to
+    round-off for any N. Cell j is then y_j + b_j s + c_j s^2 + d_j s^3 with
+    b_j = (y_{j+1} - y_j)/h - h (2 M_j + M_{j+1})/6, c_j = M_j / 2 and
+    d_j = (M_{j+1} - M_j) / (6 h).
+    """
+    n = samples.size
+    nxt = np.roll(samples, -1)
+    rhs = 6.0 * (nxt - 2.0 * samples + np.roll(samples, 1)) / (h * h)
+    eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
+    m = np.fft.irfft(np.fft.rfft(rhs) / eig, n)
+    m_nxt = np.roll(m, -1)
+    slope = (nxt - samples) / h - h * (2.0 * m + m_nxt) / 6.0
+    return np.stack([samples, slope, 0.5 * m, (m_nxt - m) / (6.0 * h)])
+
+
+def _critical_values(r, h):
+    """Values of the cubic cells ``r`` at the zeros of R' inside [0, h].
+
+    R' = b + 2c s + 3d s^2 has the roots q/A and C/q with A = 3d, B = 2c,
+    C = b and q = -(B + sign(B) sqrt(B^2 - 4AC))/2, a form without
+    cancellation. Complex roots and roots outside the cell are dropped, and
+    so are the non-finite ones of a degenerate cell (q = 0 on a constant
+    cell), which fail the range test.
+    """
+    a, b, c = 3.0 * r[3], 2.0 * r[2], r[1]
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([q / a, c / q])
+    keep = real & (roots >= 0.0) & (roots <= h)
+    cells = np.broadcast_to(np.arange(r.shape[1]), roots.shape)[keep]
+    return horner(r[:, cells], roots[keep])
 
 
 class RadialProfile:
@@ -41,17 +81,20 @@ class RadialProfile:
     The build stores R, R' and S on each of the N sample cells as
     polynomials in the offset from the cell's left node
     (``cell_polynomials``): node radius and slope for a linear profile,
-    the periodic cubic spline's coefficients for a cubic one, and for S
-    the cumulative area at the node plus the exact antiderivative of
-    R^2/2. The cumulative table and ``area`` are these S polynomials at
-    the cell width. ``radius``, ``radius_derivative`` and ``sector_area``
-    are each one cell lookup and one Horner evaluation. On a linear cell
+    the periodic cubic spline's coefficients for a cubic one (its second
+    derivatives from one FFT solve of the circulant spline system, see
+    ``_periodic_spline``), and for S the cumulative area at the node plus
+    the exact antiderivative of R^2/2. The cumulative table and ``area``
+    are these S polynomials at the cell width. ``radius``,
+    ``radius_derivative`` and ``sector_area`` are each one cell lookup and
+    one Horner evaluation. On a linear cell
     the swept area ((r0 + m*x)^3 - r0^3)/(6m) is a cubic in the offset x
     with an exact real root, so ``inverse_sector_area`` takes a cube root
     there and runs Newton on the cell's polynomials only on cubic
-    profiles. ``min_radius`` and
-    ``max_radius`` are the exact extrema of the interpolant, spline
-    overshoot included, and the build rejects ``min_radius <= 0``.
+    profiles. ``min_radius`` and ``max_radius`` are the exact extrema of
+    the interpolant, spline overshoot included (node values and the
+    values at each cell's zeros of R'), and the build rejects
+    ``min_radius <= 0``.
 
     The instance is immutable after construction; all methods are pure and
     accept scalars or arrays.
@@ -71,22 +114,15 @@ class RadialProfile:
         self.N = samples.size
         self.interpolation = interpolation
         self._h = TWO_PI / self.N
-        closed = np.append(samples, samples[0])
 
         # The interpolant's extrema lie at nodes or, for the spline, at
-        # interior critical points. A piece whose derivative vanishes
-        # identically (a constant profile) yields NaN roots, which are
-        # dropped: its values are node values.
+        # critical points inside a cell.
         extrema = samples
         if interpolation == "cubic":
-            grid = np.linspace(0.0, TWO_PI, self.N + 1)
-            spline = CubicSpline(grid, closed, bc_type="periodic")
-            crit = spline.derivative().roots()
-            crit = spline(crit[np.isfinite(crit)])
-            extrema = np.concatenate((extrema, crit))
-            r = np.ascontiguousarray(spline.c[::-1])
+            r = _periodic_spline(samples, self._h)
+            extrema = np.concatenate((extrema, _critical_values(r, self._h)))
         else:
-            r = np.stack([samples, (closed[1:] - samples) / self._h])
+            r = np.stack([samples, (np.roll(samples, -1) - samples) / self._h])
         self.min_radius = float(np.min(extrema))
         self.max_radius = float(np.max(extrema))
         if self.min_radius <= 0.0:
@@ -138,7 +174,8 @@ class RadialProfile:
         Returns three read-only (N, k) coefficient arrays, lowest order
         first, with R(theta_j + s) = sum_i r[j, i] s^i for 0 <= s <= h,
         and R', S the same way. A linear profile gives its node radius and
-        slope (degree 1), a cubic one the spline's coefficients (degree 3).
+        slope (degree 1), a cubic one the periodic spline's coefficients
+        (degree 3), built by the FFT circulant solve of ``_periodic_spline``.
         The S rows are the cumulative table entry S(theta_j) followed by
         the exact antiderivative of R^2/2, of degree 3 or 7.
         """

@@ -163,6 +163,8 @@ def mc_volume(domain, samples, seed, threads=1):
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
     radii = domain.bounding_radii()
     box_volume = float(np.prod((2.0 * radii) ** 2))
     blocks = [(b, min(MC_BLOCK, samples - b * MC_BLOCK))

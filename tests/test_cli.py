@@ -193,12 +193,20 @@ def test_selftest_output_file(tmp_path, capsys):
      "--seed", "1"],
     ["boxdim", "--b", "1e300", "--seed", "1"],
     ["boxdim", "--b", "inf", "--seed", "1"],
+    ["map", "--spec", str(SPECS / "cosine_disk.spec"), "--grid", "0"],
+    ["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--point", "0.4,0.1;0.3,0.2", "--steps", "0"],
+    ["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+     "--threads", "0"],
+    ["selftest", "--quick", "--threads", "0"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
         "capacities-infinite", "boxdim-boundary-family", "spec-is-directory",
         "output-is-directory", "flow-nan-point", "flow-infinite-t-range",
-        "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite"])
+        "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite",
+        "map-grid-zero", "flow-steps-zero", "volume-threads-zero",
+        "selftest-threads-zero"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}

@@ -1,5 +1,12 @@
 """Profiles, sector areas, gauges."""
 
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -42,8 +49,13 @@ def reference_nodes(profile, theta):
 
 
 def reference_spline(profile):
-    grid = np.linspace(0.0, TWO_PI, profile.N + 1)
-    closed = np.append(profile.samples, profile.samples[0])
+    return reference_spline_of(profile.samples)
+
+
+def reference_spline_of(samples):
+    """scipy's periodic cubic spline through samples on the uniform grid."""
+    grid = np.linspace(0.0, TWO_PI, len(samples) + 1)
+    closed = np.append(samples, samples[0])
     return scipy.interpolate.CubicSpline(grid, closed, bc_type="periodic")
 
 
@@ -315,23 +327,89 @@ def test_profile_copies_its_samples():
     assert profile.area == area
 
 
-def test_cubic_profile_calls_no_scipy_after_build(monkeypatch):
-    """Every primitive reads the per-cell tables, not the build's spline."""
-    profile = geometry2d.cosine_profile(1.0)
+def test_import_and_cubic_primitives_load_no_scipy():
+    """Importing the package and its CLI, building a cubic profile and
+    running its primitives never imports scipy."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import symprod, symprod.cli
+        from symprod.geometry2d import cosine_profile
+        profile = cosine_profile(1.0)
+        theta = np.linspace(-1.0, 7.0, 101)
+        s = profile.sector_area(theta)
+        assert np.all(profile.radius(theta) > 0.0)
+        assert np.allclose(profile.inverse_sector_area(s), theta,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(profile.gauge(profile.boundary_point(theta)), 1.0,
+                           rtol=0.0, atol=1e-12)
+        assert "scipy" not in sys.modules, sorted(sys.modules)
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("scipy spline evaluated after the build")
 
-    monkeypatch.setattr(scipy.interpolate.PPoly, "__call__", forbidden)
-    with pytest.raises(AssertionError, match="after the build"):
-        geometry2d.cosine_profile(1.0)  # the patch is in effect
-    theta = np.linspace(-1.0, 7.0, 101)
-    assert np.all(profile.radius(theta) > 0.0)
-    s = profile.sector_area(theta)
-    np.testing.assert_allclose(profile.inverse_sector_area(s), theta,
-                               rtol=0.0, atol=1e-12)
-    z = profile.boundary_point(theta)
-    np.testing.assert_allclose(profile.gauge(z), 1.0, rtol=0.0, atol=1e-12)
+def reference_extrema(samples):
+    """Extrema of the scipy spline: its nodes and its critical values.
+
+    A constant spline's derivative vanishes identically and its roots are
+    NaN; its extrema are then its node values.
+    """
+    spline = reference_spline_of(samples)
+    crit = spline.derivative().roots()
+    values = np.concatenate((samples, spline(crit[np.isfinite(crit)])))
+    return values.min(), values.max()
+
+
+def assert_spline_matches_oracle(rng, profile):
+    """R and R' of the cell table, and the extrema, against scipy."""
+    n = profile.N
+    r, rd, _ = profile.cell_polynomials()
+    theta = rng.uniform(0.0, TWO_PI, 400)
+    j = np.minimum((theta / (TWO_PI / n)).astype(np.int64), n - 1)
+    offset = theta - j * (TWO_PI / n)
+    spline = reference_spline(profile)
+    scale = profile.max_radius
+    np.testing.assert_allclose(geometry2d.horner(r[j].T, offset),
+                               spline(theta), rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(geometry2d.horner(rd[j].T, offset),
+                               spline(theta, 1), rtol=0.0,
+                               atol=1e-12 * n * scale)
+    lo, hi = reference_extrema(profile.samples)
+    assert abs(profile.min_radius - lo) <= 1e-12 * scale
+    assert abs(profile.max_radius - hi) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511))
+def test_spline_matches_scipy_oracle(seed, n):
+    """The FFT-built spline is scipy's periodic spline, odd and even N."""
+    rng, profile = random_profile(seed, n, "cubic")
+    assert_spline_matches_oracle(rng, profile)
+
+
+@pytest.mark.parametrize("n", [16, 17, 511])
+def test_spline_matches_scipy_oracle_on_constant_profile(n):
+    """q = 0 on every cell: no critical point, the node value is exact."""
+    profile = geometry2d.disk_profile(1.0, N=n, interpolation="cubic")
+    assert_spline_matches_oracle(np.random.default_rng(n), profile)
+    assert profile.min_radius == profile.max_radius == profile.samples[0]
+
+
+def test_spline_oracle_rejects_cubic_dip():
+    """The dip below zero is the scipy spline's, to the six printed digits."""
+    samples = np.array([0.69, 0.88, 0.73, 0.99, 1.34, 1.41, 1.16, 0.84, 0.85,
+                        0.84, 1.31, 0.75, 1.28, 0.01, 1.07, 1.47])
+    lo, _ = reference_extrema(samples)
+    assert lo < 0.0
+    with pytest.raises(ValueError, match="non-positive") as info:
+        RadialProfile(samples, "cubic")
+    found = re.search(r"min_radius=(\S+)\)", str(info.value)).group(1)
+    assert float(found) == pytest.approx(lo, rel=1e-5)
 
 
 def test_sector_area_monotone_and_total():
