@@ -154,7 +154,7 @@ def cmd_sandwich(args):
     _emit_fields(args, report, [
         "epsilon", "violations_outer", "violations_inner",
         "worst_outer_gauge", "worst_inner_gauge", "closed_form",
-        "integrated", "outer_error", "inner_error"],
+        "integrated", "outer_bound", "inner_bound"],
         [f"offender {kind} gauge={_fmt(gauge)} point={point}"
          for kind, point, gauge in report.offenders])
     return 0 if report.passed else 1

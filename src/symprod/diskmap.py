@@ -14,10 +14,13 @@ with rho a cutoff that vanishes near 0. Where rho = 1 the flow is the
 interpolated isotopy whose time-1 map is psi, and where rho = 0 it is the
 identity, so cutoff_disk_map uses those closed forms for every trajectory
 that stays in one of the two regions and integrates (RK4) only the points
-whose trajectories meet the ramp in between. sandwich_check uses it for the
-epsilon-sandwich, with a step-doubling error estimate for those points:
-the ramp coordinates of every factor, of both directions and at both step
-counts, go through one RK4 loop, since every operation of the loop is
+whose trajectories meet the ramp in between.
+
+The epsilon-sandwich of a 2-product is decided by sandwich_bound, a closed
+form that proves both inclusions for every point of E in O(n).
+sandwich_check reports that bound and cross-checks it by Monte Carlo: the
+ramp coordinates of every factor and of both directions go through one
+RK4 loop at the given step count, since every operation of the loop is
 elementwise. The field reads R, R' and S for each point from one table
 that stacks the factors' per-cell polynomials (_CellTable), with one angle
 reduction and one cell lookup per point.
@@ -92,7 +95,8 @@ class CutoffMapConfig:
     delta is the cutoff level in area units: the Hamiltonian is frozen well
     below it and untouched for pi |z|^2 >= delta; the ramp in between is
     set by RAMP_LO and RAMP_HI. ``steps`` is the RK4 step count for points
-    whose trajectories meet the ramp.
+    whose trajectories meet the ramp. No library code reads ``epsilon``;
+    the field stays only because perfbench/workloads.py still passes it.
     """
 
     delta: float
@@ -112,6 +116,11 @@ def sandwich_delta(profile, epsilon, n_factors):
     """Cutoff level delta = 0.9 a eps'^2 with eps' = 0.9 sqrt(eps/n)."""
     eps_prime = 0.9 * np.sqrt(epsilon / n_factors)
     return 0.9 * profile.area * eps_prime ** 2
+
+
+def _exact_level(profile, delta):
+    """lev^2 from which a trajectory stays where rho = 1: l* of _banded_map."""
+    return RAMP_HI * delta / min(profile.area, np.pi * profile.min_radius ** 2)
 
 
 class _CellTable:
@@ -186,39 +195,29 @@ def _cutoff_velocity(table, points, z, t):
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
-def _rk4(table, which, z, inverse, steps, n_full=None):
-    """Fixed-step RK4 of the cutoff field with per-point start times and steps.
+def _rk4(table, which, z, inverse, steps):
+    """Fixed-step RK4 of the cutoff field with per-point start times.
 
     Each point moves in the field of its factor ``which`` (an index into
     ``table``, per point or one for all). Points with ``inverse`` set (a
     mask, or one flag for all) run backwards from t = 1, the others
-    forwards from t = 0. The first ``n_full`` points (all by default) take
-    ``steps`` steps of length 1/steps; the trailing points take steps // 2
-    steps of length 1/(steps // 2) and then drop out of the loop. Every
+    forwards from t = 0, all in ``steps`` steps of length 1/steps. Every
     operation is elementwise, so each point's result is bit-identical to
     a run of its group alone, in a table of its factor alone.
     """
-    out = np.array(z, dtype=complex)
-    inverse = np.broadcast_to(inverse, out.shape)
-    params, cells = table.points(np.broadcast_to(which, out.shape))
-    n_full = out.size if n_full is None else n_full
-    counts = np.full(out.shape, steps)
-    counts[n_full:] = steps // 2
-    dt = np.where(inverse, -1.0, 1.0) / counts
+    z = np.array(z, dtype=complex)
+    inverse = np.broadcast_to(inverse, z.shape)
+    points = table.points(np.broadcast_to(which, z.shape))
+    dt = np.where(inverse, -1.0, 1.0) / steps
     t = np.where(inverse, 1.0, 0.0)
-    z = out
-    for i in range(steps):
-        if i == steps // 2:
-            z, t, dt = z[:n_full], t[:n_full], dt[:n_full]
-            params, cells = params[:, :n_full], cells[:, :n_full]
-        points = params, cells
+    for _ in range(steps):
         k1 = _cutoff_velocity(table, points, z, t)
         k2 = _cutoff_velocity(table, points, z + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = _cutoff_velocity(table, points, z + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = _cutoff_velocity(table, points, z + dt * k3, t + dt)
         z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + dt
-    return out
+    return z
 
 
 def _banded_map(profile, config, z, inverse):
@@ -228,18 +227,18 @@ def _banded_map(profile, config, z, inverse):
     all). Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0,
     gauge^2 at t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2
     with R_t^2 = (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory
-    with lev^2 min(a, pi R_min^2) >= RAMP_HI delta therefore never leaves
-    rho = 1, and its time-1 map is psi (psi^-1 backwards). The field
-    vanishes where pi|z|^2 <= RAMP_LO delta, so such points are fixed.
-    Points of the ramp band in between are returned unchanged, for _rk4.
+    with lev^2 >= l* = RAMP_HI delta / min(a, pi R_min^2) (_exact_level)
+    therefore never leaves rho = 1, and its time-1 map is psi (psi^-1
+    backwards). The field vanishes where pi|z|^2 <= RAMP_LO delta, so such
+    points are fixed. Points of the ramp band in between are returned
+    unchanged, for _rk4.
     """
     inverse = np.broadcast_to(inverse, z.shape)
     pi_u = np.pi * np.abs(z) ** 2
     lev2 = pi_u / profile.area
     if np.any(inverse):
         lev2[inverse] = profile.gauge(z[inverse]) ** 2
-    floor = min(profile.area, np.pi * profile.min_radius ** 2)
-    exact = lev2 * floor >= RAMP_HI * config.delta
+    exact = lev2 >= _exact_level(profile, config.delta)
     ramp = ~exact & (pi_u > RAMP_LO * config.delta)
     out = z.copy()
     for closed_form, band in ((disk_to_domain, exact & ~inverse),
@@ -272,14 +271,99 @@ def cutoff_disk_map(profile, config, z, inverse=False):
 # -- epsilon-sandwich check -------------------------------------------------
 
 @dataclass
+class SandwichBound:
+    """Outcome of sandwich_bound.
+
+    Per factor: ``deltas`` is its cutoff level (sandwich_delta),
+    ``eta_out`` and ``eta_in`` bound its outer and inner excesses, and
+    ``exact_level`` is its l*. ``outer_bound`` bounds the product gauge
+    on Psi(E), and ``inner_bound`` the E-gauge on the preimage of
+    (1 - eps) X.
+    """
+
+    deltas: list
+    eta_out: list
+    eta_in: list
+    exact_level: list
+    outer_bound: float
+    inner_bound: float
+
+
+def sandwich_bound(factors, epsilon):
+    """Closed-form proof of (1-eps) X  subset  Psi(E)  subset  (1+eps) X.
+
+    ``factors`` is a sequence of profiles or a ProductDomain with p = 2;
+    each factor's cutoff map Phi uses its sandwich_delta. Psi acts factor
+    by factor, and at p = 2 both gauges are sums of squares over the
+    factors, so it suffices to bound each factor's excesses
+
+        eta_out = sup_z [g(Phi(z))^2 - pi|z|^2/a],
+        eta_in  = sup_w [pi|Phi^-1(w)|^2/a - g(w)^2],
+
+    with g the factor's gauge. Then every z in E has
+    G(Psi(z))^2 <= 1 + sum eta_out = outer_bound^2, and every w in
+    (1-eps) X has E-gauge(Psi^-1(w))^2 <= (1-eps)^2 + sum eta_in =
+    inner_bound^2. The sandwich holds for all of E when
+    outer_bound <= 1 + eps and inner_bound <= 1.
+
+    Per factor write lev^2 = pi|z|^2/a, c = RAMP_LO delta / a,
+    k_min = a / (pi R_min^2), k_max = a / (pi R_max^2) and l* for
+    _exact_level. Phi has three regions:
+    - lev^2 >= l*: the trajectory stays where rho = 1 (_banded_map), so
+      Phi = psi and g(Phi(z))^2 = lev^2 (criterion-02). In particular Phi
+      carries the circle C = {lev^2 = l*} onto the curve {g^2 = l*}.
+    - lev^2 <= c: the field vanishes, so Phi(z) = z, and
+      g(z)^2 = |z|^2 / R(arg z)^2 lies between k_max lev^2 and
+      k_min lev^2.
+    - In between: Phi is a homeomorphism of the plane, so (Jordan curve
+      theorem) it carries the disk inside C onto {g^2 <= l*}; it fixes
+      the disk {lev^2 <= c} pointwise, so it carries the annulus between
+      onto {g^2 <= l*} minus that disk.
+    Hence eta_out <= max(l* - c, c (k_min - 1)): an annulus point has
+    lev^2 > c and g(Phi(z))^2 <= l*, and a fixed point gains at most
+    c (k_min - 1). And eta_in <= max(l* - c k_max, c max(0, 1 - k_max)):
+    an annulus image w has lev^2(Phi^-1(w)) <= l* and, being outside the
+    fixed disk, g(w)^2 > c k_max; a fixed point gains at most
+    c max(0, 1 - k_max). Both maxima are positive, since l* > c and
+    l* > c k_max, so they also cover the exact region's excess of 0.
+
+    Phi is a homeomorphism when the trajectories of its flow are unique.
+    On cubic profiles the field is C^1, so they are. On linear profiles R'
+    jumps at every node ray, and so does the field's radial term, but
+    that jump carries the factor S - (a/2pi) theta of f_t, which the
+    angular speed also carries, and the angular speed is continuous.
+    Where it is not 0 a trajectory crosses the ray transversally; where
+    it is 0 the field is continuous and the ray is invariant. The bound
+    is about the exact flow: the RK4 map of sandwich_check is only its
+    cross-check, and on linear profiles it is not continuous.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    factors = two_product(factors).factors
+    deltas = [sandwich_delta(f, epsilon, len(factors)) for f in factors]
+    eta_out, eta_in, levels = [], [], []
+    for f, delta in zip(factors, deltas):
+        level = _exact_level(f, delta)
+        c = RAMP_LO * delta / f.area
+        k_min = f.area / (np.pi * f.min_radius ** 2)
+        k_max = f.area / (np.pi * f.max_radius ** 2)
+        eta_out.append(max(level - c, c * (k_min - 1.0)))
+        eta_in.append(max(level - c * k_max, c * max(0.0, 1.0 - k_max)))
+        levels.append(level)
+    return SandwichBound(
+        deltas, eta_out, eta_in, levels, float(np.sqrt(1.0 + sum(eta_out))),
+        float(np.sqrt((1.0 - epsilon) ** 2 + sum(eta_in))))
+
+
+@dataclass
 class SandwichReport:
     """Outcome of sandwich_check.
 
-    ``closed_form`` counts the mapped coordinates (one per factor, sample
-    and direction) that took psi, psi^-1 or the identity; ``integrated``
-    counts those integrated by RK4 in the cutoff ramp. ``outer_error`` and
-    ``inner_error`` are the largest step-doubling estimates of the gauge
-    error of an integrated sample: |gauge at steps - gauge at steps // 2|.
+    ``outer_bound`` and ``inner_bound`` are sandwich_bound's. The other
+    fields come from the Monte Carlo + RK4 cross-check: ``closed_form``
+    counts the mapped coordinates (one per factor, sample and direction)
+    that took psi, psi^-1 or the identity, and ``integrated`` counts those
+    integrated by RK4 in the cutoff ramp.
     """
 
     epsilon: float
@@ -292,41 +376,40 @@ class SandwichReport:
     worst_inner_gauge: float
     closed_form: int
     integrated: int
-    outer_error: float
-    inner_error: float
+    outer_bound: float
+    inner_bound: float
     offenders: list = field(default_factory=list)
 
     @property
     def passed(self):
-        """No violation, and none within the error estimate of the bounds."""
-        return (self.violations_outer == 0 and self.violations_inner == 0
-                and self.worst_outer_gauge + self.outer_error
-                <= 1.0 + self.epsilon
-                and self.worst_inner_gauge + self.inner_error <= 1.0)
+        """The bound proves the sandwich, and no sample exceeds the bound.
+
+        The worst gauges within the bounds imply zero violations.
+        """
+        return (self.outer_bound <= 1.0 + self.epsilon
+                and self.inner_bound <= 1.0
+                and self.worst_outer_gauge <= self.outer_bound
+                and self.worst_inner_gauge <= self.inner_bound)
 
 
 def sandwich_check(factors, epsilon, samples, seed, steps=64):
     """Verify (1-eps) product  subset  Psi(E)  subset  (1+eps) product.
 
     ``factors`` is a sequence of profiles or a ProductDomain with p = 2
-    (product.two_product). Outer direction: map seeded uniform samples of
-    E(a_1, ..., a_n) through the cutoff map and check product gauge
-    <= 1 + eps. Inner direction: draw samples of (1-eps) * product, pull
-    back per factor by the inverse cutoff map, and check the preimage lies
-    in E. ``steps`` is the RK4 step count for coordinates in the cutoff
-    ramp; those are also run at steps // 2 for an error estimate, which
-    the verdict adds to the worst gauges. Every factor's ramp coordinates,
-    of both directions and at both step counts, go through one _rk4 call.
+    (product.two_product). The verdict is sandwich_bound's closed form,
+    cross-checked by Monte Carlo. Outer direction: map seeded uniform
+    samples of E(a_1, ..., a_n) through the cutoff map and check product
+    gauge <= 1 + eps. Inner direction: draw samples of (1-eps) * product,
+    pull back per factor by the inverse cutoff map, and check the preimage
+    lies in E. ``steps`` is the RK4 step count for coordinates in the
+    cutoff ramp; every factor's ramp coordinates, of both directions, go
+    through one _rk4 call.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    bound = sandwich_bound(factors, epsilon)
     domain = two_product(factors)
     factors = domain.factors
-    n = len(factors)
     areas = np.array(domain.factor_areas)
-    deltas = [sandwich_delta(f, epsilon, n) for f in factors]
-    configs = [CutoffMapConfig(delta=d, steps=steps, epsilon=epsilon)
-               for d in deltas]
+    configs = [CutoffMapConfig(delta=d, steps=steps) for d in bound.deltas]
     ellipsoid_gauge = EllipsoidSpec(areas).gauge
     rng = np.random.default_rng(seed)
 
@@ -334,10 +417,9 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     # (1 - eps) * product, pulled back. Rows past ``samples`` are inner.
     ellipsoid_pts = rejection_sample(rng, np.sqrt(areas / np.pi),
                                      ellipsoid_gauge, samples)
-    box_radii = (1.0 - epsilon) * domain.bounding_radii()
     target = rejection_sample(
-        rng, box_radii, lambda pts: domain.gauge(pts) / (1.0 - epsilon),
-        samples)
+        rng, (1.0 - epsilon) * domain.bounding_radii(),
+        lambda pts: domain.gauge(pts) / (1.0 - epsilon), samples)
     pts = np.concatenate([ellipsoid_pts, target])
     inverse = np.arange(2 * samples) >= samples
 
@@ -345,20 +427,13 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     ramps = np.empty(pts.shape, dtype=bool)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
         image[:, i], ramps[:, i] = _banded_map(f, cfg, pts[:, i], inverse)
-    coarse = image.copy()
-    # Every ramp coordinate, at steps and then at steps // 2, in one loop.
     rows, cols = np.nonzero(ramps)
     if rows.size:
-        fine_and_coarse = _rk4(
-            _CellTable(factors, configs), np.tile(cols, 2),
-            np.tile(pts[rows, cols], 2), np.tile(inverse[rows], 2), steps,
-            n_full=rows.size)
-        image[rows, cols], coarse[rows, cols] = np.split(fine_and_coarse, 2)
+        image[rows, cols] = _rk4(_CellTable(factors, configs), cols,
+                                 pts[rows, cols], inverse[rows], steps)
 
-    outer_gauge, outer_error = _gauge_and_error(
-        domain.gauge, image[:samples], coarse[:samples], ramps[:samples])
-    inner_gauge, inner_error = _gauge_and_error(
-        ellipsoid_gauge, image[samples:], coarse[samples:], ramps[samples:])
+    outer_gauge = domain.gauge(image[:samples])
+    inner_gauge = ellipsoid_gauge(image[samples:])
     outer_bad = outer_gauge > 1.0 + epsilon
     inner_bad = inner_gauge > 1.0
 
@@ -373,28 +448,14 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
         epsilon=epsilon,
         samples=samples,
         seed=seed,
-        deltas=deltas,
+        deltas=bound.deltas,
         violations_outer=int(np.count_nonzero(outer_bad)),
         violations_inner=int(np.count_nonzero(inner_bad)),
         worst_outer_gauge=float(np.max(outer_gauge)),
         worst_inner_gauge=float(np.max(inner_gauge)),
-        closed_form=2 * n * samples - integrated,
+        closed_form=ramps.size - integrated,
         integrated=integrated,
-        outer_error=float(np.max(outer_error)),
-        inner_error=float(np.max(inner_error)),
+        outer_bound=bound.outer_bound,
+        inner_bound=bound.inner_bound,
         offenders=offenders,
     )
-
-
-def _gauge_and_error(gauge_fn, image, coarse, ramps):
-    """Gauge of each mapped sample and its step-doubling error estimate.
-
-    ``coarse`` is ``image`` with the ramp coordinates taken at steps // 2;
-    the estimate is 0 for samples with no coordinate in a ramp band.
-    """
-    gauge = gauge_fn(image)
-    rows = np.any(ramps, axis=1)
-    error = np.zeros_like(gauge)
-    if np.any(rows):
-        error[rows] = np.abs(gauge[rows] - gauge_fn(coarse[rows]))
-    return gauge, error

@@ -74,8 +74,8 @@ def check_sandwich(samples=100000, seed=13, steps=64):
               f"{report.violations_inner} "
               f"worst_outer={_fmt(report.worst_outer_gauge)} "
               f"worst_inner={_fmt(report.worst_inner_gauge)} "
-              f"rk4_error={_fmt(report.outer_error)}+"
-              f"{_fmt(report.inner_error)}")
+              f"outer_bound={_fmt(report.outer_bound)} "
+              f"inner_bound={_fmt(report.inner_bound)}")
     return "sandwich", report.passed, detail
 
 

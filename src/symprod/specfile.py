@@ -37,9 +37,9 @@ An ``ellipsoid`` section stands for one disk factor per area: the
 2-product of those disks is the ellipsoid E(a1, a2, ...). That holds only
 at p = 2, so under any other p the section is an error at its line.
 
-Unknown keys and unparsable values are rejected with a line-anchored
-message; a missing required key and a value the library rejects are
-reported at the factor's section line, or at the p line.
+Unknown or repeated keys and unparsable values are rejected with a
+line-anchored message; a missing required key and a value the library
+rejects are reported at the factor's section line, or at the p line.
 """
 
 from __future__ import annotations
@@ -197,6 +197,8 @@ def parse_spec(text):
                 if key not in _TOP_KEYS:
                     raise SpecFileError(f"unknown top-level key {key!r}",
                                         lineno)
+                if p_line is not None:
+                    raise SpecFileError(f"duplicate key {key!r}", lineno)
                 try:
                     p = float(value)
                 except ValueError:

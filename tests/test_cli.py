@@ -107,17 +107,34 @@ def test_csv_output_is_reproducible():
     assert first == second
 
 
-def test_sandwich_reports_bands_and_error_estimate():
+def sandwich_fields(out):
+    return dict(line.split(" = ") for line in out.splitlines()[1:])
+
+
+def test_sandwich_reports_bands_and_bounds():
     argv = ["sandwich", "--spec", str(SPECS / "weier_square.spec"),
             "--samples", "2000", "--seed", "5"]
     code, out = run_cli(argv)
     assert code == 0
-    fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+    fields = sandwich_fields(out)
     assert int(fields["closed_form"]) + int(fields["integrated"]) == 8000
     assert int(fields["integrated"]) > 0
-    assert 0.0 < float(fields["outer_error"]) < 0.05
-    assert 0.0 < float(fields["inner_error"]) < 0.05
+    assert float(fields["worst_outer_gauge"]) <= \
+        float(fields["outer_bound"]) <= 1.05
+    assert float(fields["worst_inner_gauge"]) <= \
+        float(fields["inner_bound"]) <= 1.0
     assert run_cli(argv)[1] == out
+
+
+def test_sandwich_on_three_factors():
+    code, out = run_cli(["sandwich", "--spec",
+                         str(SPECS / "weier_square_disk.spec"),
+                         "--samples", "500", "--seed", "5"])
+    assert code == 0
+    fields = sandwich_fields(out)
+    assert float(fields["outer_bound"]) == pytest.approx(1.01032, abs=1e-5)
+    assert float(fields["inner_bound"]) == pytest.approx(0.96170, abs=1e-5)
+    assert int(fields["closed_form"]) + int(fields["integrated"]) == 3000
 
 
 def test_missing_spec_file_exits_2(capsys):

@@ -217,8 +217,7 @@ def sandwich_config(profile, steps=64):
 
 def exact_threshold(profile, config):
     """lev^2 at which the exact band starts."""
-    floor = min(profile.area, np.pi * profile.min_radius ** 2)
-    return diskmap.RAMP_HI * config.delta / floor
+    return diskmap._exact_level(profile, config.delta)
 
 
 def level_points(profile, lev2, theta, inverse):
@@ -253,18 +252,22 @@ def test_frozen_band_is_identity(inverse):
 
 
 @pytest.mark.parametrize("inverse", [False, True])
-@pytest.mark.parametrize("name", list(sandwich_factors()))
+@pytest.mark.parametrize("name", [*sandwich_factors(), "cosine"])
 def test_trajectories_from_exact_threshold_stay_where_rho_is_one(name,
                                                                  inverse):
-    """RK4 at 512 steps from the threshold never enters the ramp."""
-    profile = sandwich_factors()[name]
+    """RK4 at 512 steps from l* and from (1 + 1e-3) l* never enters the
+    ramp. On the cubic cosine profile, where RK4 converges, the end point
+    is also psi (psi^-1 backwards): the lemma sandwich_bound rests on."""
+    profile = {**sandwich_factors(),
+               "cosine": geometry2d.cosine_profile(np.pi)}[name]
     config = sandwich_config(profile)
     theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    z = level_points(profile, exact_threshold(profile, config), theta,
-                     inverse)
+    lev2 = exact_threshold(profile, config) * np.array([[1.0], [1.0 + 1e-3]])
+    start = level_points(profile, lev2, theta, inverse).ravel()
     steps = 512
     dt = -1.0 / steps if inverse else 1.0 / steps
     t = 1.0 if inverse else 0.0
+    z = start
     lowest = np.min(np.abs(z) ** 2)
     field = library_field(profile, config, z.size)
     for _ in range(steps):
@@ -276,6 +279,10 @@ def test_trajectories_from_exact_threshold_stay_where_rho_is_one(name,
         t += dt
         lowest = min(lowest, np.min(np.abs(z) ** 2))
     assert lowest >= diskmap.RAMP_HI * config.delta / np.pi * (1.0 - 1e-12)
+    if name == "cosine":
+        closed_form = (diskmap.domain_to_disk if inverse
+                       else diskmap.disk_to_domain)
+        assert np.max(np.abs(z - closed_form(profile, start))) <= 1e-13
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -412,11 +419,45 @@ def test_sandwich_report_counts_and_certificate():
                                     seed=12, steps=64)
     assert report.closed_form + report.integrated == 2 * 2 * 2000
     assert 0 < report.integrated < 0.1 * report.closed_form
-    assert 0.0 < report.outer_error < 0.05
-    assert 0.0 < report.inner_error < 0.05
     assert report.passed
-    assert report.worst_outer_gauge + report.outer_error <= 1.05
-    assert report.worst_inner_gauge + report.inner_error <= 1.0
+    assert report.outer_bound <= 1.05 and report.inner_bound <= 1.0
+    assert report.worst_outer_gauge <= report.outer_bound
+    assert report.worst_inner_gauge <= report.inner_bound
+
+
+def bound_products():
+    """The products whose closed-form bounds were worked out by hand."""
+    weier, square = sandwich_factors().values()
+    return {"weierstrass-square": [weier, square],
+            "weierstrass(0.4,b=4)-disk(36)": [
+                geometry2d.weierstrass_profile(amplitude=0.4, b=4.0),
+                geometry2d.disk_profile(36.0)],
+            "weierstrass-square-disk(2)": [weier, square,
+                                           geometry2d.disk_profile(2.0)],
+            "four-weierstrass": [weier] * 4}
+
+
+@pytest.mark.parametrize("name,outer,inner", [
+    ("weierstrass-square", 1.01185, 0.96372),
+    ("weierstrass(0.4,b=4)-disk(36)", 1.04485, 0.99829),
+    ("weierstrass-square-disk(2)", 1.01032, 0.96170),
+    ("four-weierstrass", 1.01346, 0.96530)])
+def test_sandwich_bound_values(name, outer, inner):
+    """sqrt(1 + sum eta_out) and sqrt((1-eps)^2 + sum eta_in) at eps = 0.05,
+    against the values computed by hand from the per-factor formulas."""
+    bound = diskmap.sandwich_bound(bound_products()[name], 0.05)
+    assert bound.outer_bound == pytest.approx(outer, rel=0.0, abs=1e-5)
+    assert bound.inner_bound == pytest.approx(inner, rel=0.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("name", ["weierstrass-square-disk(2)",
+                                  "four-weierstrass"])
+def test_sandwich_check_passes_on_three_and_four_factors(name):
+    report = diskmap.sandwich_check(bound_products()[name], epsilon=0.05,
+                                    samples=300, seed=14, steps=64)
+    assert report.integrated > 0
+    assert report.violations_outer == report.violations_inner == 0
+    assert report.passed
 
 
 # -- the one-loop sandwich against the frozen per-direction path ----------
@@ -438,7 +479,7 @@ def reference_rk4(profile, config, z, inverse, steps):
 
 
 def reference_map_and_gauge(factors, configs, pts, inverse, gauge_fn):
-    """Per-direction banded maps, then a steps // 2 rerun of the ramp."""
+    """Per-direction banded maps, each factor's ramp by its own RK4 run."""
     image = np.empty_like(pts)
     ramps = np.empty(pts.shape, dtype=bool)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
@@ -448,44 +489,33 @@ def reference_map_and_gauge(factors, configs, pts, inverse, gauge_fn):
         if np.any(ramp):
             image[ramp, i] = reference_rk4(f, cfg, pts[ramp, i], inverse,
                                            cfg.steps)
-    gauge = gauge_fn(image)
-    coarse = image.copy()
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
-        ramp = ramps[:, i]
-        if np.any(ramp):
-            coarse[ramp, i] = reference_rk4(f, cfg, pts[ramp, i], inverse,
-                                            cfg.steps // 2)
-    rows = np.any(ramps, axis=1)
-    error = np.zeros_like(gauge)
-    if np.any(rows):
-        error[rows] = np.abs(gauge[rows] - gauge_fn(coarse[rows]))
-    return gauge, error, ramps
+    return gauge_fn(image), ramps
 
 
 def reference_sandwich_check(factors, epsilon, samples, seed, steps):
-    """sandwich_check with one RK4 run per direction and step count.
+    """sandwich_check with one RK4 run per factor and direction.
 
     Same rng draws, bands and gauges as the library's one-loop check, so
-    the two reports must agree exactly. Also returns the ramp masks of the
-    outer and inner samples.
+    the two reports must agree exactly; the bounds are sandwich_bound's.
+    Also returns the ramp masks of the outer and inner samples.
     """
     domain = product.two_product(factors)
     factors = domain.factors
     n = len(factors)
     areas = np.array(domain.factor_areas)
     deltas = [diskmap.sandwich_delta(f, epsilon, n) for f in factors]
-    configs = [diskmap.CutoffMapConfig(delta=d, steps=steps, epsilon=epsilon)
-               for d in deltas]
+    configs = [diskmap.CutoffMapConfig(delta=d, steps=steps) for d in deltas]
     ellipsoid_gauge = geometry2d.EllipsoidSpec(areas).gauge
+    bound = diskmap.sandwich_bound(factors, epsilon)
     rng = np.random.default_rng(seed)
     source = product.rejection_sample(rng, np.sqrt(areas / np.pi),
                                       ellipsoid_gauge, samples)
-    outer, outer_error, outer_ramps = reference_map_and_gauge(
+    outer, outer_ramps = reference_map_and_gauge(
         factors, configs, source, False, domain.gauge)
     target = product.rejection_sample(
         rng, (1.0 - epsilon) * domain.bounding_radii(),
         lambda pts: domain.gauge(pts) / (1.0 - epsilon), samples)
-    inner, inner_error, inner_ramps = reference_map_and_gauge(
+    inner, inner_ramps = reference_map_and_gauge(
         factors, configs, target, True, ellipsoid_gauge)
     outer_bad, inner_bad = outer > 1.0 + epsilon, inner > 1.0
     offenders = (
@@ -502,8 +532,8 @@ def reference_sandwich_check(factors, epsilon, samples, seed, steps):
         worst_outer_gauge=float(np.max(outer)),
         worst_inner_gauge=float(np.max(inner)),
         closed_form=2 * n * samples - integrated, integrated=integrated,
-        outer_error=float(np.max(outer_error)),
-        inner_error=float(np.max(inner_error)), offenders=offenders)
+        outer_bound=bound.outer_bound, inner_bound=bound.inner_bound,
+        offenders=offenders)
     return report, outer_ramps, inner_ramps
 
 
@@ -522,8 +552,7 @@ SANDWICH_PAIRS = {"weierstrass-square":
 
 
 # Report fields that the kernel's rounding may move, by at most 1e-12.
-GAUGE_FIELDS = ("worst_outer_gauge", "worst_inner_gauge", "outer_error",
-                "inner_error")
+GAUGE_FIELDS = ("worst_outer_gauge", "worst_inner_gauge")
 
 
 def assert_same_report(report, ref):
@@ -581,12 +610,11 @@ def test_one_loop_sandwich_offenders_match(monkeypatch):
 @given(seed=st.integers(0, 2 ** 32 - 1), n_factors=st.integers(1, 3),
        sizes=st.lists(st.integers(16, 511), min_size=3, max_size=3),
        cubic=st.lists(st.booleans(), min_size=3, max_size=3),
-       n_full=st.integers(0, 12), n_half=st.integers(0, 12),
-       steps=st.integers(8, 17))
+       size=st.integers(0, 24), steps=st.integers(8, 17))
 def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
-                                              n_full, n_half, steps):
-    """Points of 1-3 factors, both directions, steps and steps // 2, in one
-    stacked call: each equals its one-factor run bit for bit."""
+                                              size, steps):
+    """Points of 1-3 factors and both directions, in one stacked call: each
+    equals its one-factor run, and cutoff_disk_map's ramp, bit for bit."""
     rng = np.random.default_rng(seed)
     try:
         factors = [geometry2d.RadialProfile(
@@ -597,28 +625,22 @@ def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
     configs = [diskmap.CutoffMapConfig(
         delta=diskmap.sandwich_delta(f, 0.05, n_factors), steps=steps)
         for f in factors]
-    size = n_full + n_half
     which = rng.integers(0, n_factors, size)
     delta = np.array([c.delta for c in configs])[which]
     u = delta / np.pi * rng.uniform(0.0, 1.0, size)
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, size))
     inverse = rng.random(size) < 0.5
     out = diskmap._rk4(diskmap._CellTable(factors, configs), which, z,
-                       inverse, steps, n_full=n_full)
-    for block, block_steps in ((slice(None, n_full), steps),
-                               (slice(n_full, None), steps // 2)):
-        for i, (f, cfg) in enumerate(zip(factors, configs)):
-            for back in (False, True):
-                group = (which[block] == i) & (inverse[block] == back)
-                alone = diskmap._rk4(diskmap._CellTable([f], [cfg]), 0,
-                                     z[block][group], back, block_steps)
-                np.testing.assert_array_equal(out[block][group], alone)
-                if block_steps == steps:
-                    w = diskmap.cutoff_disk_map(f, cfg, z[block][group],
-                                                inverse=back)
-                    _, ramp = diskmap._banded_map(f, cfg, z[block][group],
-                                                  back)
-                    np.testing.assert_array_equal(w[ramp], alone[ramp])
+                       inverse, steps)
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        for back in (False, True):
+            group = (which == i) & (inverse == back)
+            alone = diskmap._rk4(diskmap._CellTable([f], [cfg]), 0, z[group],
+                                 back, steps)
+            np.testing.assert_array_equal(out[group], alone)
+            w = diskmap.cutoff_disk_map(f, cfg, z[group], inverse=back)
+            _, ramp = diskmap._banded_map(f, cfg, z[group], back)
+            np.testing.assert_array_equal(w[ramp], alone[ramp])
 
 
 @pytest.mark.parametrize("steps", [64, 9])

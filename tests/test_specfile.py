@@ -5,6 +5,7 @@ import pytest
 
 from symprod.geometry2d import EllipsoidSpec, RadialProfile
 from symprod import specfile
+from symprod.cli import run
 from symprod.specfile import SpecFileError, parse_spec
 
 GOOD = """\
@@ -80,6 +81,18 @@ def test_duplicate_key_rejected():
     text = "[factor]\ntype = disk\narea = 1\narea = 2\n"
     with pytest.raises(SpecFileError, match="duplicate"):
         parse_spec(text)
+
+
+def test_duplicate_top_level_key_rejected_at_second_line(tmp_path, capsys):
+    text = "p = 2\np = 1\n[factor]\ntype = disk\n"
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(text)
+    assert info.value.line == 2
+    assert str(info.value) == "line 2: duplicate key 'p'"
+    spec = tmp_path / "dup.spec"
+    spec.write_text(text)
+    assert run(["area", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "spec error: line 2: duplicate key 'p'\n"
 
 
 def test_missing_type_rejected():
