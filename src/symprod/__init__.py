@@ -28,7 +28,6 @@ from .diskmap import (
 )
 from .product import (
     ProductDomain,
-    boundary_sample,
     mc_volume,
 )
 from .dynamics import (

@@ -5,7 +5,9 @@ areas): the k-th value is the k-th smallest element of the multiset
 {i * a_j : i >= 1}. The shrinking experiment removes a boundary window from
 each factor and certifies, by sampling, that the product minus a
 neighborhood of the removed boundary lands inside the shrunken product,
-which drops the first capacity from a to a'.
+which drops the first capacity from a to a'. Its uniform samples of the
+product are psi (diskmap.product_map) of uniform samples of the ellipsoid
+of the factor areas (product.ellipsoid_sample).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from itertools import count
 
 import numpy as np
 
+from .diskmap import product_map
 from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import (ProductDomain, common_area, rejection_sample,
+from .product import (ProductDomain, common_area, ellipsoid_sample,
                       two_product)
 
 
@@ -129,7 +132,8 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     whose angle in *some* factor falls inside that factor's window; eta
     is the largest relative radial shrink plus a margin, which makes the
     containment product \\ U  subset  shrunken product hold with room to
-    spare.
+    spare. The ``samples`` test points are psi of product.ellipsoid_sample
+    draws seeded by ``seed``, uniform on the product.
     """
     domain = two_product(factors)
     factors = domain.factors
@@ -148,16 +152,12 @@ def boundary_minimal_experiment(factors, point, width, target_area,
         for f, s in zip(factors, shrunk))
     eta = min(0.999, rel_shrink + 0.02)
 
-    shrunk_domain = ProductDomain(shrunk, p=2.0)
-
-    rng = np.random.default_rng(seed)
-    pts = rejection_sample(rng, domain.bounding_radii(), domain.gauge, samples)
-    in_window = np.zeros(samples, dtype=bool)
-    for i in range(len(factors)):
-        u = np.mod(np.angle(pts[:, i]) - directions[i] + np.pi, TWO_PI) - np.pi
-        in_window |= np.abs(u) < width
+    pts = product_map(factors, ellipsoid_sample(
+        np.random.default_rng(seed), domain.factor_areas, samples))
+    u = np.mod(np.angle(pts) - directions + np.pi, TWO_PI) - np.pi
+    in_window = np.any(np.abs(u) < width, axis=-1)
     test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
-    g2 = shrunk_domain.gauge(test)
+    g2 = ProductDomain(shrunk).gauge(test)
     bad = np.flatnonzero(g2 > 1.0)
     offenders = [(test[idx], float(g2[idx])) for idx in bad[:5]]
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry2d import EllipsoidSpec, TWO_PI, horner
-from .product import factorwise, rejection_sample, two_product
+from .product import ellipsoid_sample, factorwise, two_product
 
 
 def disk_to_domain(profile, z):
@@ -397,29 +397,27 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
 
     ``factors`` is a sequence of profiles or a ProductDomain with p = 2
     (product.two_product). The verdict is sandwich_bound's closed form,
-    cross-checked by Monte Carlo. Outer direction: map seeded uniform
-    samples of E(a_1, ..., a_n) through the cutoff map and check product
-    gauge <= 1 + eps. Inner direction: draw samples of (1-eps) * product,
-    pull back per factor by the inverse cutoff map, and check the preimage
-    lies in E. ``steps`` is the RK4 step count for coordinates in the
-    cutoff ramp; every factor's ramp coordinates, of both directions, go
-    through one _rk4 call.
+    cross-checked by Monte Carlo on two product.ellipsoid_sample draws from
+    one generator seeded by ``seed``. Outer, drawn first: map the samples of
+    E(a_1, ..., a_n) through the cutoff map; product gauge <= 1 + eps.
+    Inner: (1 - eps) psi(samples) is uniform on (1 - eps) * product; pull it
+    back per factor by the inverse cutoff map; the preimage lies in E.
+    ``steps`` is the RK4 step count for coordinates in the cutoff ramp;
+    every factor's ramp coordinates, of both directions, go through one
+    _rk4 call.
     """
     bound = sandwich_bound(factors, epsilon)
     domain = two_product(factors)
     factors = domain.factors
     areas = np.array(domain.factor_areas)
     configs = [CutoffMapConfig(delta=d, steps=steps) for d in bound.deltas]
-    ellipsoid_gauge = EllipsoidSpec(areas).gauge
     rng = np.random.default_rng(seed)
 
     # Outer: samples of E, pushed forward. Inner: samples of
     # (1 - eps) * product, pulled back. Rows past ``samples`` are inner.
-    ellipsoid_pts = rejection_sample(rng, np.sqrt(areas / np.pi),
-                                     ellipsoid_gauge, samples)
-    target = rejection_sample(
-        rng, (1.0 - epsilon) * domain.bounding_radii(),
-        lambda pts: domain.gauge(pts) / (1.0 - epsilon), samples)
+    ellipsoid_pts = ellipsoid_sample(rng, areas, samples)
+    target = (1.0 - epsilon) * product_map(
+        factors, ellipsoid_sample(rng, areas, samples))
     pts = np.concatenate([ellipsoid_pts, target])
     inverse = np.arange(2 * samples) >= samples
 
@@ -433,7 +431,7 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
                                  pts[rows, cols], inverse[rows], steps)
 
     outer_gauge = domain.gauge(image[:samples])
-    inner_gauge = ellipsoid_gauge(image[samples:])
+    inner_gauge = EllipsoidSpec(areas).gauge(image[samples:])
     outer_bad = outer_gauge > 1.0 + epsilon
     inner_bad = inner_gauge > 1.0
 

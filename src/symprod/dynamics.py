@@ -6,7 +6,8 @@ elapsed time, and one period equals the enclosed area. The flow extends
 1-homogeneously off the boundary (angles independent of the level). On a
 2-product boundary the flow splits factor-wise at full speed, which makes it
 conjugate, through the factor-wise disk map psi, to the Reeb rotation on the
-matching ellipsoid.
+matching ellipsoid. Sampled boundary points are psi of uniform points of
+the ellipsoid divided by their ellipsoid gauge (product.ellipsoid_sample).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import TWO_PI
-from .product import boundary_sample, common_area, factorwise, two_product
+from .geometry2d import EllipsoidSpec, TWO_PI
+from .product import common_area, ellipsoid_sample, factorwise, two_product
 
 
 @dataclass
@@ -92,19 +93,15 @@ def conjugacy_residual(factors, z, t):
 def sample_conjugacy_residuals(factors, count, seed):
     """conjugacy_residual at ``count`` seeded points of the ellipsoid boundary.
 
-    Draws, in this order: Dirichlet area fractions (count, n), uniform
-    angles (count, n) and times uniform in +-2 max(area), then returns the
-    residual per sample.
+    Draws product.ellipsoid_sample points, divided by their E-gauge, then
+    times uniform in +-2 max(area); returns the residual per sample.
     """
-    if count < 1:
-        raise ValueError("need at least one sample")
     factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     rng = np.random.default_rng(seed)
-    t_frac = rng.dirichlet(np.ones(len(factors)), size=count)
-    ang = rng.uniform(0.0, TWO_PI, size=(count, len(factors)))
+    z = ellipsoid_sample(rng, areas, count)
+    z = z / EllipsoidSpec(areas).gauge(z)[:, None]
     times = rng.uniform(-2.0, 2.0, count) * float(np.max(areas))
-    z = np.sqrt(t_frac * areas / np.pi) * np.exp(1j * ang)
     return conjugacy_residual(factors, z, times)
 
 
@@ -144,12 +141,15 @@ class FoliationReport:
 def is_foliated_by_systoles(domain, count, seed):
     """Check that every sampled boundary orbit closes at t = common area.
 
-    The points are product.boundary_sample draws on the 2-product; an orbit
-    closes when |Phi^a(z) - z| <= 1e-8.
+    The start points are psi of seeded product.ellipsoid_sample draws divided
+    by their E-gauge; an orbit closes when |Phi^a(z) - z| <= 1e-8.
     """
     domain = two_product(domain)
     a = common_area(domain)
-    start = boundary_sample(domain, count, seed)
+    areas = domain.factor_areas
+    z = ellipsoid_sample(np.random.default_rng(seed), areas, count)
+    start = product_map(domain.factors,
+                        z / EllipsoidSpec(areas).gauge(z)[:, None])
     end = factorwise(char_flow_2d, domain.factors, start, a)
     dev = np.max(np.abs(end - start), axis=-1)
     failures = int(np.count_nonzero(dev > 1e-8))

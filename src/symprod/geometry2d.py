@@ -236,7 +236,7 @@ class RadialProfile:
             for _ in range(80):
                 x = theta - start
                 val = horner(swept, x) * x - target
-                if np.max(np.abs(val)) <= tol:
+                if np.max(np.abs(val), initial=0.0) <= tol:
                     break
                 r = horner(r_coef, x)
                 step = val / (0.5 * r * r)

@@ -7,6 +7,10 @@ E(a_1, ..., a_m) is no factor type of its own: it is the 2-product of the
 disks D(a_1), ..., D(a_m), whose gauges square-sum to the ellipsoid's.
 The equivalence with the union-over-simplex definition is exercised by a
 brute-force test, not assumed here.
+
+Monte Carlo experiments on a 2-product sample E of the factor areas in
+closed form (ellipsoid_sample) and map it onto the product by the
+volume-preserving psi; only mc_volume, a hit ratio, samples a box.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import RadialProfile
+from .geometry2d import TWO_PI, RadialProfile
 
 # Sample block size for deterministic, worker-count-independent Monte Carlo.
 MC_BLOCK = 1 << 16
@@ -127,23 +131,21 @@ def sample_complex_box(rng, radii, count):
     return re + 1j * im
 
 
-def rejection_sample(rng, radii, gauge_fn, count):
-    """Uniform samples of {gauge <= 1} by rejection from the bounding box.
+def ellipsoid_sample(rng, areas, count):
+    """Uniform samples of the ellipsoid E(a_1, ..., a_n), shape (count, n).
 
-    Draws boxes of max(4096, 1.5 x the shortfall) points until ``count``
-    are accepted, and returns the first ``count`` in draw order.
+    The volume form is prod_i (a_i / 2 pi) ds_i dtheta_i in the levels
+    s_i = pi|z_i|^2 / a_i and angles, so the levels are uniform on the solid
+    simplex (a flat Dirichlet on n + 1 parts, drawn first) and the angles
+    uniform (drawn second). s / sum(s) is then uniform on the face sum = 1.
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    out = []
-    have = 0
-    while have < count:
-        draw = max(4096, int(1.5 * (count - have)))
-        pts = sample_complex_box(rng, radii, draw)
-        keep = pts[gauge_fn(pts) <= 1.0]
-        out.append(keep)
-        have += keep.shape[0]
-    return np.concatenate(out)[:count]
+    areas = np.asarray(areas, dtype=float)
+    n = areas.size
+    levels = rng.dirichlet(np.ones(n + 1), count)[:, :n]
+    theta = rng.uniform(0.0, TWO_PI, (count, n))
+    return np.sqrt(levels * areas / np.pi) * np.exp(1j * theta)
 
 
 @dataclass(frozen=True)
@@ -187,19 +189,3 @@ def mc_volume(domain, samples, seed, threads=1):
     stderr = box_volume * np.sqrt(frac * (1.0 - frac) / samples)
     return VolumeEstimate(est, stderr, samples, hits, seed)
 
-
-def boundary_sample(domain, count, seed=None):
-    """Points on the product boundary, G = 1 by construction.
-
-    Simplex weights t_i are drawn Dirichlet-uniform per point from the
-    seeded stream; factor i contributes t_i^(1/p) times a uniform-angle
-    point of its boundary.
-    """
-    rng = np.random.default_rng(seed)
-    nf = len(domain.factors)
-    t = rng.dirichlet(np.ones(nf), size=count)
-    out = np.empty((count, nf), dtype=complex)
-    for i, f in enumerate(domain.factors):
-        theta = rng.uniform(0.0, 2.0 * np.pi, count)
-        out[:, i] = t[:, i] ** (1.0 / domain.p) * f.boundary_point(theta)
-    return out

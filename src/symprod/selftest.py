@@ -52,7 +52,9 @@ def check_jacobian(samples=1000, seed=11):
 
 
 def check_level_mapping(samples=10000, seed=12):
-    """gauge(psi(z))^2 = pi |z|^2 / a on every preset profile."""
+    """gauge(psi(z))^2 = pi |z|^2 / a on every preset profile. psi scales by
+    R(phi) and the gauge divides by it, so this measures the round-off of
+    R, S and S^-1; it is no independent check of psi."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, profile in _preset_profiles().items():
@@ -99,6 +101,9 @@ def check_volume(samples=1000000, seed=7, threads=1):
 
 
 def check_period(points=20, seed=14):
+    """Phi^a(z) = z on every preset boundary. S^-1(S(theta) + a) = theta +
+    2 pi by construction, so this measures the round-off of R, S and S^-1;
+    it is no independent check of the flow."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, profile in _preset_profiles().items():
@@ -110,12 +115,18 @@ def check_period(points=20, seed=14):
 
 
 def check_conjugacy(samples=1000, seed=15):
+    """psi(Reeb^t z) = Phi^t(psi(z)): both reach the angle S^-1(a theta/2pi
+    + t), so this measures the round-off of R, S and S^-1; it is no
+    independent check of psi or of the flow."""
     worst = float(np.max(dynamics.sample_conjugacy_residuals(
         _standard_factors(), samples, seed)))
     return "conjugacy", worst <= 1e-6, f"max_residual={_fmt(worst)} tol=1e-06"
 
 
 def check_foliation(samples=1000, seed=16):
+    """Orbits close at t = a (check_period's identity, so the round-off of
+    R, S and S^-1, no independent check of the flow); areas (1, sqrt 2)
+    have no period up to 1000 turns."""
     cos1 = geometry2d.cosine_profile(1.0)
     disk1 = geometry2d.disk_profile(1.0)
     report = dynamics.is_foliated_by_systoles([cos1, disk1], samples, seed)

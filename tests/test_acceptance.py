@@ -43,7 +43,10 @@ def test_criterion_01_jacobian(capsys):
 
 
 def test_criterion_02_level_mapping(capsys):
-    """gauge(psi(z))^2 = pi|z|^2/a within 1e-10 on 1e4 points, all presets."""
+    """gauge(psi(z))^2 = pi|z|^2/a within 1e-10 on 1e4 points, all presets.
+
+    This measures the round-off of R, S and S^-1, not psi independently
+    (selftest.check_level_mapping)."""
     run_check(capsys, "criterion-02 level-mapping",
               selftest.check_level_mapping, samples=10000, seed=102)
 
@@ -62,19 +65,28 @@ def test_criterion_04_volume(capsys):
 
 
 def test_criterion_05_period(capsys):
-    """Phi^area returns 20 random boundary points within 1e-8, all presets."""
+    """Phi^area returns 20 random boundary points within 1e-8, all presets.
+
+    This measures the round-off of R, S and S^-1, not the flow
+    independently (selftest.check_period)."""
     run_check(capsys, "criterion-05 period", selftest.check_period,
               points=20, seed=105)
 
 
 def test_criterion_06_conjugacy(capsys):
-    """Reeb conjugacy residual over 1e3 random (z, t) <= 1e-6."""
+    """Reeb conjugacy residual over 1e3 random (z, t) <= 1e-6.
+
+    This measures the round-off of R, S and S^-1, not psi or the flow
+    independently (selftest.check_conjugacy)."""
     run_check(capsys, "criterion-06 conjugacy", selftest.check_conjugacy,
               samples=1000, seed=106)
 
 
 def test_criterion_07_foliation(capsys):
-    """Equal areas: all orbits close at t=a; (1, sqrt 2): no period found."""
+    """Equal areas: all orbits close at t=a; (1, sqrt 2): no period found.
+
+    The closing measures the round-off of R, S and S^-1, not the flow
+    independently (selftest.check_foliation)."""
     run_check(capsys, "criterion-07 foliation", selftest.check_foliation,
               samples=1000, seed=107)
 

@@ -216,6 +216,10 @@ def test_selftest_output_file(tmp_path, capsys):
     ["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
      "--threads", "0"],
     ["selftest", "--quick", "--threads", "0"],
+    ["sandwich", "--spec", str(SPECS / "weier_square.spec"), "--samples", "0",
+     "--seed", "1"],
+    ["boundary-minimal", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--samples", "0", "--seed", "1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
@@ -223,7 +227,8 @@ def test_selftest_output_file(tmp_path, capsys):
         "output-is-directory", "flow-nan-point", "flow-infinite-t-range",
         "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite",
         "map-grid-zero", "flow-steps-zero", "volume-threads-zero",
-        "selftest-threads-zero"])
+        "selftest-threads-zero", "sandwich-no-samples",
+        "boundary-minimal-no-samples"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symprod import diskmap, dynamics, geometry2d
+from symprod import diskmap, dynamics, geometry2d, product
 from symprod.dynamics import FlowPoint
 from symprod.geometry2d import TWO_PI
 
@@ -132,10 +132,9 @@ def test_conjugacy_residual_batched_matches_per_point():
     batched = dynamics.sample_conjugacy_residuals(factors, 50, seed)
     # The same draws, in the same order, as sample_conjugacy_residuals.
     rng = np.random.default_rng(seed)
-    t_frac = rng.dirichlet(np.ones(2), size=50)
-    ang = rng.uniform(0.0, TWO_PI, size=(50, 2))
+    z = product.ellipsoid_sample(rng, areas, 50)
+    z = z / geometry2d.EllipsoidSpec(areas).gauge(z)[:, None]
     times = rng.uniform(-2.0, 2.0, 50) * float(np.max(areas))
-    z = np.sqrt(t_frac * areas / np.pi) * np.exp(1j * ang)
     per_point = [dynamics.conjugacy_residual(factors, z[j], times[j])
                  for j in range(50)]
     np.testing.assert_array_equal(batched, per_point)
@@ -203,6 +202,14 @@ def test_foliation_equal_areas():
         100, seed=5)
     assert report.passed
     assert report.worst_deviation < 1e-8
+
+
+def test_foliation_rejects_zero_samples():
+    """No sample checked is no pass: zero samples is a ValueError."""
+    with pytest.raises(ValueError, match="at least one sample"):
+        dynamics.is_foliated_by_systoles(
+            [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)],
+            0, seed=5)
 
 
 def test_foliation_rejects_unequal_areas():

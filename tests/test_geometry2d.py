@@ -12,7 +12,7 @@ import pytest
 import scipy.interpolate
 from hypothesis import given, reject, settings, strategies as st
 
-from symprod import geometry2d
+from symprod import diskmap, dynamics, geometry2d
 from symprod.geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
 from symprod.product import ProductDomain
 
@@ -228,6 +228,30 @@ def test_inverse_sector_area_newton_converges(name, monkeypatch):
     monkeypatch.undo()
     err = np.abs(profile.sector_area(theta) - s)
     assert np.max(err) <= 1e-14 * profile.area
+
+
+# Every primitive on a profile, fed an empty float array.
+EMPTY_PRIMITIVES = {
+    "radius": RadialProfile.radius,
+    "radius_derivative": RadialProfile.radius_derivative,
+    "sector_area": RadialProfile.sector_area,
+    "inverse_sector_area": RadialProfile.inverse_sector_area,
+    "gauge": RadialProfile.gauge,
+    "boundary_point": RadialProfile.boundary_point,
+    "disk_to_domain": diskmap.disk_to_domain,
+    "domain_to_disk": diskmap.domain_to_disk,
+    "char_flow_2d": lambda f, e: dynamics.char_flow_2d(f, e, 0.3),
+    "product_map": lambda f, e: diskmap.product_map(
+        [f, f], e.reshape(0, 2))[:, 0],
+}
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+@pytest.mark.parametrize("name", list(EMPTY_PRIMITIVES))
+def test_primitives_map_empty_to_empty(name, interpolation):
+    """An empty array gives an empty array, on cubic cells as on linear."""
+    profile = geometry2d.cosine_profile(np.pi, interpolation=interpolation)
+    assert EMPTY_PRIMITIVES[name](profile, np.empty(0)).shape == (0,)
 
 
 def random_profile(seed, n, interpolation):

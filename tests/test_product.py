@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from symprod import capacities, diskmap, dynamics, geometry2d, product
 from symprod.geometry2d import EllipsoidSpec
@@ -176,20 +177,67 @@ def test_mixed_ellipsoid_factor_volume():
     assert abs(est.volume - 1.0 / 6.0) <= 3.0 * est.std_error
 
 
-def test_boundary_sample_lies_on_boundary():
-    domain = ProductDomain([geometry2d.weierstrass_profile(),
-                            geometry2d.disk_profile(2.0)])
-    pts = product.boundary_sample(domain, 500, seed=17)
-    assert np.allclose(domain.gauge(pts), 1.0, atol=1e-9)
+def box_rejection_sample(rng, domain, count):
+    """Oracle: uniform samples of the product by rejection from its box."""
+    out, have = [], 0
+    while have < count:
+        pts = product.sample_complex_box(rng, domain.bounding_radii(), 4096)
+        keep = pts[domain.gauge(pts) <= 1.0]
+        out.append(keep)
+        have += keep.shape[0]
+    return np.concatenate(out)[:count]
 
 
-def test_rejection_sample_count_and_body():
-    domain = two_disks()
-    rng = np.random.default_rng(4)
-    pts = product.rejection_sample(rng, domain.bounding_radii(),
-                                   domain.gauge, 5000)
-    assert pts.shape == (5000, 2)
-    assert np.all(domain.gauge(pts) <= 1.0)
+def test_ellipsoid_sample_count_and_body():
+    areas = [1.0, 2.0, 0.5]
+    pts = product.ellipsoid_sample(np.random.default_rng(4), areas, 5000)
+    assert pts.shape == (5000, 3)
+    assert np.all(EllipsoidSpec(areas).gauge(pts) <= 1.0)
     with pytest.raises(ValueError, match="at least one sample"):
-        product.rejection_sample(rng, domain.bounding_radii(),
-                                 domain.gauge, 0)
+        product.ellipsoid_sample(np.random.default_rng(4), areas, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ellipsoid_sample_is_uniform_in_volume(n):
+    """The share of E inside gauge g is g^(2n), so G^(2n) is U(0, 1)."""
+    areas = np.linspace(0.5, 2.0, n)
+    pts = product.ellipsoid_sample(np.random.default_rng(30 + n), areas,
+                                   20000)
+    g = EllipsoidSpec(areas).gauge(pts)
+    assert scipy.stats.kstest(g ** (2 * n), "uniform").pvalue >= 0.01
+
+
+def test_psi_of_ellipsoid_samples_matches_box_rejection():
+    """psi(E) is X with its volume: per-factor gauges and angles of
+    psi-samples and of box-rejection samples of W x square have one
+    distribution each."""
+    domain = ProductDomain([geometry2d.weierstrass_profile(terms=20),
+                            geometry2d.polygon_profile(
+                                [(1, 1), (-1, 1), (-1, -1), (1, -1)])])
+    rng = np.random.default_rng(12)
+    mapped = diskmap.product_map(domain.factors, product.ellipsoid_sample(
+        rng, domain.factor_areas, 5000))
+    oracle = box_rejection_sample(rng, domain, 5000)
+    assert np.all(domain.gauge(mapped) <= 1.0 + 1e-12)
+    for stat in (domain.factor_gauges, np.angle):
+        for i in range(2):
+            assert scipy.stats.ks_2samp(stat(mapped)[:, i],
+                                        stat(oracle)[:, i]).pvalue >= 0.01
+
+
+def test_foliation_starts_on_product_boundary(monkeypatch):
+    """is_foliated_by_systoles flows points of gauge 1 to within 1e-12."""
+    domain = ProductDomain([geometry2d.cosine_profile(1.0),
+                            geometry2d.disk_profile(1.0)])
+    starts = []
+    flow = dynamics.char_flow_2d
+
+    def spy(profile, z, t):
+        starts.append(z)
+        return flow(profile, z, t)
+
+    monkeypatch.setattr(dynamics, "char_flow_2d", spy)
+    dynamics.is_foliated_by_systoles(domain, 500, seed=17)
+    start = np.stack(starts, axis=-1)
+    assert start.shape == (500, 2)
+    np.testing.assert_allclose(domain.gauge(start), 1.0, rtol=0.0, atol=1e-12)
