@@ -115,7 +115,13 @@ def cmd_flow(args):
     t0, t1 = _finite_floats(args.t_range, "--t-range")
     rows = []
     for t in np.linspace(t0, t1, _count(args, "steps")):
-        zt = product_mod.factorwise(dynamics.char_flow_2d, factors, z0, t)
+        # A finite but huge time unwraps the flowed angle past the float
+        # range; report that once instead of numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zt = product_mod.factorwise(dynamics.char_flow_2d, factors, z0, t)
+        if not np.isfinite(zt).all():
+            raise ValueError(f"the flowed position at t = {t:g} is not "
+                             "finite; use a smaller --t-range")
         row = [float(t)]
         for z in zt:
             row.extend([float(z.real), float(z.imag)])

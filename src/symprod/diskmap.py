@@ -28,6 +28,7 @@ reduction and one cell lookup per point.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -42,8 +43,9 @@ def disk_to_domain(profile, z):
     z = np.asarray(z, dtype=complex)
     a = profile.area
     rho = np.abs(z)
-    phi = profile.inverse_sector_area(np.angle(z) * (a / TWO_PI))
-    out = rho * np.sqrt(np.pi / a) * profile.radius(phi) * np.exp(1j * phi)
+    phi = profile.inverse_sector_area(
+        np.arctan2(z.imag, z.real) * (a / TWO_PI))
+    out = rho * math.sqrt(np.pi / a) * profile.radius(phi) * np.exp(1j * phi)
     out = np.where(rho == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
 
@@ -52,10 +54,10 @@ def domain_to_disk(profile, w):
     """Inverse of disk_to_domain."""
     w = np.asarray(w, dtype=complex)
     a = profile.area
-    alpha = np.angle(w)
-    level = np.abs(w) / profile.radius(alpha)
-    theta = profile.sector_area(alpha) * (TWO_PI / a)
-    out = level * np.sqrt(a / np.pi) * np.exp(1j * theta)
+    radius, sector = profile.radius_and_sector_area(np.arctan2(w.imag, w.real))
+    level = np.abs(w) / radius
+    theta = sector * (TWO_PI / a)
+    out = level * math.sqrt(a / np.pi) * np.exp(1j * theta)
     out = np.where(np.abs(w) == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
 
@@ -183,7 +185,7 @@ def _cutoff_velocity(table, points, z, t):
     theta = np.mod(np.arctan2(z.imag, z.real), TWO_PI)
     j = np.minimum((theta / h).astype(np.int64), last)
     s = theta - j * h
-    coef = np.take(table.coef, j + first, axis=1)
+    coef = table.coef.take(j + first, axis=1)
     r_rows, rd_rows, s_rows = table.rows
     r = horner(coef[r_rows], s)
     half_r2 = 0.5 * r * r

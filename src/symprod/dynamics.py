@@ -46,12 +46,16 @@ def char_flow_2d(profile, z, t):
 
     The gauge level is conserved exactly and the origin is fixed. Time is in
     area units; the minimal period on the boundary equals the domain area.
+    R and S at arg z come from one angle reduction and cell lookup
+    (RadialProfile.radius_and_sector_area). A point with a NaN coordinate
+    flows to NaN, and so does every point but the origin in a non-finite
+    time.
     """
     z = np.asarray(z, dtype=complex)
-    level = profile.gauge(z)
-    theta = np.mod(
-        profile.inverse_sector_area(profile.sector_area(np.angle(z)) + t),
-        TWO_PI)
+    r = np.abs(z)
+    radius, sector = profile.radius_and_sector_area(np.arctan2(z.imag, z.real))
+    level = np.where(r == 0.0, 0.0, r / radius)
+    theta = np.mod(profile.inverse_sector_area(sector + t), TWO_PI)
     out = level * profile.radius(theta) * np.exp(1j * theta)
     out = np.where(level == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
@@ -75,18 +79,22 @@ def conjugacy_residual(factors, z, t):
     every factor. ``z`` holds points of the ellipsoid boundary along its
     last axis and ``t`` one time per point; one point gives a float.
     ``factors`` is a sequence of profiles or a 2-product (two_product).
+    A point off the boundary, NaN coordinates included, or a non-finite
+    time is a ValueError.
     """
     factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     z = np.asarray(z, dtype=complex)
     t = np.asarray(t, dtype=float)
-    level = np.sum(np.pi * np.abs(z) ** 2 / areas, axis=-1)
-    if np.any(np.abs(level - 1.0) > ELLIPSOID_BOUNDARY_TOL):
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    level = (np.pi * np.abs(z) ** 2 / areas).sum(axis=-1)
+    if not (np.abs(level - 1.0) <= ELLIPSOID_BOUNDARY_TOL).all():
         raise ValueError("point is not on the ellipsoid boundary")
     lhs, start = product_map(
-        factors, np.stack([reeb_ellipsoid(areas, z, t[..., None]), z]))
+        factors, np.array([reeb_ellipsoid(areas, z, t[..., None]), z]))
     rhs = factorwise(char_flow_2d, factors, start, t)
-    out = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=-1))
+    out = np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

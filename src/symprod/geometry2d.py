@@ -97,7 +97,8 @@ class RadialProfile:
     ``min_radius <= 0``.
 
     The instance is immutable after construction; all methods are pure and
-    accept scalars or arrays.
+    accept scalars or arrays. A NaN or infinite angle, or a point with a
+    NaN coordinate, gives NaN.
     """
 
     def __init__(self, samples, interpolation="linear"):
@@ -150,23 +151,27 @@ class RadialProfile:
         """Sample cell, offset from its left node and winding of each angle.
 
         An angle that rounds onto 2*pi lands at the end of the last cell,
-        where the polynomials take their values at 2*pi.
+        where the polynomials take their values at 2*pi. A NaN or infinite
+        angle reduces to a NaN offset in the last cell (fmin drops the NaN
+        before the integer cast), so every value read from it is NaN.
         """
         theta = np.asarray(theta, dtype=float)
         winds = np.floor(theta / TWO_PI)
         wrapped = theta - winds * TWO_PI
-        j = np.minimum((wrapped / self._h).astype(np.int64), self.N - 1)
+        j = np.fmin(wrapped / self._h, self.N - 1).astype(np.int64)
         return j, wrapped - j * self._h, winds
 
     def radius(self, theta):
         """Boundary radius R(theta), 2*pi-periodic."""
         j, s, _ = self._locate(theta)
-        return horner(np.take(self._r, j, axis=1), s)
+        return horner(self._r.take(j, axis=1), s)
 
     def radius_derivative(self, theta):
         """R'(theta); at a node of a linear profile, the slope to its right."""
         j, s, _ = self._locate(theta)
-        return horner(np.take(self._rd, j, axis=1), s)
+        # A linear profile's R' is one constant per cell; 0 * s carries a
+        # NaN offset into it and adds zero otherwise.
+        return horner(self._rd.take(j, axis=1), s) + 0.0 * s
 
     def cell_polynomials(self):
         """R, R' and S on each sample cell as polynomials in the offset s.
@@ -186,8 +191,14 @@ class RadialProfile:
     def sector_area(self, theta):
         """Cumulative sector area S(theta), unwrapped by +area per turn."""
         j, s, winds = self._locate(theta)
-        out = horner(np.take(self._s, j, axis=1), s) + winds * self.area
+        out = horner(self._s.take(j, axis=1), s) + winds * self.area
         return float(out) if out.ndim == 0 else out
+
+    def radius_and_sector_area(self, theta):
+        """R(theta) and S(theta) from one angle reduction and cell lookup."""
+        j, s, winds = self._locate(theta)
+        return (horner(self._r.take(j, axis=1), s),
+                horner(self._s.take(j, axis=1), s) + winds * self.area)
 
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
@@ -209,26 +220,24 @@ class RadialProfile:
         of theta itself (S'(theta) = R^2/2 per unit of theta).
         """
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
         winds = np.floor(s / self.area)
         s0 = s - winds * self.area
         over = s0 >= self.area
         s0 = np.where(over, 0.0, s0)
         winds = winds + over
 
-        k = np.searchsorted(self._cumulative, s0, side="right") - 1
-        k = np.clip(k, 0, self.N - 1)
+        k = self._cumulative.searchsorted(s0, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), self.N - 1)
         start = k * self._h
         target = s0 - self._cumulative[k]
-        r_coef = np.take(self._r, k, axis=1)
+        r_coef = self._r.take(k, axis=1)
         if self.interpolation == "linear":
             r0, m = r_coef
             c = np.cbrt(1.0 + 6.0 * m * target / r0 ** 3)
             x = 6.0 * target / (r0 * r0 * (c * c + c + 1.0))
-            theta = start + np.clip(x, 0.0, self._h)
+            theta = start + np.minimum(np.maximum(x, 0.0), self._h)
         else:
-            swept = np.take(self._s[1:], k, axis=1)  # (S - S(theta_k)) / x
+            swept = self._s[1:].take(k, axis=1)  # (S - S(theta_k)) / x
             lo, hi = start, start + self._h
             theta = start + self._h * target / (
                 self._cumulative[k + 1] - self._cumulative[k])
@@ -236,7 +245,8 @@ class RadialProfile:
             for _ in range(80):
                 x = theta - start
                 val = horner(swept, x) * x - target
-                if np.max(np.abs(val), initial=0.0) <= tol:
+                # fmax skips the NaN of a non-finite s, which never converges.
+                if np.fmax.reduce(np.abs(val), axis=None, initial=0.0) <= tol:
                     break
                 r = horner(r_coef, x)
                 step = val / (0.5 * r * r)
@@ -246,7 +256,7 @@ class RadialProfile:
                 bad = (newton < lo) | (newton > hi)
                 theta = np.where(bad, 0.5 * (lo + hi), newton)
         out = theta + winds * TWO_PI
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     # -- gauge --------------------------------------------------------------
 
@@ -254,7 +264,8 @@ class RadialProfile:
         """Minkowski gauge g(z) = |z| / R(arg z); g(0) = 0 by definition."""
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        out = np.where(r == 0.0, 0.0, r / self.radius(np.angle(z)))
+        out = np.where(r == 0.0, 0.0,
+                       r / self.radius(np.arctan2(z.imag, z.real)))
         return float(out) if out.ndim == 0 else out
 
     def boundary_point(self, theta):
@@ -280,7 +291,7 @@ class EllipsoidSpec:
         """1-homogeneous gauge: sqrt(sum pi|z_i|^2 / a_i) over the block."""
         z = np.asarray(z, dtype=complex)
         a = np.asarray(self.areas)
-        return np.sqrt(np.sum(np.pi * np.abs(z) ** 2 / a, axis=-1))
+        return np.sqrt((np.pi * np.abs(z) ** 2 / a).sum(axis=-1))
 
     def __repr__(self):
         return f"EllipsoidSpec(areas={self.areas})"

@@ -31,14 +31,22 @@ def factorwise(fn, factors, z, *args):
     """Stack fn(factor_i, z[..., i], *args) over the factors on the last axis.
 
     ``z`` holds one complex coordinate per factor along its last axis; any
-    other length is a ValueError.
+    other length is a ValueError. The results are copied into one array
+    whose shape and dtype follow the first result (gauges are real), as
+    np.stack would, without its Python-level wrapper calls. The array is
+    made once every factor is done, so it does not add to the peak memory
+    of the factor calls.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != len(factors):
         raise ValueError(f"point has {z.shape[-1]} complex coordinates, "
                          f"expected {len(factors)}")
-    return np.stack([fn(f, z[..., i], *args) for i, f in enumerate(factors)],
-                    axis=-1)
+    parts = [fn(f, z[..., i], *args) for i, f in enumerate(factors)]
+    first = np.asarray(parts[0])
+    out = np.empty(first.shape + (len(parts),), first.dtype)
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 class ProductDomain:
@@ -86,7 +94,7 @@ class ProductDomain:
     def gauge(self, x):
         """1-homogeneous product gauge (sum_i g_i^p)^(1/p)."""
         g = self.factor_gauges(x)
-        out = np.sum(g ** self.p, axis=-1) ** (1.0 / self.p)
+        out = (g ** self.p).sum(axis=-1) ** (1.0 / self.p)
         return float(out) if out.ndim == 0 else out
 
     def bounding_radii(self):

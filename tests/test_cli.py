@@ -206,6 +206,8 @@ def test_selftest_output_file(tmp_path, capsys):
      "--point", "nan,0;0.3,0.2"],
     ["flow", "--spec", str(SPECS / "disks_1_1.spec"),
      "--point", "0.4,0.1;0.3,0.2", "--t-range", "0,inf"],
+    ["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--point", "0.4,0.1;0.3,0.2", "--t-range", "0,1e308"],
     ["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "0",
      "--seed", "1"],
     ["boxdim", "--b", "1e300", "--seed", "1"],
@@ -225,6 +227,7 @@ def test_selftest_output_file(tmp_path, capsys):
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
         "capacities-infinite", "boxdim-boundary-family", "spec-is-directory",
         "output-is-directory", "flow-nan-point", "flow-infinite-t-range",
+        "flow-overflowing-t-range",
         "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite",
         "map-grid-zero", "flow-steps-zero", "volume-threads-zero",
         "selftest-threads-zero", "sandwich-no-samples",

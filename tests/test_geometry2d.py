@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,29 @@ def test_inverse_sector_area_newton_converges(name, monkeypatch):
     assert np.max(err) <= 1e-14 * profile.area
 
 
+def test_inverse_sector_area_nan_does_not_stall_newton(monkeypatch):
+    """A NaN area comes back NaN without holding the others' Newton loop
+    to its 80-iteration cap: the iteration count stays that of the finite
+    points alone."""
+    profile = geometry2d.cosine_profile(np.pi)
+    s = np.random.default_rng(8).uniform(0.0, profile.area, 100)
+    counts = []
+    horner = geometry2d.horner
+    for values in (s, np.concatenate(([np.nan], s))):
+        calls = []
+
+        def spy(coef, x):
+            calls.append(None)
+            return horner(coef, x)
+
+        monkeypatch.setattr(geometry2d, "horner", spy)
+        theta = profile.inverse_sector_area(values)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[1] == counts[0]
+    assert np.isnan(theta[0]) and np.all(np.isfinite(theta[1:]))
+
+
 # Every primitive on a profile, fed an empty float array.
 EMPTY_PRIMITIVES = {
     "radius": RadialProfile.radius,
@@ -252,6 +276,47 @@ def test_primitives_map_empty_to_empty(name, interpolation):
     """An empty array gives an empty array, on cubic cells as on linear."""
     profile = geometry2d.cosine_profile(np.pi, interpolation=interpolation)
     assert EMPTY_PRIMITIVES[name](profile, np.empty(0)).shape == (0,)
+
+
+def on_circle(angle):
+    """The point e^{i angle}; its coordinates are NaN for a non-finite angle."""
+    return np.exp(1j * np.asarray(angle))
+
+
+# Every primitive that reads an angle (arg z for a point, the unwrapped
+# angle sector_area + t for a time), fed one non-finite angle.
+ANGLE_PRIMITIVES = {
+    "radius": RadialProfile.radius,
+    "radius_derivative": RadialProfile.radius_derivative,
+    "sector_area": RadialProfile.sector_area,
+    "inverse_sector_area": RadialProfile.inverse_sector_area,
+    "boundary_point": RadialProfile.boundary_point,
+    "gauge": lambda f, a: f.gauge(on_circle(a)),
+    "disk_to_domain": lambda f, a: diskmap.disk_to_domain(f, on_circle(a)),
+    "domain_to_disk": lambda f, a: diskmap.domain_to_disk(f, on_circle(a)),
+    "char_flow_2d": lambda f, a: dynamics.char_flow_2d(f, on_circle(a), 0.3),
+    "char_flow_2d_time": lambda f, a: dynamics.char_flow_2d(f, 0.5 + 0.1j, a),
+}
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(ANGLE_PRIMITIVES))
+def test_primitives_map_non_finite_angle_to_nan(name, angle, interpolation):
+    """NaN, alone or beside a finite angle; no IndexError, no cast warning.
+
+    An infinite angle may still warn of the invalid inf - inf of its own
+    reduction, which is IEEE's NaN and not a failed lookup.
+    """
+    profile = geometry2d.cosine_profile(np.pi, interpolation=interpolation)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        one = ANGLE_PRIMITIVES[name](profile, angle)
+        pair = ANGLE_PRIMITIVES[name](profile, np.array([angle, 0.3]))
+    assert np.isnan(one)
+    assert np.isnan(pair[0]) and np.isfinite(pair[1])
+    assert not [w for w in caught if "cast" in str(w.message)]
 
 
 def random_profile(seed, n, interpolation):

@@ -119,6 +119,41 @@ def test_gauge_rejects_dimension_mismatch():
         domain.gauge(np.zeros(3, dtype=complex))
 
 
+# Per-factor functions with complex (psi, the flow) and real (gauge) values.
+FACTORWISE = {
+    "gauge": lambda f, z: f.gauge(z),
+    "disk_to_domain": diskmap.disk_to_domain,
+    "char_flow_2d": lambda f, z: dynamics.char_flow_2d(f, z, 0.7),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("name", list(FACTORWISE))
+def test_factorwise_matches_stacked_calls(name, shape):
+    """The filled array equals np.stack of the per-factor calls."""
+    factors = [geometry2d.cosine_profile(1.0),
+               geometry2d.weierstrass_profile(terms=20)]
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    fn = FACTORWISE[name]
+    expected = np.stack([fn(f, z[..., i]) for i, f in enumerate(factors)],
+                        axis=-1)
+    got = product.factorwise(fn, factors, z)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_factorwise_passes_per_point_arguments():
+    """Extra arguments reach every factor; times broadcast per point."""
+    factors = [geometry2d.disk_profile(1.0), geometry2d.cosine_profile(2.0)]
+    z = np.array([[0.3 + 0.1j, -0.2 + 0.5j], [0.0j, 0.4 - 0.4j]])
+    t = np.array([0.25, -1.5])
+    expected = np.stack([dynamics.char_flow_2d(f, z[:, i], t)
+                         for i, f in enumerate(factors)], axis=-1)
+    np.testing.assert_array_equal(
+        product.factorwise(dynamics.char_flow_2d, factors, z, t), expected)
+
+
 def test_mc_volume_ball():
     domain = two_disks(1.0, 1.0)
     est = product.mc_volume(domain, 200000, seed=5)
