@@ -185,7 +185,8 @@ def cmd_boundary_minimal(args):
 
 
 def cmd_boxdim(args):
-    scales = 2.0 ** -np.arange(args.min_exp, args.max_exp + 1)
+    with np.errstate(over="ignore"):  # inf scales are rejected downstream
+        scales = 2.0 ** -np.arange(args.min_exp, args.max_exp + 1)
     if args.target == "boundary":
         if args.family != "weierstrass":
             raise ValueError("--target boundary takes only --family "

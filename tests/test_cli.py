@@ -222,6 +222,13 @@ def test_selftest_output_file(tmp_path, capsys):
      "--seed", "1"],
     ["boundary-minimal", "--spec", str(SPECS / "disks_1_1.spec"),
      "--samples", "0", "--seed", "1"],
+    # 2^-1076 .. 2^-1080 underflow to 0, 2^1096 .. 2^1100 overflow to inf
+    ["boxdim", "--min-exp", "1076", "--max-exp", "1080", "--seed", "1"],
+    ["boxdim", "--min-exp", "-1100", "--max-exp", "-1096", "--seed", "1"],
+    ["boxdim", "--target", "boundary", "--min-exp", "1076",
+     "--max-exp", "1080", "--seed", "1"],
+    ["boxdim", "--target", "boundary", "--min-exp", "-1100",
+     "--max-exp", "-1096", "--seed", "1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
@@ -231,7 +238,9 @@ def test_selftest_output_file(tmp_path, capsys):
         "conjugacy-no-samples", "boxdim-b-overflow", "boxdim-b-infinite",
         "map-grid-zero", "flow-steps-zero", "volume-threads-zero",
         "selftest-threads-zero", "sandwich-no-samples",
-        "boundary-minimal-no-samples"])
+        "boundary-minimal-no-samples", "boxdim-zero-scale",
+        "boxdim-infinite-scale", "boxdim-boundary-zero-scale",
+        "boxdim-boundary-infinite-scale"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}

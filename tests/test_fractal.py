@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symprod import fractal, geometry2d
@@ -114,6 +114,23 @@ def test_weierstrass_eval_matches_series():
     assert np.allclose(fn(x), expected, atol=1e-12)
 
 
+# Largest |W(j / 4096) - exact| over j = 0..4096 measured with numpy 2.4:
+# 1.63e-10 at b = 3 (2.97e-10 before phases were reduced before cos), and
+# 0 at b = 4, where b^k x is exact (5.88e-8 before).
+DYADIC_BOUND = {3: 2e-10, 4: 1e-15}
+
+
+@pytest.mark.parametrize("b", sorted(DYADIC_BOUND))
+def test_weierstrass_series_matches_exact_dyadic_phases(b):
+    """At x = j / 2^12 the phase b^k x mod 1 is (b^k j mod 2^12) / 2^12."""
+    j = np.arange(4097)
+    exact = sum(0.5 ** k * np.cos(TWO_PI * ((pow(b, k, 4096) * j) % 4096
+                                             / 4096))
+                for k in range(31))
+    got = fractal.Weierstrass(a=0.5, b=float(b), terms=30)(j / 4096)
+    assert np.max(np.abs(got - exact)) <= DYADIC_BOUND[b]
+
+
 def test_graph_dimension_formula():
     fn = fractal.Weierstrass(a=0.5, b=3.0, terms=10)
     assert fn.graph_dimension == pytest.approx(
@@ -200,6 +217,39 @@ def test_estimate_dimension_requires_enough_scales():
         fractal.estimate_dimension([0.5, 0.25], [2, 4])
 
 
+FIVE_SCALES = 2.0 ** -np.arange(3.0, 8.0)
+BAD_SCALES = {"zero": 0.0, "negative": -0.125, "nan": np.nan, "inf": np.inf}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCALES))
+def test_count_scales_rejects_bad_scale(bad):
+    scales = FIVE_SCALES.copy()
+    scales[2] = BAD_SCALES[bad]
+    with pytest.raises(ValueError, match="scales"):
+        fractal.count_scales(fractal.graph_sampler(WEIER), scales)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCALES))
+def test_estimate_dimension_rejects_bad_scale(bad):
+    scales = FIVE_SCALES.copy()
+    scales[2] = BAD_SCALES[bad]
+    with pytest.raises(ValueError, match="scales"):
+        fractal.estimate_dimension(scales, 1.0 / FIVE_SCALES)
+
+
+@pytest.mark.parametrize("bad", [0.0, -4.0, np.nan, np.inf])
+def test_estimate_dimension_rejects_bad_count(bad):
+    counts = 1.0 / FIVE_SCALES
+    counts[2] = bad
+    with pytest.raises(ValueError, match="counts"):
+        fractal.estimate_dimension(FIVE_SCALES, counts)
+
+
+def test_estimate_dimension_rejects_count_length_mismatch():
+    with pytest.raises(ValueError, match="one count per scale"):
+        fractal.estimate_dimension(FIVE_SCALES, 1.0 / FIVE_SCALES[:4])
+
+
 def test_fill_segments_covers_jumps():
     x = np.array([0.0, 1.0])
     y = np.array([0.0, 1.0])
@@ -215,6 +265,23 @@ def test_boundary_patch_rejects_singular_box():
         fractal.boundary_patch_counts(profile, [1.0],
                                       scales=2.0 ** -np.arange(3, 8),
                                       r1_range=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("config", [
+    dict(n_offsets=0), dict(n_offsets=-1), dict(n_offsets=1.5),
+    dict(oversample=0), dict(oversample=-8), dict(oversample=np.inf),
+    dict(pitch_factor=0.0), dict(pitch_factor=-2.0),
+    dict(pitch_factor=np.nan), dict(scales=[0.25, 0.0, 0.0625]),
+    dict(scales=[0.25, np.inf]), dict(scales=[-0.25])],
+    ids=["offsets-zero", "offsets-negative", "offsets-fraction",
+         "oversample-zero", "oversample-negative", "oversample-inf",
+         "pitch-zero", "pitch-negative", "pitch-nan", "scale-zero",
+         "scale-inf", "scale-negative"])
+def test_boundary_patch_rejects_bad_parameters(config):
+    config = {"scales": 2.0 ** -np.arange(3, 5), **config}
+    with pytest.raises(ValueError):
+        fractal.boundary_patch_counts(geometry2d.disk_profile(np.pi), [1.0],
+                                      **config)
 
 
 def test_boundary_patch_rejects_multiple_tail_factors():
@@ -321,6 +388,44 @@ def test_column_cells_match_box_count(y, gaps, pitch, offset):
                                  offset=off)
     assert fractal.column_cells(x, *fractal.fill_extents(y, pitch), eps,
                                 off) == expected
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.one_of(INT64, st.integers(-3, 3)), max_size=200))
+@example(keys=[])
+@example(keys=[-7])
+@example(keys=[5] * 9)
+@example(keys=[-2 ** 63, 2 ** 63 - 1, -1, 0, -1, -2 ** 63])
+def test_distinct_matches_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = fractal._distinct(keys)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(keys))
+
+
+def test_box_counters_never_hash(monkeypatch):
+    """box_count and boundary_patch_counts never take np.unique's hash path.
+
+    numpy >= 2.3 hashes exactly when np.unique is asked for no index,
+    inverse or counts.
+    """
+    unique = np.unique
+
+    def sorting_unique(ar, **kwargs):
+        if not any(kwargs.get(f"return_{k}") for k in
+                   ("index", "inverse", "counts")):
+            raise AssertionError("plain np.unique hashes its keys")
+        return unique(ar, **kwargs)
+
+    monkeypatch.setattr(np, "unique", sorting_unique)
+    profile, tail, scales, config = PATCH_CASES["theta2-window"]
+    assert np.all(fractal.boundary_patch_counts(profile, tail, scales,
+                                                **config) > 0)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 3))
+    assert fractal.box_count(pts, 0.5) == 64
 
 
 def test_count_scales_builds_no_point_cloud(monkeypatch):
