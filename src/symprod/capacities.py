@@ -140,6 +140,7 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     a = common_area(domain)
     if not target_area < a:
         raise ValueError("target area must be strictly below the common area")
+    point.check_factors(len(factors))
     if np.any(point.levels <= 0.0):
         raise ValueError(
             "boundary point must have all factor coordinates nonzero")

@@ -17,12 +17,8 @@ from . import __version__, capacities, diskmap, dynamics, fractal, geometry2d
 from . import product as product_mod
 from .dynamics import FlowPoint
 from .geometry2d import TWO_PI
-from .selftest import run_selftest
+from .selftest import _fmt, run_selftest
 from .specfile import SpecFileError, load_spec
-
-
-def _fmt(value):
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _emit(args, lines):
@@ -136,6 +132,9 @@ def cmd_flow(args):
 
 
 def cmd_conjugacy(args):
+    if not 0.0 <= args.tolerance < np.inf:
+        raise ValueError("--tolerance must be finite and nonnegative, "
+                         f"got {args.tolerance}")
     residuals = dynamics.sample_conjugacy_residuals(
         load_spec(args.spec), args.samples, args.seed)
     _emit(args, [f"samples = {args.samples}",
@@ -187,6 +186,10 @@ def cmd_boundary_minimal(args):
 def cmd_boxdim(args):
     with np.errstate(over="ignore"):  # inf scales are rejected downstream
         scales = 2.0 ** -np.arange(args.min_exp, args.max_exp + 1)
+    if scales.size < fractal.MIN_SCALES:
+        raise ValueError(f"--min-exp {args.min_exp} to --max-exp "
+                         f"{args.max_exp} gives {scales.size} scales; need "
+                         f"at least {fractal.MIN_SCALES}")
     if args.target == "boundary":
         if args.family != "weierstrass":
             raise ValueError("--target boundary takes only --family "

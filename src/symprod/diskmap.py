@@ -259,14 +259,16 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     where rho = 1 get psi exactly, points where rho = 0 are returned
     unchanged, and the rest are integrated by RK4 with ``config.steps``
     fixed steps. With ``inverse`` set, the flow runs backwards from t = 1
-    (psi^-1 in the exact band).
+    (psi^-1 in the exact band); it is one flag or a mask that broadcasts
+    to z.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
+    inverse = np.broadcast_to(inverse, z.shape).reshape(-1)
     out, ramp = _banded_map(profile, config, flat, inverse)
     if np.any(ramp):
         out[ramp] = _rk4(_CellTable([profile], [config]), 0, flat[ramp],
-                         inverse, config.steps)
+                         inverse[ramp], config.steps)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

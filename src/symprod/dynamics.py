@@ -40,6 +40,12 @@ class FlowPoint:
         if np.any(self.levels < 0.0):
             raise ValueError("levels must be nonnegative")
 
+    def check_factors(self, n):
+        """Raise ValueError unless the point has one coordinate per factor."""
+        if self.levels.shape != (n,):
+            raise ValueError(f"point has {self.levels.size} coordinates, "
+                             f"expected {n}")
+
 
 def char_flow_2d(profile, z, t):
     """Closed-form characteristic flow: sector area swept equals t.
@@ -126,6 +132,7 @@ def orbit_period(domain, point, denominator_bound=1000):
     period.
     """
     factors = two_product(domain).factors
+    point.check_factors(len(factors))
     areas = np.array([f.area for f in factors])[point.levels > ACTIVE_LEVEL]
     if areas.size < 2:
         return float(areas[0]) if areas.size else None

@@ -11,7 +11,10 @@ since floor is monotone the column holds floor(hi / eps) - floor(lo / eps)
 count of the cloud's distinct cells. The 4-D boundary patch of a 2-product
 is counted without its point cloud: each occupied cell of the fractal
 factor contributes the union of the cells that its circles in the
-ellipsoid factor meet.
+ellipsoid factor meet. Its (r_1, theta_1) parameter grid still holds
+about (r_1 span)(theta_1 span) oversample (pitch_factor / eps)^2 samples,
+32 / eps^2 at the defaults, so boundary_patch_counts refuses any scale
+whose grid exceeds PATCH_GRID_BUDGET before it counts one.
 
 Distinct cells are found by sorting their int64 keys and keeping each
 key that differs from its predecessor (``_distinct``), never by a plain
@@ -96,6 +99,16 @@ def make_fractal(family, **params):
 
 # Most int64 keys boundary_patch_counts sorts in one _distinct call.
 PATCH_KEY_BUDGET = 1 << 21
+# Most (r_1, theta_1) samples boundary_patch_counts builds at one scale. At
+# its defaults on weierstrass_profile(), one scale on a 2-vCPU Xeon peaked
+# at 211 MB RSS in 13 s with 2^19 samples (eps = 2^-7) and at 346 MB in
+# 96 s with 2^21 (2^-8): about 90 bytes per further sample, so some 0.55 GB
+# at this budget, and about 7x the time for 4x the samples.
+PATCH_GRID_BUDGET = 1 << 22
+# Least 1 - (r_1 / R_1(theta_1))^2 on a patch, off the singular r_2 = 0.
+PATCH_MARGIN = 0.05
+# Fewest scales estimate_dimension fits a slope to.
+MIN_SCALES = 5
 # Samples a GraphSampler evaluates and fills at a time, bounding memory.
 GRAPH_CHUNK = 1 << 20
 # count_scales samples graphs at pitch eps / PITCH_FACTOR, so the fill
@@ -199,8 +212,8 @@ def estimate_dimension(scales, counts, bootstrap=0, seed=0):
     """OLS slope of log N versus log(1/eps) over the declared scale window."""
     scales = _check_scales(scales)
     counts = np.asarray(counts, dtype=float)
-    if scales.size < 5:
-        raise ValueError("need at least 5 scales")
+    if scales.size < MIN_SCALES:
+        raise ValueError(f"need at least {MIN_SCALES} scales")
     if counts.shape != scales.shape:
         raise ValueError("need one count per scale")
     if not np.all((counts > 0.0) & np.isfinite(counts)):
@@ -333,16 +346,20 @@ def product_interval_count(base_counts, scales):
     return np.asarray(base_counts) * np.ceil(1.0 / scales)
 
 
+def _grid_size(lo, hi, pitch):
+    """Point count of _grid(lo, hi, pitch), as a float that may be inf."""
+    return max(np.ceil((hi - lo) / pitch), 1.0) + 1.0
+
+
 def _grid(lo, hi, pitch):
     """Inclusive grid over [lo, hi] that never oversteps hi."""
-    n = max(int(np.ceil((hi - lo) / pitch)), 1)
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, int(_grid_size(lo, hi, pitch)))
 
 
 def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                           r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
-                          theta2_range=(0.0, 1.0), margin=0.05,
-                          oversample=8, n_offsets=2, pitch_factor=4.0):
+                          theta2_range=(0.0, 1.0), oversample=8,
+                          n_offsets=2, pitch_factor=4.0):
     """Dithered box counts of a boundary patch of (profile) x_2 E(a_2).
 
     The patch is the set of points (z_1, r_2 e^{i theta_2}): z_1 runs over
@@ -358,6 +375,10 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
     one union. Every sample of the (r_1, theta_1) grid and its fill is
     built in one whole-array pass; a fill point's z_1 is that of the
     sample it sits over.
+
+    A box with 1 - (r_1 / R_1(theta_1))^2 < PATCH_MARGIN is a ValueError,
+    and so, before any scale is counted, is a scale whose (r_1, theta_1)
+    grid exceeds PATCH_GRID_BUDGET samples.
     """
     scales = _check_scales(scales)
     for name, value in (("oversample", oversample),
@@ -370,6 +391,16 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
     if len(tail_areas) != 1:
         raise NotImplementedError(
             "full-dimensional counting is limited to one ellipsoid factor")
+    for eps in scales:
+        pitch = eps / pitch_factor
+        size = (_grid_size(r1_range[0], r1_range[1], pitch) *
+                _grid_size(theta1_range[0], theta1_range[1],
+                           pitch / oversample))
+        if not size <= PATCH_GRID_BUDGET:
+            raise ValueError(
+                f"scale {eps:g} needs {size:.3g} (r1, theta1) samples, over "
+                f"the budget of {PATCH_GRID_BUDGET}; use coarser scales or a "
+                "smaller parameter box")
     a2 = tail_areas[0]
     rng = np.random.default_rng(seed)
     rmax = max(profile.max_radius * r1_range[1] * 1.5,
@@ -383,7 +414,7 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
         t2 = _grid(theta2_range[0], theta2_range[1],
                    pitch / max(np.sqrt(a2 / np.pi), 1.0))
         radicand = 1.0 - (r1 / profile.radius(t1)) ** 2
-        if np.min(radicand) < margin:
+        if np.min(radicand) < PATCH_MARGIN:
             raise ValueError(
                 "parameter box reaches the singular locus; shrink r1_range")
         # fill vertically along the fractal axis so no grid cell crossed by

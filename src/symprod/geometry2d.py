@@ -372,12 +372,10 @@ def weierstrass_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, N=4096):
     """Disk-like profile perturbed by a Weierstrass series in the angle.
 
     Fractal presets force linear interpolation: cubic overshoot can drive
-    the interpolated radius negative.
+    the interpolated radius negative. It is hunt_profile with zero phases.
     """
     _check_weierstrass(a, b, terms)
-    theta = np.arange(N) * (TWO_PI / N)
-    radii = r0 + amplitude * weierstrass_series(theta / TWO_PI, a, b, terms)
-    return RadialProfile(radii, "linear")
+    return hunt_profile(r0, amplitude, a, b, terms, np.zeros(terms + 1), N=N)
 
 
 def hunt_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, phases=None,

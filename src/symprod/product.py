@@ -186,11 +186,8 @@ def mc_volume(domain, samples, seed, threads=1):
         pts = sample_complex_box(rng, radii, size)
         return int(np.count_nonzero(domain.gauge(pts) <= 1.0))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(count_block, blocks))
-    else:
-        hits = sum(map(count_block, blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        hits = sum(pool.map(count_block, blocks))
 
     frac = hits / samples
     est = frac * box_volume

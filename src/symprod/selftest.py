@@ -16,8 +16,8 @@ from . import capacities, diskmap, dynamics, fractal, geometry2d, product
 from .geometry2d import TWO_PI
 
 
-def _fmt(x):
-    return f"{x:.12g}"
+def _fmt(value):
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _standard_factors():

@@ -127,7 +127,7 @@ def test_criterion_10_fractal_dimension(capsys):
         wp, [36.0], frac_scales, seed=110,
         r1_range=(0.7 * r_lo, 0.97 * r_lo),
         theta1_range=(tmin - 0.2, tmin + 0.2), theta2_range=(0.0, 0.45),
-        oversample=1, pitch_factor=2, n_offsets=1, margin=0.04)
+        oversample=1, pitch_factor=2, n_offsets=1)
     frac_est = fractal.estimate_dimension(frac_scales, frac_counts)
 
     target1 = fn.graph_dimension  # 2 + log 0.5 / log 3 = 1.3691

@@ -89,6 +89,16 @@ def test_boundary_minimal_experiment():
     assert report.checked > 0
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_boundary_minimal_rejects_wrong_coordinate_count(k):
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.0)]
+    point = FlowPoint(angles=np.zeros(k), levels=np.full(k, np.sqrt(1 / k)))
+    with pytest.raises(ValueError,
+                       match=f"point has {k} coordinates, expected 2"):
+        capacities.boundary_minimal_experiment(
+            factors, point, width=0.9, target_area=0.9, samples=1000, seed=2)
+
+
 def test_boundary_minimal_requires_equal_areas():
     factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(2.0)]
     point = FlowPoint(angles=[0.0, 0.0], levels=np.sqrt([0.5, 0.5]))

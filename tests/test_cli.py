@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from symprod import fractal, geometry2d
 from symprod.cli import build_parser, run
 from symprod.selftest import run_selftest
 
@@ -229,6 +230,10 @@ def test_selftest_output_file(tmp_path, capsys):
      "--max-exp", "1080", "--seed", "1"],
     ["boxdim", "--target", "boundary", "--min-exp", "-1100",
      "--max-exp", "-1096", "--seed", "1"],
+    ["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+     "--tolerance", "nan"],
+    ["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+     "--tolerance", "-1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
@@ -240,7 +245,8 @@ def test_selftest_output_file(tmp_path, capsys):
         "selftest-threads-zero", "sandwich-no-samples",
         "boundary-minimal-no-samples", "boxdim-zero-scale",
         "boxdim-infinite-scale", "boxdim-boundary-zero-scale",
-        "boxdim-boundary-infinite-scale"])
+        "boxdim-boundary-infinite-scale", "conjugacy-nan-tolerance",
+        "conjugacy-negative-tolerance"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}
@@ -254,6 +260,28 @@ def test_usage_error_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["boxdim", "--target", "boundary", "--seed", "1"], "budget"),
+    (["boxdim", "--target", "boundary", "--min-exp", "4", "--max-exp", "7",
+      "--seed", "1"], "need at least 5"),
+    (["boxdim", "--min-exp", "4", "--max-exp", "7", "--seed", "1"],
+     "need at least 5"),
+], ids=["boundary-defaults", "boundary-few-scales", "function-few-scales"])
+def test_boxdim_refuses_before_counting(argv, message, monkeypatch, capsys):
+    """Exit 2 with no box counted: the counters and the patch grid's radius
+    evaluation fail the test if they are ever called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("boxdim counted before checking its scales")
+
+    monkeypatch.setattr(geometry2d.RadialProfile, "radius", forbidden)
+    monkeypatch.setattr(fractal, "count_scales", forbidden)
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_readme_examples_parse():

@@ -252,6 +252,24 @@ def test_frozen_band_is_identity(inverse):
     assert np.array_equal(w, z)
 
 
+@pytest.mark.parametrize("name", ["weierstrass", "square", "cosine"])
+def test_cutoff_map_takes_a_per_point_inverse_mask(name):
+    """Each point of a masked call equals its scalar-flag call, bit for bit,
+    in all three bands; the points and mask are 2-d."""
+    profile = preset_profiles()[name]
+    config = sandwich_config(profile)
+    rng = np.random.default_rng(22)
+    u = 2.0 * config.delta / np.pi * rng.uniform(0.0, 1.0, (3, 40))
+    z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
+    inverse = rng.random(u.shape) < 0.5
+    _, ramp = diskmap._banded_map(profile, config, z.ravel(), inverse.ravel())
+    assert 0 < np.count_nonzero(ramp) < ramp.size
+    w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
+    expected = [diskmap.cutoff_disk_map(profile, config, p, inverse=back)
+                for p, back in zip(z.ravel(), inverse.ravel())]
+    np.testing.assert_array_equal(w, np.reshape(expected, z.shape))
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("name", [*sandwich_factors(), "cosine"])
 def test_trajectories_from_exact_threshold_stay_where_rho_is_one(name,

@@ -268,6 +268,15 @@ def test_orbit_period_single_active_factor():
     assert dynamics.orbit_period(factors, point) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_orbit_period_rejects_wrong_coordinate_count(k):
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.5)]
+    point = FlowPoint(angles=np.zeros(k), levels=np.full(k, np.sqrt(1 / k)))
+    with pytest.raises(ValueError,
+                       match=f"point has {k} coordinates, expected 2"):
+        dynamics.orbit_period(factors, point)
+
+
 def test_orbit_period_exact_rational_areas():
     f1 = geometry2d.disk_profile(0.5)
     f2 = geometry2d.disk_profile(0.75)

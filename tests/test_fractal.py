@@ -284,6 +284,32 @@ def test_boundary_patch_rejects_bad_parameters(config):
                                       **config)
 
 
+class UnevaluatedProfile:
+    """A profile whose radius fails the test if a patch grid evaluates it."""
+
+    max_radius = 1.1
+
+    def radius(self, theta):
+        raise AssertionError("the (r1, theta1) grid was evaluated")
+
+
+def test_boundary_patch_checks_grid_budget_before_counting(monkeypatch):
+    """Every scale's grid is checked before the first is counted. At the
+    defaults the grid at 2^-4 holds 17 x 513 samples and the one at 2^-9
+    513 x 16385, over the budget. A budget of 17 x 513 - 1 refuses 2^-4,
+    and one of exactly 17 x 513 counts it."""
+    with pytest.raises(ValueError, match="scale 0.00195312 .*budget"):
+        fractal.boundary_patch_counts(UnevaluatedProfile(), [1.0],
+                                      [2.0 ** -4, 2.0 ** -9])
+    monkeypatch.setattr(fractal, "PATCH_GRID_BUDGET", 17 * 513 - 1)
+    with pytest.raises(ValueError, match="scale 0.0625 "):
+        fractal.boundary_patch_counts(UnevaluatedProfile(), [1.0],
+                                      [2.0 ** -4])
+    monkeypatch.setattr(fractal, "PATCH_GRID_BUDGET", 17 * 513)
+    assert fractal.boundary_patch_counts(geometry2d.disk_profile(np.pi),
+                                         [1.0], [2.0 ** -4])[0] > 0
+
+
 def test_boundary_patch_rejects_multiple_tail_factors():
     profile = geometry2d.disk_profile(np.pi)
     with pytest.raises(NotImplementedError):
