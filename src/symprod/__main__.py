@@ -1,0 +1,6 @@
+"""``python -m symprod``: the ``symprod`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

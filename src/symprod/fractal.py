@@ -16,12 +16,19 @@ about (r_1 span)(theta_1 span) oversample (pitch_factor / eps)^2 samples,
 32 / eps^2 at the defaults, so boundary_patch_counts refuses any scale
 whose grid exceeds PATCH_GRID_BUDGET before it counts one.
 
+count_scales evaluates the graph once, at the pitch of its finest scale,
+and reads each coarser scale whose pitch is an exact integer multiple of
+that pitch off every r-th sample; other scales are evaluated at their own
+pitch.
+
 Distinct cells are found by sorting their int64 keys and keeping each
 key that differs from its predecessor (``_distinct``), never by a plain
 np.unique: from numpy 2.3 on that runs a hash table, which is 20-50
 times slower than the sort on 2e4 to 2e6 keys. Before 2.3 np.unique
 itself sorted and masked, so the helper returns what np.unique does on
-every numpy from 1.24 to 2.4.
+every numpy from 1.24 to 2.4. The patch's r_2 sets are deduplicated the
+same way, by one lexsort of their rows (``_distinct_rows``), not by
+np.unique(axis=0), which sorts the rows as slow structured records.
 """
 
 from __future__ import annotations
@@ -109,7 +116,7 @@ PATCH_GRID_BUDGET = 1 << 22
 PATCH_MARGIN = 0.05
 # Fewest scales estimate_dimension fits a slope to.
 MIN_SCALES = 5
-# Samples a GraphSampler evaluates and fills at a time, bounding memory.
+# Samples a GraphSampler passes to fn at a time, bounding fn's temporaries.
 GRAPH_CHUNK = 1 << 20
 # count_scales samples graphs at pitch eps / PITCH_FACTOR, so the fill
 # spacing stays below eps, which column-range counting needs, and averages
@@ -139,9 +146,26 @@ def _distinct(keys):
     return keys[_run_starts(keys)]
 
 
+def _distinct_rows(rows):
+    """np.unique(rows, axis=0, return_counts=True) of a 2-D int array.
+
+    One lexsort with the first column as its primary key orders the rows as
+    np.unique does; a row starts a run when any entry differs from the row
+    before it.
+    """
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.empty(rows.shape[0], dtype=bool)
+    new[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    start = np.flatnonzero(new)
+    return rows[start], np.diff(start, append=rows.shape[0])
+
+
 def _check_scales(scales):
-    """Box sizes as a float array, each positive and finite."""
+    """Box sizes as a 1-D float array, each positive and finite."""
     scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1:
+        raise ValueError("scales must be a 1-D array of box sizes")
     if not np.all((scales > 0.0) & np.isfinite(scales)):
         raise ValueError("scales must be positive and finite")
     return scales
@@ -180,20 +204,45 @@ def column_cells(x, lo, hi, eps, offset):
     return int(np.sum(top - bottom)) + start.size
 
 
+def _stride(pitch, fine):
+    """The integer r with pitch == r * fine exactly, or 0 if there is none.
+
+    fmod is exact, so it is 0 just when pitch is an integer multiple of
+    fine; that integer is then a float, and pitch / fine rounds to it.
+    """
+    return int(pitch / fine) if math.fmod(pitch, fine) == 0.0 else 0
+
+
 def count_scales(sampler, scales, seed=0):
     """Dithered box counts N(eps) of a graph sampler's filled graph.
 
     Each scale samples at pitch eps / PITCH_FACTOR and averages
     column_cells over N_OFFSETS random grid origins; the counts equal
     box_count over the filled point cloud sampler(pitch), which is never
-    built.
+    built. The graph is evaluated once, at the finest pitch. A scale whose
+    pitch is exactly r times the finest takes every r-th finest sample:
+    pitch * i and finest * (r * i) round the same real number, so its
+    samples are bit for bit its own. Any other scale is evaluated at its
+    own pitch.
     """
     scales = _check_scales(scales)
     rng = np.random.default_rng(seed)
+    pitches = scales / PITCH_FACTOR
+    fine = pitches.min(initial=np.inf)
+    strides = [_stride(pitch, fine) for pitch in pitches]
+    # a nested scale's samples are the finest ones up to index stop - 1,
+    # which can lie past the finest scale's own last sample
+    stops = [r * (_sample_count(pitch) - 1) + 1
+             for r, pitch in zip(strides, pitches)]
+    x, y = sampler.samples(fine, max(stops, default=0))
     counts = []
-    for eps in scales:
-        x, lo, hi = sampler.column_extents(eps / PITCH_FACTOR)
-        cells = [column_cells(x, lo, hi, eps, rng.uniform(0.0, eps, 2))
+    for eps, pitch, r, stop in zip(scales, pitches, strides, stops):
+        if r:
+            xs, ys = x[:stop:r], y[:stop:r]
+        else:
+            xs, ys = sampler.samples(pitch)
+        lo, hi = fill_extents(ys, pitch)
+        cells = [column_cells(xs, lo, hi, eps, rng.uniform(0.0, eps, 2))
                  for _ in range(N_OFFSETS)]
         counts.append(float(np.mean(cells)))
     return np.asarray(counts)
@@ -299,35 +348,41 @@ def fill_extents(y, pitch):
     return np.minimum(y, last), np.maximum(y, last)
 
 
+def _sample_count(pitch):
+    """Samples x = pitch * i, i = 0, 1, ..., that cover [0, 1]."""
+    return int(np.ceil(1.0 / pitch)) + 1
+
+
 @dataclass(frozen=True)
 class GraphSampler:
     """The filled graph of ``fn`` over [0, 1] at a given pitch.
 
-    ``fn`` is evaluated GRAPH_CHUNK samples at a time, each chunk after the
-    first repeating the previous sample so fill spans chunk boundaries.
-    Calling the sampler returns the filled point cloud; column_extents
-    returns the per-sample hulls that count_scales counts instead.
+    ``fn`` must act elementwise: samples() evaluates it GRAPH_CHUNK samples
+    at a time, and count_scales reads a coarser scale's values off the
+    finest scale's samples, from its one samples() call. Calling the
+    sampler returns the filled point cloud; count_scales counts the
+    per-sample hulls of that fill (fill_extents) instead.
     """
 
     fn: object
 
-    def _chunks(self, pitch):
-        n = int(np.ceil(1.0 / pitch)) + 1
+    def samples(self, pitch, n=None):
+        """Abscissae x_i = pitch * i for i < n, and fn(x).
+
+        n defaults to the _sample_count(pitch) samples that cover [0, 1].
+        """
+        if n is None:
+            n = _sample_count(pitch)
+        x = pitch * np.arange(n)
+        y = np.empty_like(x)
         for start in range(0, n, GRAPH_CHUNK):
-            stop = min(start + GRAPH_CHUNK, n)
-            x = pitch * np.arange(start, stop)
-            if start > 0:
-                x = np.concatenate(([pitch * (start - 1)], x))
-            yield x, self.fn(x)
+            y[start:start + GRAPH_CHUNK] = self.fn(
+                x[start:start + GRAPH_CHUNK])
+        return x, y
 
     def __call__(self, pitch):
-        return np.concatenate([fill_segments(x, y, pitch)
-                               for x, y in self._chunks(pitch)])
-
-    def column_extents(self, pitch):
-        """(x, lo, hi) per sample, in nondecreasing x; see fill_extents."""
-        parts = [(x, *fill_extents(y, pitch)) for x, y in self._chunks(pitch)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        x, y = self.samples(pitch)
+        return fill_segments(x, y, pitch)
 
 
 def graph_sampler(fn):
@@ -455,7 +510,7 @@ def _rho_sets(cell, rho_id, n_rho, side):
     rows = np.full((start.size, int(size.max())), -1, dtype=np.int64)
     rows[np.repeat(np.arange(start.size), size),
          np.arange(pair.size) - np.repeat(start, size)] = pair % n_rho
-    return np.unique(rows, axis=0, return_counts=True)
+    return _distinct_rows(rows)
 
 
 def _union_cell_count(sets, mult, rho, circle, rmax, off, eps, side):

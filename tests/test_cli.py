@@ -2,7 +2,10 @@
 
 import io
 import math
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -29,6 +32,25 @@ def test_capacities_table():
     lines = out.splitlines()
     assert lines[0].startswith("# symprod ")
     assert lines[1] == "1,2,2,3"
+
+
+def test_python_dash_m_symprod():
+    """python -m symprod runs the CLI: exit 0, and 2 on a usage error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def symprod(*argv):
+        return subprocess.run([sys.executable, "-m", "symprod", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    ok = symprod("capacities", "--areas", "1,2", "--count", "4")
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[1] == "1,2,2,3"
+    bad = symprod("capacities", "--areas", "1,-2")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
+    assert "Traceback" not in bad.stderr
 
 
 def test_area_command():

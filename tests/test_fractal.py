@@ -61,8 +61,8 @@ def boundary_graph_sampler(profile, a2, r1_range=(0.25, 0.5),
 
 def reference_patch_counts(profile, tail_areas, scales, seed=0,
                            r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
-                           theta2_range=(0.0, 1.0), margin=0.05,
-                           oversample=8, n_offsets=2, pitch_factor=4.0):
+                           theta2_range=(0.0, 1.0), oversample=8,
+                           n_offsets=2, pitch_factor=4.0):
     """boundary_patch_counts by brute force: one 4-D key per (point, theta_2).
 
     Same point set, offsets and float expressions as the library's counter,
@@ -237,6 +237,31 @@ def test_estimate_dimension_rejects_bad_scale(bad):
         fractal.estimate_dimension(scales, 1.0 / FIVE_SCALES)
 
 
+SCALE_CONSUMERS = {
+    "count_scales": lambda scales: fractal.count_scales(
+        fractal.graph_sampler(WEIER), scales),
+    "boundary_patch_counts": lambda scales: fractal.boundary_patch_counts(
+        geometry2d.disk_profile(np.pi), [1.0], scales),
+    "estimate_dimension": lambda scales: fractal.estimate_dimension(
+        scales, np.ones_like(scales)),
+}
+
+
+@pytest.mark.parametrize("shape", ["scalar", "2-d"])
+@pytest.mark.parametrize("consumer", sorted(SCALE_CONSUMERS))
+def test_scales_must_be_one_dimensional(consumer, shape):
+    scales = {"scalar": 0.1, "2-d": [[0.1, 0.05]]}[shape]
+    with pytest.raises(ValueError, match="1-D"):
+        SCALE_CONSUMERS[consumer](scales)
+
+
+@pytest.mark.parametrize("consumer",
+                         ["count_scales", "boundary_patch_counts"])
+def test_counters_take_empty_scales(consumer):
+    counts = SCALE_CONSUMERS[consumer](np.empty(0))
+    assert counts.shape == (0,)
+
+
 @pytest.mark.parametrize("bad", [0.0, -4.0, np.nan, np.inf])
 def test_estimate_dimension_rejects_bad_count(bad):
     counts = 1.0 / FIVE_SCALES
@@ -384,19 +409,46 @@ GRAPH_CASES = {
     "segment": (fractal.graph_sampler(lambda x: 0.3 * x), 5),
     "chunk2": (fractal.graph_sampler(WEIER), 7),
     "chunk997": (fractal.graph_sampler(WEIER), 8),
+    "unnested": (fractal.graph_sampler(WEIER), 9),
+    "ragged": (fractal.graph_sampler(WEIER), 10),
 }
-# Cases that evaluate and fill the graph this many samples at a time.
+# Cases that evaluate the graph this many samples at a time.
 GRAPH_CHUNKS = {"chunk2": 2, "chunk997": 997}
+# Cases on other scales than GRAPH_SCALES. The half-integer exponents of
+# "unnested" are no integer multiple of the finest pitch, so count_scales
+# evaluates them at their own. The pitches of "ragged" are, but 1 / pitch
+# is no integer, so the coarsest scale reaches past the finest's own
+# samples.
+GRAPH_CASE_SCALES = {"unnested": 2.0 ** -np.linspace(4.0, 7.0, 7),
+                     "ragged": 0.3 * 2.0 ** -np.arange(2, 9)}
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
 def test_count_scales_matches_point_cloud(case, monkeypatch):
     sampler, seed = GRAPH_CASES[case]
+    scales = GRAPH_CASE_SCALES.get(case, GRAPH_SCALES)
     if case in GRAPH_CHUNKS:
         monkeypatch.setattr(fractal, "GRAPH_CHUNK", GRAPH_CHUNKS[case])
     np.testing.assert_array_equal(
-        fractal.count_scales(sampler, GRAPH_SCALES, seed=seed),
-        reference_graph_counts(sampler, GRAPH_SCALES, seed=seed))
+        fractal.count_scales(sampler, scales, seed=seed),
+        reference_graph_counts(sampler, scales, seed=seed))
+
+
+@pytest.mark.parametrize("chunk", [None, 997])
+def test_count_scales_evaluates_graph_once(chunk, monkeypatch):
+    """GRAPH_SCALES nest, so fn sees only the finest scale's samples."""
+    if chunk is not None:
+        monkeypatch.setattr(fractal, "GRAPH_CHUNK", chunk)
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return WEIER(x)
+
+    fractal.count_scales(fractal.graph_sampler(fn), GRAPH_SCALES)
+    n_fine = int(np.ceil(fractal.PITCH_FACTOR / GRAPH_SCALES.min())) + 1
+    assert len(sizes) == -(-n_fine // fractal.GRAPH_CHUNK)
+    assert sum(sizes) == n_fine
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,8 +484,40 @@ def test_distinct_matches_np_unique(keys):
     np.testing.assert_array_equal(got, np.unique(keys))
 
 
+def padded_rows(sets):
+    """Each set's ascending ids in one row, padded with -1, as _rho_sets."""
+    rows = np.full((len(sets), max(map(len, sets))), -1, dtype=np.int64)
+    for row, ids in zip(rows, sets):
+        row[:len(ids)] = ids
+    return rows
+
+
+# A few small id sets, some with a run of 500+ further ids, so rows repeat
+# and some are over 500 columns wide.
+RHO_SETS = st.lists(
+    st.tuples(st.sets(st.integers(0, 9), min_size=1),
+              st.sampled_from([0, 3, 501, 600])).map(
+        lambda s: sorted(s[0]) + list(range(10, 10 + s[1]))),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=RHO_SETS)
+@example(sets=[[4]])
+@example(sets=[[0, 2, 7]] * 6)
+@example(sets=[list(range(700)), [1], list(range(700)), [0, 1], [1]])
+def test_distinct_rows_match_np_unique(sets):
+    rows = padded_rows(sets)
+    got, counts = fractal._distinct_rows(rows)
+    want, want_counts = np.unique(rows, axis=0, return_counts=True)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
 def test_box_counters_never_hash(monkeypatch):
-    """box_count and boundary_patch_counts never take np.unique's hash path.
+    """box_count and boundary_patch_counts never take np.unique's hash path,
+    nor its row path, which sorts rows as slow structured records.
 
     numpy >= 2.3 hashes exactly when np.unique is asked for no index,
     inverse or counts.
@@ -441,6 +525,8 @@ def test_box_counters_never_hash(monkeypatch):
     unique = np.unique
 
     def sorting_unique(ar, **kwargs):
+        if kwargs.get("axis") is not None:
+            raise AssertionError("np.unique(axis=...) sorts structured rows")
         if not any(kwargs.get(f"return_{k}") for k in
                    ("index", "inverse", "counts")):
             raise AssertionError("plain np.unique hashes its keys")
