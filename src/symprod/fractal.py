@@ -8,13 +8,20 @@ so within one grid column the filled graph is a chain of values with steps
 shorter than eps. The cells it meets there are therefore contiguous, and
 since floor is monotone the column holds floor(hi / eps) - floor(lo / eps)
 + 1 cells, where lo and hi are the column's extreme values: exactly the
-count of the cloud's distinct cells. The 4-D boundary patch of a 2-product
-is counted without its point cloud: each occupied cell of the fractal
-factor contributes the union of the cells that its circles in the
-ellipsoid factor meet. Its (r_1, theta_1) parameter grid still holds
-about (r_1 span)(theta_1 span) oversample (pitch_factor / eps)^2 samples,
-32 / eps^2 at the defaults, so boundary_patch_counts refuses any scale
-whose grid exceeds PATCH_GRID_BUDGET before it counts one.
+count of the cloud's distinct cells.
+
+The 4-D boundary patch of a 2-product is counted by run intervals. The r_2
+values of each occupied cell of the fractal factor split into runs at gaps
+of eps or more, and each run times the continuous theta_2 window is an
+annular sector of the ellipsoid factor's plane. Within a quadrant a grid
+column meets such a sector in one range of rows, whose ends come in closed
+form, so a sector costs one step per column it crosses; the cell counts
+the union of its sectors' ranges, column by column. The sectors hold every
+point the theta_2-sampled patch had, so the counts are at least that
+point set's. The (r_1, theta_1) parameter grid still holds about (r_1
+span)(theta_1 span) oversample (pitch_factor / eps)^2 samples, 32 / eps^2
+at the defaults, so boundary_patch_counts refuses any scale whose grid
+exceeds PATCH_GRID_BUDGET before it counts one.
 
 count_scales evaluates the graph once, at the pitch of its finest scale,
 and reads each coarser scale whose pitch is an exact integer multiple of
@@ -26,7 +33,7 @@ key that differs from its predecessor (``_distinct``), never by a plain
 np.unique: from numpy 2.3 on that runs a hash table, which is 20-50
 times slower than the sort on 2e4 to 2e6 keys. Before 2.3 np.unique
 itself sorted and masked, so the helper returns what np.unique does on
-every numpy from 1.24 to 2.4. The patch's r_2 sets are deduplicated the
+every numpy from 1.24 to 2.4. The patch's run lists are deduplicated the
 same way, by one lexsort of their rows (``_distinct_rows``), not by
 np.unique(axis=0), which sorts the rows as slow structured records.
 """
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import _check_weierstrass, weierstrass_series
+from .geometry2d import TWO_PI, _check_weierstrass, weierstrass_series
 
 
 def _check_graph(a, b, terms):
@@ -104,13 +111,11 @@ def make_fractal(family, **params):
 
 # -- box counting -----------------------------------------------------------
 
-# Most int64 keys boundary_patch_counts sorts in one _distinct call.
-PATCH_KEY_BUDGET = 1 << 21
 # Most (r_1, theta_1) samples boundary_patch_counts builds at one scale. At
 # its defaults on weierstrass_profile(), one scale on a 2-vCPU Xeon peaked
-# at 211 MB RSS in 13 s with 2^19 samples (eps = 2^-7) and at 346 MB in
-# 96 s with 2^21 (2^-8): about 90 bytes per further sample, so some 0.55 GB
-# at this budget, and about 7x the time for 4x the samples.
+# at 264 MB RSS in 0.7 s with 2^21 samples (eps = 2^-8) and at 485 MB in
+# 1.5 s with 4.15 M (2^-8.49): about 108 bytes per further sample, all of
+# it whole-grid arrays, so some 0.5 GB at this budget.
 PATCH_GRID_BUDGET = 1 << 22
 # Least 1 - (r_1 / R_1(theta_1))^2 on a patch, off the singular r_2 = 0.
 PATCH_MARGIN = 0.05
@@ -417,23 +422,29 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                           n_offsets=2, pitch_factor=4.0):
     """Dithered box counts of a boundary patch of (profile) x_2 E(a_2).
 
-    The patch is the set of points (z_1, r_2 e^{i theta_2}): z_1 runs over
-    the polar box r1_range x theta1_range, with r_2 = sqrt(a_2 (1 -
-    g_1(z_1)^2) / pi) filled vertically along the fractal angle, which is
-    oversampled by ``oversample`` relative to the base pitch eps /
-    pitch_factor; theta_2 runs over a grid of theta2_range. Counts are
-    exact for these points, but no (point x theta_2) array is built. The
-    occupied 4-D cells are the union over occupied z_1 cells c of {c} x
-    (the union of K(rho) over the r_2 values rho in c), where K(rho) is
-    the set of z_2 cells hit by rho e^{i theta_2}; so the count is the sum
-    over c of that union's size, and z_1 cells with the same r_2 set share
-    one union. Every sample of the (r_1, theta_1) grid and its fill is
-    built in one whole-array pass; a fill point's z_1 is that of the
-    sample it sits over.
+    The patch is the set of points (z_1, rho e^{i theta_2}): z_1 runs over
+    the polar box r1_range x theta1_range, whose r_2 = sqrt(a_2 (1 -
+    g_1(z_1)^2) / pi) is filled vertically along the fractal angle, which
+    is oversampled by ``oversample`` relative to the base pitch eps /
+    pitch_factor; theta_2 runs over the continuous window theta2_range.
+    Each occupied z_1 cell c sorts its r_2 values (samples and fill) and
+    splits them into runs wherever neighbours lie eps or more apart; a run
+    [rho_lo, rho_hi] times the window is an annular sector. The occupied
+    4-D cells are the union over c of {c} x (the z_2 cells that c's sectors
+    meet), so the count is the sum over c of that union's size, and z_1
+    cells with the same run list share one union. Each sector is counted
+    column by column in closed form (_sector_columns), so no theta_2 grid
+    is built. Every sampled point (z_1, r_2 e^{i theta_2}) lies in its
+    run's sector, so the count is at least that of the sampled point set.
+    Every sample of the (r_1, theta_1) grid and its fill is built in one
+    whole-array pass; a fill point's z_1 is that of the sample it sits
+    over.
 
-    A box with 1 - (r_1 / R_1(theta_1))^2 < PATCH_MARGIN is a ValueError,
-    and so, before any scale is counted, is a scale whose (r_1, theta_1)
-    grid exceeds PATCH_GRID_BUDGET samples.
+    Each range must be finite with lo < hi, theta2_range at most 2 pi wide,
+    and the tail area positive and finite. A box with 1 - (r_1 /
+    R_1(theta_1))^2 < PATCH_MARGIN is a ValueError, and so, before any
+    scale is counted, is a scale whose (r_1, theta_1) grid exceeds
+    PATCH_GRID_BUDGET samples.
     """
     scales = _check_scales(scales)
     for name, value in (("oversample", oversample),
@@ -442,10 +453,21 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
             raise ValueError(f"{name} must be positive and finite")
     if int(n_offsets) != n_offsets or n_offsets < 1:
         raise ValueError("n_offsets must be a positive integer")
+    for name, (lo, hi) in (("r1_range", r1_range),
+                           ("theta1_range", theta1_range),
+                           ("theta2_range", theta2_range)):
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"{name} must be finite with lo < hi, got "
+                             f"({lo}, {hi})")
+    if theta2_range[1] - theta2_range[0] > TWO_PI:
+        raise ValueError("theta2_range must be at most 2 pi wide")
     tail_areas = [float(a) for a in np.atleast_1d(tail_areas)]
     if len(tail_areas) != 1:
         raise NotImplementedError(
             "full-dimensional counting is limited to one ellipsoid factor")
+    a2 = tail_areas[0]
+    if not 0.0 < a2 < np.inf:
+        raise ValueError(f"tail area must be positive and finite, got {a2}")
     for eps in scales:
         pitch = eps / pitch_factor
         size = (_grid_size(r1_range[0], r1_range[1], pitch) *
@@ -456,18 +478,16 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                 f"scale {eps:g} needs {size:.3g} (r1, theta1) samples, over "
                 f"the budget of {PATCH_GRID_BUDGET}; use coarser scales or a "
                 "smaller parameter box")
-    a2 = tail_areas[0]
     rng = np.random.default_rng(seed)
     rmax = max(profile.max_radius * r1_range[1] * 1.5,
                np.sqrt(a2 / np.pi)) + 1.0
+    pieces = _quadrant_pieces(*theta2_range)
 
     counts = []
     for eps in scales:
         pitch = eps / pitch_factor
         r1 = _grid(r1_range[0], r1_range[1], pitch)[:, None]
         t1 = _grid(theta1_range[0], theta1_range[1], pitch / oversample)
-        t2 = _grid(theta2_range[0], theta2_range[1],
-                   pitch / max(np.sqrt(a2 / np.pi), 1.0))
         radicand = 1.0 - (r1 / profile.radius(t1)) ** 2
         if np.min(radicand) < PATCH_MARGIN:
             raise ValueError(
@@ -476,74 +496,153 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
         # the graph goes uncounted
         r2 = np.sqrt(a2 * radicand / np.pi)
         fill, src = _fill_points(r2, pitch)
-        rho, rho_id = np.unique(np.concatenate((r2.ravel(), fill)),
-                                return_inverse=True)
+        rho = np.concatenate((r2.ravel(), fill))
+        order = np.argsort(rho)
+        rho = rho[order]
         x1 = r1 * np.cos(t1)
         y1 = r1 * np.sin(t1)
-        circle = (np.cos(t2), np.sin(t2))
 
-        side = np.int64(np.ceil(2.0 * rmax / eps)) + 2
+        side = int(np.ceil(2.0 * rmax / eps)) + 2
+        _check_key_range(side * side * rho.size)
         scale_counts = []
         for _ in range(n_offsets):
             off = rng.uniform(0.0, eps, 4)
             i0 = np.floor((x1 + rmax - off[0]) / eps).astype(np.int64)
             i1 = np.floor((y1 + rmax - off[1]) / eps).astype(np.int64)
             cell = (i0 * side + i1).ravel()
-            sets, mult = _rho_sets(np.concatenate((cell, cell[src])), rho_id,
-                                   rho.size, side)
-            scale_counts.append(_union_cell_count(
-                sets, mult, rho, circle, rmax, off, eps, side))
+            runs = _run_lists(np.concatenate((cell, cell[src]))[order], rho,
+                              eps)
+            scale_counts.append(_sector_cell_count(*runs, pieces, rmax, off,
+                                                   eps))
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
 
 
-def _rho_sets(cell, rho_id, n_rho, side):
-    """Distinct r_2 sets of the occupied z_1 cells, with multiplicities.
+def _run_lists(cell, rho, eps):
+    """The runs of the distinct run lists of the occupied z_1 cells.
 
-    Returns (sets, mult): one row of sorted rho ids per distinct set,
-    padded with -1, and the number of z_1 cells that carry it.
+    cell[k] is the z_1 cell of the r_2 value rho[k], and rho ascends. A
+    cell's values, in ascending order, split into runs wherever neighbours
+    lie eps or more apart. Returns (lo, hi, owner, mult): the ends of each
+    run of each distinct list, the list it belongs to, and the number of z_1
+    cells that carry each list.
     """
-    _check_key_range(int(side) ** 2 * n_rho)
-    pair = _distinct(cell * n_rho + rho_id)
-    start = _run_starts(pair // n_rho)
-    size = np.diff(start, append=pair.size)
-    rows = np.full((start.size, int(size.max())), -1, dtype=np.int64)
-    rows[np.repeat(np.arange(start.size), size),
-         np.arange(pair.size) - np.repeat(start, size)] = pair % n_rho
-    return _distinct_rows(rows)
+    n = rho.size
+    # one id per value, shared by equal values: the index of its first copy
+    value = np.arange(n)
+    value[1:][rho[1:] == rho[:-1]] = 0
+    value = np.maximum.accumulate(value)
+    # cell-major keys; a cell's ids ascend, and so do their values
+    cell, value = np.divmod(np.sort(cell * n + value), n)
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    new[1:] |= np.diff(rho[value]) >= eps
+    start = np.flatnonzero(new)
+    run = value[start] * n + np.append(value[start[1:] - 1], value[-1])
+    first = _run_starts(cell[start])
+    size = np.diff(first, append=start.size)
+    rows = np.full((first.size, int(size.max())), -1, dtype=np.int64)
+    rows[np.repeat(np.arange(first.size), size),
+         np.arange(start.size) - np.repeat(first, size)] = run
+    lists, mult = _distinct_rows(rows)
+    owner, col = np.nonzero(lists >= 0)
+    lo, hi = np.divmod(lists[owner, col], n)
+    return rho[lo], rho[hi], owner, mult
 
 
-def _union_cell_count(sets, mult, rho, circle, rmax, off, eps, side):
-    """Sum over distinct sets of multiplicity x |union of K(rho)|.
+def _quadrant_pieces(t0, t1):
+    """The window [t0, t1] cut at multiples of pi / 2, as a (6, pieces) array.
 
-    K(rho) holds the z_2 cells hit by rho e^{i theta_2} over the theta_2
-    grid. Whole sets go through _distinct together, as many as fit in
-    PATCH_KEY_BUDGET keys (a set larger than that alone).
+    Each piece lies in one closed quadrant, where x = rho cos theta and y =
+    rho sin theta keep their signs. Its column holds those signs, sx and
+    sy, then |cos| and |sin| at the piece's end nearer the x axis, c0 and
+    s0, and at its other end, c1 and s1.
     """
-    cos2, sin2 = circle
-    length = np.count_nonzero(sets >= 0, axis=1)
-    members = sets[sets >= 0]
-    end = np.cumsum(length)
-    per_chunk = max(1, PATCH_KEY_BUDGET // cos2.size)
-    plane = side * side
-    total = 0
-    lo = 0
-    while lo < sets.shape[0]:
-        first = end[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(end, first + per_chunk,
-                                             side="right")))
-        _check_key_range((hi - lo) * int(plane))
-        r = rho[members[first:end[hi - 1]]][:, None]
-        i2 = np.floor((r * cos2 + rmax - off[2]) / eps).astype(np.int64)
-        i3 = np.floor((r * sin2 + rmax - off[3]) / eps).astype(np.int64)
-        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), length[lo:hi])
-        key = (owner[:, None] * side + i2) * side + i3
-        # Drop keys equal to their neighbour above or to the left before
-        # the sort: the first occurrence of each key survives, and since
-        # rows run in ascending rho most repeats are such neighbours.
-        fresh = np.ones(key.shape, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        fresh[:, 1:] &= key[:, 1:] != key[:, :-1]
-        total += int(mult[lo:hi][_distinct(key[fresh]) // plane].sum())
-        lo = hi
-    return total
+    half = 0.5 * np.pi
+    pieces = []
+    for k in range(math.floor(t0 / half), math.ceil(t1 / half)):
+        lo, hi = max(t0, k * half), min(t1, (k + 1) * half)
+        if lo < hi:
+            (s0, c0), (s1, c1) = sorted((abs(math.sin(t)), abs(math.cos(t)))
+                                        for t in (lo, hi))
+            pieces.append((1.0 if k % 4 in (0, 3) else -1.0,
+                           1.0 if k % 4 in (0, 1) else -1.0, c0, s0, c1, s1))
+    return np.array(pieces).T
+
+
+def _sector_columns(lo, hi, piece, rmax, off, eps):
+    """Grid rows met by annular sectors, one grid column at a time.
+
+    Sector k is {rho e^{i theta}: lo[k] <= rho <= hi[k], theta in the piece
+    whose _quadrant_pieces column is piece[:, k]}, on the grid with cells
+    floor((x + rmax - off[0]) / eps), floor((y + rmax - off[1]) / eps).
+    Returns (sector, column, row_lo, row_hi) per column a sector meets.
+
+    Fold the piece's quadrant onto the first: u = |x|, v = |y|, and the
+    angle phi from the x axis runs over [phi_0, phi_1]. A line u = c meets
+    the sector in the v interval [L(c), U(c)] with
+        L(c) = max(c tan phi_0, sqrt(lo^2 - c^2)),
+        U(c) = min(c tan phi_1, sqrt(hi^2 - c^2)),
+    the maximum and the minimum of an increasing and a decreasing function.
+    So over a column's u slab L is least at the clamp of their crossing lo
+    cos phi_0 into the slab, U greatest at the clamp of hi cos phi_1, and
+    the column's rows run from the row of the one to that of the other.
+    """
+    sx, sy, c0, s0, c1, s1 = piece
+    flip = sx < 0
+    x_lo = np.where(flip, -hi * c0, lo * c1)
+    x_hi = np.where(flip, -lo * c1, hi * c0)
+    first = np.floor((x_lo + rmax - off[0]) / eps).astype(np.int64)
+    n = np.floor((x_hi + rmax - off[0]) / eps).astype(np.int64) - first + 1
+    sector = np.repeat(np.arange(lo.size), n)
+    column = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
+    left = column * eps - rmax + off[0]
+    a = np.maximum(left, x_lo[sector])
+    b = np.minimum(left + eps, x_hi[sector])
+    flip = flip[sector]
+    u_a = np.where(flip, -b, a)
+    u_b = np.where(flip, -a, b)
+    c = np.minimum(np.maximum((lo * c0)[sector], u_a), u_b)
+    v_min = np.maximum(c * (s0 / c0)[sector],
+                       np.sqrt(np.maximum((lo * lo)[sector] - c * c, 0.0)))
+    c = np.minimum(np.maximum((hi * c1)[sector], u_a), u_b)
+    v_max = np.minimum(c * (s1 / c1)[sector],
+                       np.sqrt(np.maximum((hi * hi)[sector] - c * c, 0.0)))
+    down = sy[sector] < 0
+    y_lo = np.where(down, -v_max, v_min)
+    y_hi = np.where(down, -v_min, v_max)
+    return (sector, column,
+            np.floor((y_lo + rmax - off[1]) / eps).astype(np.int64),
+            np.floor((y_hi + rmax - off[1]) / eps).astype(np.int64))
+
+
+def _sector_cell_count(lo, hi, owner, mult, pieces, rmax, off, eps):
+    """Sum over run lists of mult x |the union of their sectors' cells|.
+
+    Run k, from lo[k] to hi[k], belongs to list owner[k], which mult[j] z_1
+    cells carry. Each run meets the window in one sector per piece. One
+    sort by (list, column, first row) and a running maximum of the last row
+    give the size of each column's union of row ranges.
+    """
+    count = pieces.shape[1]
+    sector, column, row_lo, row_hi = _sector_columns(
+        np.repeat(lo, count), np.repeat(hi, count),
+        np.tile(pieces, lo.size), rmax, off[2:], eps)
+    owner = np.repeat(owner, count)[sector]
+    column -= column.min()
+    shift = row_lo.min()
+    row_lo -= shift
+    row_hi -= shift
+    width = int(max(row_lo.max(), row_hi.max())) + 1
+    columns = int(column.max()) + 1
+    _check_key_range(mult.size * columns * width)
+    base = (owner * columns + column) * width
+    order = np.argsort(base + row_lo)
+    base, row_lo, row_hi = base[order], row_lo[order], row_hi[order]
+    # base + row_hi stays below the next (list, column)'s base, so the
+    # running maximum restarts at each of them
+    top = np.maximum.accumulate(base + row_hi)
+    new = np.maximum(base + row_lo, np.append(base[:1] - 1, top[:-1]) + 1)
+    size = np.maximum(base + row_hi - new + 1, 0)
+    return int(np.dot(size, mult[owner[order]]))

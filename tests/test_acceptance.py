@@ -128,7 +128,8 @@ def test_criterion_10_fractal_dimension(capsys):
         r1_range=(0.7 * r_lo, 0.97 * r_lo),
         theta1_range=(tmin - 0.2, tmin + 0.2), theta2_range=(0.0, 0.45),
         oversample=1, pitch_factor=2, n_offsets=1)
-    frac_est = fractal.estimate_dimension(frac_scales, frac_counts)
+    frac_est = fractal.estimate_dimension(frac_scales, frac_counts,
+                                          bootstrap=200, seed=110)
 
     target1 = fn.graph_dimension  # 2 + log 0.5 / log 3 = 1.3691
     ok = (boxdim_ok and boxdim_time < 10.0 and
@@ -137,7 +138,8 @@ def test_criterion_10_fractal_dimension(capsys):
     report(capsys, "criterion-10 boxdim", ok,
            f"{boxdim_detail}, {boxdim_time:.1f}s (< 10s), "
            f"product={prod_est.slope:.4f} (2.3691±0.15), "
-           f"fractal patch={frac_est.slope:.4f} (3.5±0.2)")
+           f"fractal patch={frac_est.slope:.4f}"
+           f"±{frac_est.ci_halfwidth:.4f} (3.5±0.2)")
 
 
 def test_criterion_11_determinism(capsys):

@@ -59,36 +59,46 @@ def boundary_graph_sampler(profile, a2, r1_range=(0.25, 0.5),
     return sample
 
 
+def patch_points(profile, a2, eps, r1_range, theta1_range, oversample,
+                 pitch_factor):
+    """x_1, y_1 and r_2 of the library's patch samples and fill at eps."""
+    pitch = eps / pitch_factor
+    r1 = fractal._grid(r1_range[0], r1_range[1], pitch)
+    t1 = fractal._grid(theta1_range[0], theta1_range[1], pitch / oversample)
+    R1 = profile.radius(t1)
+    rows = [(r, fractal.fill_segments(
+        t1, np.sqrt(a2 * (1.0 - (r / R1) ** 2) / np.pi), pitch)) for r in r1]
+    t1f = np.concatenate([pts[:, 0] for _, pts in rows])
+    r2 = np.concatenate([pts[:, 1] for _, pts in rows])
+    r1f = np.concatenate([np.full(pts.shape[0], r) for r, pts in rows])
+    return r1f * np.cos(t1f), r1f * np.sin(t1f), r2
+
+
+def patch_rmax(profile, a2, r1_range):
+    return max(profile.max_radius * r1_range[1] * 1.5,
+               np.sqrt(a2 / np.pi)) + 1.0
+
+
 def reference_patch_counts(profile, tail_areas, scales, seed=0,
                            r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
                            theta2_range=(0.0, 1.0), oversample=8,
                            n_offsets=2, pitch_factor=4.0):
-    """boundary_patch_counts by brute force: one 4-D key per (point, theta_2).
+    """The patch's cells met by a theta_2 grid: one 4-D key per (point,
+    theta_2).
 
-    Same point set, offsets and float expressions as the library's counter,
-    so the two must agree exactly.
+    Same point set, offsets and float expressions as the library's counter.
+    Every sampled point lies in its run's sector, so these counts bound the
+    library's from below.
     """
     a2, = tail_areas
     rng = np.random.default_rng(seed)
-    rmax = max(profile.max_radius * r1_range[1] * 1.5,
-               np.sqrt(a2 / np.pi)) + 1.0
+    rmax = patch_rmax(profile, a2, r1_range)
     counts = []
     for eps in np.asarray(scales, dtype=float):
-        pitch = eps / pitch_factor
-        r1 = fractal._grid(r1_range[0], r1_range[1], pitch)
-        t1 = fractal._grid(theta1_range[0], theta1_range[1],
-                           pitch / oversample)
+        x1, y1, r2 = patch_points(profile, a2, eps, r1_range, theta1_range,
+                                  oversample, pitch_factor)
         t2 = fractal._grid(theta2_range[0], theta2_range[1],
-                           pitch / max(np.sqrt(a2 / np.pi), 1.0))
-        R1 = profile.radius(t1)
-        rows = [(r, fractal.fill_segments(
-            t1, np.sqrt(a2 * (1.0 - (r / R1) ** 2) / np.pi), pitch))
-            for r in r1]
-        t1f = np.concatenate([pts[:, 0] for _, pts in rows])
-        r2 = np.concatenate([pts[:, 1] for _, pts in rows])
-        r1f = np.concatenate([np.full(pts.shape[0], r) for r, pts in rows])
-        x1 = r1f * np.cos(t1f)
-        y1 = r1f * np.sin(t1f)
+                           eps / pitch_factor / max(np.sqrt(a2 / np.pi), 1.0))
         side = np.int64(np.ceil(2.0 * rmax / eps)) + 2
         scale_counts = []
         for _ in range(n_offsets):
@@ -102,6 +112,104 @@ def reference_patch_counts(profile, tail_areas, scales, seed=0,
             i3 = np.floor((yc + rmax - off[3]) / eps).astype(np.int64)
             scale_counts.append(
                 np.unique((base[:, None] + i2) * side + i3).size)
+        counts.append(float(np.mean(scale_counts)))
+    return np.asarray(counts)
+
+
+def in_window(x, y, window):
+    t0, t1 = window
+    return np.mod(np.arctan2(y, x) - t0, TWO_PI) <= t1 - t0
+
+
+def sector_cells(lo, hi, window, rmax, off, eps):
+    """Cells (i, j) of the grid floor((z + rmax - off) / eps) whose closed
+    square meets {rho e^{i theta}: lo <= rho <= hi, theta in window}.
+
+    Enumerates the cells of the box [-hi, hi]^2. Square and sector are
+    connected and closed, so they meet just when a corner of the square
+    lies in the sector or the square meets the sector's boundary: a radial
+    edge, clipped to the square (which takes in the arcs' ends), or a point
+    where a circle of radius lo or hi crosses an edge of the square at an
+    angle in the window.
+    """
+    first = np.floor((-hi + rmax - off) / eps).astype(np.int64)
+    last = np.floor((hi + rmax - off) / eps).astype(np.int64)
+    i, j = (g.ravel() for g in np.meshgrid(
+        np.arange(first[0], last[0] + 1), np.arange(first[1], last[1] + 1),
+        indexing="ij"))
+    x0, y0 = i * eps - rmax + off[0], j * eps - rmax + off[1]
+    x1, y1 = x0 + eps, y0 + eps
+    hit = np.zeros(i.size, dtype=bool)
+    for x in (x0, x1):
+        for y in (y0, y1):
+            r2 = x * x + y * y
+            hit |= (lo * lo <= r2) & (r2 <= hi * hi) & in_window(x, y, window)
+    for t in window:
+        # the radial edge lo..hi at angle t, clipped to the square; a tiny
+        # cos or sin overflows q / d to +-inf, which clips correctly
+        a, b = np.full(i.size, lo), np.full(i.size, hi)
+        for d, q0, q1 in ((np.cos(t), x0, x1), (np.sin(t), y0, y1)):
+            if d == 0.0:
+                b = np.where((q0 <= 0.0) & (0.0 <= q1), b, -np.inf)
+                continue
+            with np.errstate(over="ignore"):
+                e0, e1 = q0 / d, q1 / d
+            a = np.maximum(a, np.minimum(e0, e1))
+            b = np.minimum(b, np.maximum(e0, e1))
+        hit |= a <= b
+    for rho in (lo, hi):
+        for v, w0, w1, vertical in ((x0, y0, y1, True), (x1, y0, y1, True),
+                                    (y0, x0, x1, False), (y1, x0, x1, False)):
+            h = np.sqrt(np.maximum(rho * rho - v * v, 0.0))
+            for w in (h, -h):
+                x, y = (v, w) if vertical else (w, v)
+                hit |= ((rho * rho >= v * v) & (w0 <= w) & (w <= w1) &
+                        in_window(x, y, window))
+    return set(zip(i[hit].tolist(), j[hit].tolist()))
+
+
+def runs_of(values, eps):
+    """Ascending values split wherever neighbours lie eps or more apart."""
+    values = np.sort(values)
+    cut = np.flatnonzero(np.diff(values) >= eps) + 1
+    return tuple((float(v[0]), float(v[-1])) for v in np.split(values, cut))
+
+
+def geometric_patch_counts(profile, tail_areas, scales, seed=0,
+                           r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
+                           theta2_range=(0.0, 1.0), oversample=8,
+                           n_offsets=2, pitch_factor=4.0):
+    """boundary_patch_counts from sector_cells, z_1 cell by z_1 cell.
+
+    Same point set and offsets as the library's counter; each z_1 cell
+    contributes the union of the cells its runs' sectors meet, so the two
+    must agree exactly.
+    """
+    a2, = tail_areas
+    rng = np.random.default_rng(seed)
+    rmax = patch_rmax(profile, a2, r1_range)
+    counts = []
+    for eps in np.asarray(scales, dtype=float):
+        x1, y1, r2 = patch_points(profile, a2, eps, r1_range, theta1_range,
+                                  oversample, pitch_factor)
+        scale_counts = []
+        for _ in range(n_offsets):
+            off = rng.uniform(0.0, eps, 4)
+            i0 = np.floor((x1 + rmax - off[0]) / eps).astype(np.int64)
+            i1 = np.floor((y1 + rmax - off[1]) / eps).astype(np.int64)
+            cells = {}
+            for key, rho in zip(zip(i0.tolist(), i1.tolist()), r2):
+                cells.setdefault(key, []).append(rho)
+            sizes = {}
+            total = 0
+            for rhos in cells.values():
+                runs = runs_of(rhos, eps)
+                if runs not in sizes:
+                    sizes[runs] = len(set().union(*(
+                        sector_cells(lo, hi, theta2_range, rmax, off[2:], eps)
+                        for lo, hi in runs)))
+                total += sizes[runs]
+            scale_counts.append(total)
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
 
@@ -297,16 +405,26 @@ def test_boundary_patch_rejects_singular_box():
     dict(oversample=0), dict(oversample=-8), dict(oversample=np.inf),
     dict(pitch_factor=0.0), dict(pitch_factor=-2.0),
     dict(pitch_factor=np.nan), dict(scales=[0.25, 0.0, 0.0625]),
-    dict(scales=[0.25, np.inf]), dict(scales=[-0.25])],
+    dict(scales=[0.25, np.inf]), dict(scales=[-0.25]),
+    dict(r1_range=(0.5, 0.25)), dict(r1_range=(0.3, 0.3)),
+    dict(r1_range=(np.nan, 0.5)), dict(theta1_range=(1.0, 0.0)),
+    dict(theta1_range=(0.0, np.inf)), dict(theta2_range=(1.0, 0.0)),
+    dict(theta2_range=(0.5, 0.5)), dict(theta2_range=(0.0, np.nan)),
+    dict(theta2_range=(0.0, 100.0)), dict(theta2_range=(-3.2, 3.2)),
+    dict(tail_areas=[0.0]), dict(tail_areas=[-1.0]),
+    dict(tail_areas=[np.nan]), dict(tail_areas=[np.inf])],
     ids=["offsets-zero", "offsets-negative", "offsets-fraction",
          "oversample-zero", "oversample-negative", "oversample-inf",
          "pitch-zero", "pitch-negative", "pitch-nan", "scale-zero",
-         "scale-inf", "scale-negative"])
+         "scale-inf", "scale-negative", "r1-reversed", "r1-empty", "r1-nan",
+         "theta1-reversed", "theta1-inf", "theta2-reversed", "theta2-empty",
+         "theta2-nan", "theta2-wraps", "theta2-over-2pi", "tail-zero",
+         "tail-negative", "tail-nan", "tail-inf"])
 def test_boundary_patch_rejects_bad_parameters(config):
-    config = {"scales": 2.0 ** -np.arange(3, 5), **config}
+    config = {"scales": 2.0 ** -np.arange(3, 5), "tail_areas": [1.0],
+              **config}
     with pytest.raises(ValueError):
-        fractal.boundary_patch_counts(geometry2d.disk_profile(np.pi), [1.0],
-                                      **config)
+        fractal.boundary_patch_counts(UnevaluatedProfile(), **config)
 
 
 class UnevaluatedProfile:
@@ -373,26 +491,69 @@ PATCH_CASES = {
                       2.0 ** -np.array([4.0, 5.0]),
                       dict(theta2_range=(0.3, 1.2), r1_range=(0.3, 0.6),
                            oversample=2)),
+    # criterion-10's factors near the radius minimum: a cell's r_2 values
+    # span several eps there, with gaps of eps or more between runs
+    "runs": (geometry2d.weierstrass_profile(amplitude=0.4, b=4.0), [36.0],
+             2.0 ** -np.array([3.0, 4.0]),
+             dict(r1_range=(0.26, 0.36), theta1_range=(2.31, 2.71),
+                  theta2_range=(0.0, 0.45), oversample=1, pitch_factor=2,
+                  n_offsets=1)),
+    # crosses the quadrant boundaries at 0 and pi / 2
+    "quadrant-crossing": (geometry2d.weierstrass_profile(amplitude=0.3),
+                          [1.5], 2.0 ** -np.array([4.0, 5.0]),
+                          dict(theta2_range=(-0.3, 2.0), r1_range=(0.3, 0.6),
+                               oversample=2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PATCH_CASES))
 def test_boundary_patch_counts_match_reference(case):
     profile, tail, scales, config = PATCH_CASES[case]
-    expected = reference_patch_counts(profile, tail, scales, seed=5, **config)
+    expected = geometric_patch_counts(profile, tail, scales, seed=5, **config)
     np.testing.assert_array_equal(
         fractal.boundary_patch_counts(profile, tail, scales, seed=5,
                                       **config), expected)
 
 
-def test_boundary_patch_counts_chunk_boundaries(monkeypatch):
-    """A key budget of a few circles splits the sets over many chunks."""
-    profile, tail, scales, config = PATCH_CASES["weierstrass"]
-    expected = reference_patch_counts(profile, tail, scales, seed=5, **config)
-    monkeypatch.setattr(fractal, "PATCH_KEY_BUDGET", 10_000)
-    np.testing.assert_array_equal(
-        fractal.boundary_patch_counts(profile, tail, scales, seed=5,
-                                      **config), expected)
+@pytest.mark.parametrize("case", sorted(PATCH_CASES))
+def test_boundary_patch_counts_bound_sampled_theta2(case):
+    """The continuous theta_2 window meets every cell its samples meet."""
+    profile, tail, scales, config = PATCH_CASES[case]
+    counts = fractal.boundary_patch_counts(profile, tail, scales, seed=5,
+                                           **config)
+    assert np.all(reference_patch_counts(profile, tail, scales, seed=5,
+                                         **config) <= counts)
+
+
+WINDOWS = st.one_of(
+    st.sampled_from([(0.0, TWO_PI), (-0.3, 0.3), (1.0, 2.0)]),
+    st.tuples(st.floats(-7.0, 7.0), st.floats(1e-3, TWO_PI)).map(
+        lambda w: (w[0], w[0] + w[1])))
+RUNS = st.lists(st.tuples(st.floats(0.01, 1.5), st.floats(0.0, 0.5)),
+                min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=RUNS, window=WINDOWS, eps=st.floats(0.02, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(runs=[(0.5, 0.0)], window=(0.0, TWO_PI), eps=0.1, seed=0)
+def test_sector_cell_count_matches_geometry(runs, window, eps, seed):
+    """One z_1 cell's column count is the union of its sectors' cells.
+
+    The grid origin is a uniform draw, as in the library: a grid line
+    through a tangent point would be a tie between sector_cells' closed
+    squares and the library's half-open cells.
+    """
+    lo = np.array([r[0] for r in runs])
+    hi = lo + np.array([r[1] for r in runs])
+    rmax = 3.0
+    off = np.random.default_rng(seed).uniform(0.0, eps, 4)
+    got = fractal._sector_cell_count(
+        lo, hi, np.zeros(lo.size, dtype=np.int64), np.array([1]),
+        fractal._quadrant_pieces(*window), rmax, off, eps)
+    assert got == len(set().union(*(
+        sector_cells(a, b, window, rmax, off[2:], eps)
+        for a, b in zip(lo, hi))))
 
 
 WEIER = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
