@@ -10,15 +10,16 @@ since floor is monotone the column holds floor(hi / eps) - floor(lo / eps)
 + 1 cells, where lo and hi are the column's extreme values: exactly the
 count of the cloud's distinct cells.
 
-The 4-D boundary patch of a 2-product is counted by run intervals. The r_2
-values of each occupied cell of the fractal factor split into runs at gaps
-of eps or more, and each run times the continuous theta_2 window is an
-annular sector of the ellipsoid factor's plane. Within a quadrant a grid
-column meets such a sector in one range of rows, whose ends come in closed
-form, so a sector costs one step per column it crosses; the cell counts
-the union of its sectors' ranges, column by column. The sectors hold every
-point the theta_2-sampled patch had, so the counts are at least that
-point set's. The (r_1, theta_1) parameter grid still holds about (r_1
+The 4-D boundary patch of a 2-product is counted the same way, by
+intervals. Its r_2 is filled along the fractal angle as a graph is, and
+each occupied cell of the fractal factor takes its r_2 values as one
+interval, from the least to the greatest end of its samples' fill hulls,
+as a graph column does. That interval times the continuous theta_2 window
+is an annular sector of the ellipsoid factor's plane. Within a quadrant a
+grid column meets such a sector in one range of rows, whose ends come in
+closed form, so a sector costs one step per column it crosses. The sectors
+hold every point the theta_2-sampled patch had, so the counts are at least
+that point set's. The (r_1, theta_1) parameter grid still holds about (r_1
 span)(theta_1 span) oversample (pitch_factor / eps)^2 samples, 32 / eps^2
 at the defaults, so boundary_patch_counts refuses any scale whose grid
 exceeds PATCH_GRID_BUDGET before it counts one.
@@ -33,9 +34,10 @@ key that differs from its predecessor (``_distinct``), never by a plain
 np.unique: from numpy 2.3 on that runs a hash table, which is 20-50
 times slower than the sort on 2e4 to 2e6 keys. Before 2.3 np.unique
 itself sorted and masked, so the helper returns what np.unique does on
-every numpy from 1.24 to 2.4. The patch's run lists are deduplicated the
-same way, by one lexsort of their rows (``_distinct_rows``), not by
-np.unique(axis=0), which sorts the rows as slow structured records.
+every numpy from 1.24 to 2.4. The patch's (lo, hi) intervals are
+deduplicated the same way, by one lexsort of their rows
+(``_distinct_rows``), not by np.unique(axis=0), which sorts the rows as
+slow structured records.
 """
 
 from __future__ import annotations
@@ -113,9 +115,9 @@ def make_fractal(family, **params):
 
 # Most (r_1, theta_1) samples boundary_patch_counts builds at one scale. At
 # its defaults on weierstrass_profile(), one scale on a 2-vCPU Xeon peaked
-# at 264 MB RSS in 0.7 s with 2^21 samples (eps = 2^-8) and at 485 MB in
-# 1.5 s with 4.15 M (2^-8.49): about 108 bytes per further sample, all of
-# it whole-grid arrays, so some 0.5 GB at this budget.
+# at 231 MB RSS in 0.4 s with 2^21 samples (eps = 2^-8) and at 459 MB in
+# 0.8 s with 4.15 M (2^-8.49): about 112 bytes per further sample, all of
+# it whole-grid arrays, so some 0.46 GB at this budget.
 PATCH_GRID_BUDGET = 1 << 22
 # Least 1 - (r_1 / R_1(theta_1))^2 on a patch, off the singular r_2 = 0.
 PATCH_MARGIN = 0.05
@@ -152,7 +154,7 @@ def _distinct(keys):
 
 
 def _distinct_rows(rows):
-    """np.unique(rows, axis=0, return_counts=True) of a 2-D int array.
+    """np.unique(rows, axis=0, return_counts=True) of a 2-D array.
 
     One lexsort with the first column as its primary key orders the rows as
     np.unique does; a row starts a run when any entry differs from the row
@@ -310,34 +312,24 @@ def _fill_values(y0, dy, idx, steps):
     return y0 + dy * idx / steps
 
 
-def _fill_points(y, pitch):
-    """Vertical fill of each row of y, and the sample each point sits over.
-
-    Returns (fill, src): the fill values of every segment, row by row, and
-    for each the flat index into y of its segment's left sample.
-    """
-    dy, reps = _fill_reps(y, pitch)
-    seg = np.nonzero(reps)
-    n = reps[seg]
-    # per-segment running index 1..n
-    idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n) + 1
-    fill = _fill_values(np.repeat(y[seg], n), np.repeat(dy[seg], n), idx,
-                        np.repeat(n + 1, n))
-    return fill, np.repeat(np.ravel_multi_index(seg, y.shape), n)
-
-
 def fill_segments(x, y, pitch):
     """Points of the filled-in graph: samples plus vertical fill at jumps.
 
     Between consecutive samples, points are inserted along the y-segment at
     spacing <= pitch; the filled graph has the same box dimension as the
-    graph for the families used here.
+    graph for the families used here. Segment k's fill sits over x_k.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    fill, src = _fill_points(y, pitch)
+    dy, reps = _fill_reps(y, pitch)
+    seg = np.flatnonzero(reps)
+    n = reps[seg]
+    # per-segment running index 1..n
+    idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n) + 1
+    fill = _fill_values(np.repeat(y[seg], n), np.repeat(dy[seg], n), idx,
+                        np.repeat(n + 1, n))
     return np.concatenate([np.stack([x, y], axis=1),
-                           np.stack([x[src], fill], axis=1)])
+                           np.stack([np.repeat(x[seg], n), fill], axis=1)])
 
 
 def fill_extents(y, pitch):
@@ -345,11 +337,13 @@ def fill_extents(y, pitch):
 
     Those points are y_k and the fill of segment k. The fill expression is
     monotone in its index and equals y_k at index 0, so its last point
-    (index reps) and y_k bound them all.
+    (index reps) and y_k bound them all. A 2-D y is filled along its last
+    axis, each row as a graph of its own.
     """
     y = np.asarray(y, dtype=float)
     dy, reps = _fill_reps(y, pitch)
-    last = np.append(_fill_values(y[:-1], dy, reps, reps + 1), y[-1])
+    last = np.concatenate((_fill_values(y[..., :-1], dy, reps, reps + 1),
+                           y[..., -1:]), axis=-1)
     return np.minimum(y, last), np.maximum(y, last)
 
 
@@ -427,18 +421,18 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
     g_1(z_1)^2) / pi) is filled vertically along the fractal angle, which
     is oversampled by ``oversample`` relative to the base pitch eps /
     pitch_factor; theta_2 runs over the continuous window theta2_range.
-    Each occupied z_1 cell c sorts its r_2 values (samples and fill) and
-    splits them into runs wherever neighbours lie eps or more apart; a run
-    [rho_lo, rho_hi] times the window is an annular sector. The occupied
-    4-D cells are the union over c of {c} x (the z_2 cells that c's sectors
-    meet), so the count is the sum over c of that union's size, and z_1
-    cells with the same run list share one union. Each sector is counted
+    Each sample's fill hull (fill_extents) sits at the sample's z_1, and
+    each occupied z_1 cell c takes its r_2 values as one interval [rho_lo,
+    rho_hi], the least lo and greatest hi of its samples' hulls: r_2 is
+    continuous on c, so gaps between its sampled values are the sampling's.
+    That interval times the window is an annular sector. The occupied 4-D
+    cells are the union over c of {c} x (the z_2 cells that c's sector
+    meets), so the count is the sum over c of that set's size, and z_1
+    cells with the same interval share one count. Each sector is counted
     column by column in closed form (_sector_columns), so no theta_2 grid
     is built. Every sampled point (z_1, r_2 e^{i theta_2}) lies in its
-    run's sector, so the count is at least that of the sampled point set.
-    Every sample of the (r_1, theta_1) grid and its fill is built in one
-    whole-array pass; a fill point's z_1 is that of the sample it sits
-    over.
+    cell's sector, so the count is at least that of the sampled point set.
+    The whole (r_1, theta_1) grid is built in one pass.
 
     Each range must be finite with lo < hi, theta2_range at most 2 pi wide,
     and the tail area positive and finite. A box with 1 - (r_1 /
@@ -493,62 +487,29 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
             raise ValueError(
                 "parameter box reaches the singular locus; shrink r1_range")
         # fill vertically along the fractal axis so no grid cell crossed by
-        # the graph goes uncounted
-        r2 = np.sqrt(a2 * radicand / np.pi)
-        fill, src = _fill_points(r2, pitch)
-        rho = np.concatenate((r2.ravel(), fill))
-        order = np.argsort(rho)
-        rho = rho[order]
+        # the graph goes uncounted; a sample's hull holds its segment's fill
+        lo, hi = (e.ravel() for e in
+                  fill_extents(np.sqrt(a2 * radicand / np.pi), pitch))
         x1 = r1 * np.cos(t1)
         y1 = r1 * np.sin(t1)
 
         side = int(np.ceil(2.0 * rmax / eps)) + 2
-        _check_key_range(side * side * rho.size)
         scale_counts = []
         for _ in range(n_offsets):
             off = rng.uniform(0.0, eps, 4)
             i0 = np.floor((x1 + rmax - off[0]) / eps).astype(np.int64)
             i1 = np.floor((y1 + rmax - off[1]) / eps).astype(np.int64)
             cell = (i0 * side + i1).ravel()
-            runs = _run_lists(np.concatenate((cell, cell[src]))[order], rho,
-                              eps)
-            scale_counts.append(_sector_cell_count(*runs, pieces, rmax, off,
-                                                   eps))
+            order = np.argsort(cell)
+            start = _run_starts(cell[order])
+            ends, mult = _distinct_rows(np.stack(
+                (np.minimum.reduceat(lo[order], start),
+                 np.maximum.reduceat(hi[order], start)), axis=1))
+            scale_counts.append(_sector_cell_count(
+                ends[:, 0], ends[:, 1], np.arange(mult.size), mult, pieces,
+                rmax, off, eps))
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
-
-
-def _run_lists(cell, rho, eps):
-    """The runs of the distinct run lists of the occupied z_1 cells.
-
-    cell[k] is the z_1 cell of the r_2 value rho[k], and rho ascends. A
-    cell's values, in ascending order, split into runs wherever neighbours
-    lie eps or more apart. Returns (lo, hi, owner, mult): the ends of each
-    run of each distinct list, the list it belongs to, and the number of z_1
-    cells that carry each list.
-    """
-    n = rho.size
-    # one id per value, shared by equal values: the index of its first copy
-    value = np.arange(n)
-    value[1:][rho[1:] == rho[:-1]] = 0
-    value = np.maximum.accumulate(value)
-    # cell-major keys; a cell's ids ascend, and so do their values
-    cell, value = np.divmod(np.sort(cell * n + value), n)
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(cell[1:], cell[:-1], out=new[1:])
-    new[1:] |= np.diff(rho[value]) >= eps
-    start = np.flatnonzero(new)
-    run = value[start] * n + np.append(value[start[1:] - 1], value[-1])
-    first = _run_starts(cell[start])
-    size = np.diff(first, append=start.size)
-    rows = np.full((first.size, int(size.max())), -1, dtype=np.int64)
-    rows[np.repeat(np.arange(first.size), size),
-         np.arange(start.size) - np.repeat(first, size)] = run
-    lists, mult = _distinct_rows(rows)
-    owner, col = np.nonzero(lists >= 0)
-    lo, hi = np.divmod(lists[owner, col], n)
-    return rho[lo], rho[hi], owner, mult
 
 
 def _quadrant_pieces(t0, t1):
@@ -618,12 +579,12 @@ def _sector_columns(lo, hi, piece, rmax, off, eps):
 
 
 def _sector_cell_count(lo, hi, owner, mult, pieces, rmax, off, eps):
-    """Sum over run lists of mult x |the union of their sectors' cells|.
+    """Sum over groups j of mult[j] x |the union of their sectors' cells|.
 
-    Run k, from lo[k] to hi[k], belongs to list owner[k], which mult[j] z_1
-    cells carry. Each run meets the window in one sector per piece. One
-    sort by (list, column, first row) and a running maximum of the last row
-    give the size of each column's union of row ranges.
+    Interval k, from lo[k] to hi[k], belongs to group owner[k]. Each
+    interval meets the window in one sector per piece. One sort by (group,
+    column, first row) and a running maximum of the last row give the size
+    of each column's union of row ranges.
     """
     count = pieces.shape[1]
     sector, column, row_lo, row_hi = _sector_columns(

@@ -29,36 +29,6 @@ def reference_graph_counts(sampler, scales, seed=0):
         for eps in scales])
 
 
-def boundary_graph_sampler(profile, a2, r1_range=(0.25, 0.5),
-                           theta1_range=(0.0, 1.0), theta2_range=(0.0, 1.0),
-                           margin=0.05, oversample=8):
-    """Sampler for a patch of the boundary of (profile) x_2 E(a2).
-
-    The boundary is the graph r_2 = sqrt((a2 / pi)(1 - g_1(z_1)^2)) over a
-    polar parameter box bounded away from r_1 = 0 and z_2 = 0 (radicand >=
-    margin), with the fractal theta_1 axis oversampled. Points are in R^4
-    with product gauge 1 up to rounding.
-    """
-
-    def sample(pitch):
-        r1 = fractal._grid(r1_range[0], r1_range[1], pitch)
-        t1 = fractal._grid(theta1_range[0], theta1_range[1],
-                           pitch / oversample)
-        t2 = fractal._grid(theta2_range[0], theta2_range[1], pitch)
-        radicand = 1.0 - (r1[:, None] / profile.radius(t1)[None, :]) ** 2
-        if np.min(radicand) < margin:
-            raise ValueError(
-                "parameter box reaches the singular locus; shrink r1_range")
-        r2 = np.sqrt(a2 * radicand / np.pi).ravel()
-        z1 = (r1[:, None] * np.exp(1j * t1)[None, :]).ravel()
-        z2 = r2[None, :] * np.exp(1j * t2)[:, None]
-        z1 = np.broadcast_to(z1, z2.shape)
-        return np.stack([z1.real, z1.imag, z2.real, z2.imag],
-                        axis=-1).reshape(-1, 4)
-
-    return sample
-
-
 def patch_points(profile, a2, eps, r1_range, theta1_range, oversample,
                  pitch_factor):
     """x_1, y_1 and r_2 of the library's patch samples and fill at eps."""
@@ -87,8 +57,8 @@ def reference_patch_counts(profile, tail_areas, scales, seed=0,
     theta_2).
 
     Same point set, offsets and float expressions as the library's counter.
-    Every sampled point lies in its run's sector, so these counts bound the
-    library's from below.
+    Every sampled point lies in its z_1 cell's sector, so these counts bound
+    the library's from below.
     """
     a2, = tail_areas
     rng = np.random.default_rng(seed)
@@ -168,13 +138,6 @@ def sector_cells(lo, hi, window, rmax, off, eps):
     return set(zip(i[hit].tolist(), j[hit].tolist()))
 
 
-def runs_of(values, eps):
-    """Ascending values split wherever neighbours lie eps or more apart."""
-    values = np.sort(values)
-    cut = np.flatnonzero(np.diff(values) >= eps) + 1
-    return tuple((float(v[0]), float(v[-1])) for v in np.split(values, cut))
-
-
 def geometric_patch_counts(profile, tail_areas, scales, seed=0,
                            r1_range=(0.25, 0.5), theta1_range=(0.0, 1.0),
                            theta2_range=(0.0, 1.0), oversample=8,
@@ -182,8 +145,8 @@ def geometric_patch_counts(profile, tail_areas, scales, seed=0,
     """boundary_patch_counts from sector_cells, z_1 cell by z_1 cell.
 
     Same point set and offsets as the library's counter; each z_1 cell
-    contributes the union of the cells its runs' sectors meet, so the two
-    must agree exactly.
+    contributes the cells met by the sector of its r_2 values' span, from
+    their least to their greatest, so the two must agree exactly.
     """
     a2, = tail_areas
     rng = np.random.default_rng(seed)
@@ -203,12 +166,11 @@ def geometric_patch_counts(profile, tail_areas, scales, seed=0,
             sizes = {}
             total = 0
             for rhos in cells.values():
-                runs = runs_of(rhos, eps)
-                if runs not in sizes:
-                    sizes[runs] = len(set().union(*(
-                        sector_cells(lo, hi, theta2_range, rmax, off[2:], eps)
-                        for lo, hi in runs)))
-                total += sizes[runs]
+                span = min(rhos), max(rhos)
+                if span not in sizes:
+                    sizes[span] = len(sector_cells(*span, theta2_range, rmax,
+                                                   off[2:], eps))
+                total += sizes[span]
             scale_counts.append(total)
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
@@ -460,16 +422,6 @@ def test_boundary_patch_rejects_multiple_tail_factors():
                                       scales=2.0 ** -np.arange(3, 8))
 
 
-def test_boundary_graph_sampler_points_on_boundary():
-    profile = geometry2d.disk_profile(np.pi)
-    sampler = boundary_graph_sampler(profile, 1.0)
-    pts = sampler(pitch=0.05)
-    z1 = pts[:, 0] + 1j * pts[:, 1]
-    z2 = pts[:, 2] + 1j * pts[:, 3]
-    g = profile.gauge(z1) ** 2 + np.pi * np.abs(z2) ** 2 / 1.0
-    assert np.allclose(g, 1.0, atol=1e-10)
-
-
 def test_box_count_rejects_keys_past_int64():
     """(65533, 5, 65533, 1) packs to 2^64 over ranges of 65537 per axis."""
     pts = np.array([[0, 0, 0, 0], [65533, 5, 65533, 1], [65536] * 4],
@@ -492,7 +444,8 @@ PATCH_CASES = {
                       dict(theta2_range=(0.3, 1.2), r1_range=(0.3, 0.6),
                            oversample=2)),
     # criterion-10's factors near the radius minimum: a cell's r_2 values
-    # span several eps there, with gaps of eps or more between runs
+    # span several eps there, and their samples and fill leave gaps of eps
+    # or more, which the cell's one interval spans
     "runs": (geometry2d.weierstrass_profile(amplitude=0.4, b=4.0), [36.0],
              2.0 ** -np.array([3.0, 4.0]),
              dict(r1_range=(0.26, 0.36), theta1_range=(2.31, 2.71),
@@ -538,11 +491,13 @@ RUNS = st.lists(st.tuples(st.floats(0.01, 1.5), st.floats(0.0, 0.5)),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(runs=[(0.5, 0.0)], window=(0.0, TWO_PI), eps=0.1, seed=0)
 def test_sector_cell_count_matches_geometry(runs, window, eps, seed):
-    """One z_1 cell's column count is the union of its sectors' cells.
+    """One group's column count is the union of its sectors' cells.
 
-    The grid origin is a uniform draw, as in the library: a grid line
-    through a tangent point would be a tie between sector_cells' closed
-    squares and the library's half-open cells.
+    A z_1 cell is a group of one interval, cut into one sector per quadrant
+    piece; 1-3 intervals in one group test the union harder. The grid
+    origin is a uniform draw, as in the library: a grid line through a
+    tangent point would be a tie between sector_cells' closed squares and
+    the library's half-open cells.
     """
     lo = np.array([r[0] for r in runs])
     hi = lo + np.array([r[1] for r in runs])
@@ -629,6 +584,22 @@ def test_column_cells_match_box_count(y, gaps, pitch, offset):
                                 off) == expected
 
 
+def test_fill_extents_fill_each_row_of_a_2d_array():
+    """Row by row, bit for bit: a rising row, a falling one (dy < 0) and
+    one whose steps are all shorter than the pitch, so it has no fill."""
+    pitch = 0.1
+    y = np.array([[0.0, 0.35, 1.0, 0.95, 1.3],
+                  [2.0, 1.1, 1.05, 0.3, -0.4],
+                  [0.5, 0.52, 0.55, 0.51, 0.58]])
+    lo, hi = fractal.fill_extents(y, pitch)
+    assert np.any(lo[0] != hi[0]) and np.any(lo[1] != hi[1])
+    np.testing.assert_array_equal(lo[2], hi[2])
+    for row, row_lo, row_hi in zip(y, lo, hi):
+        want_lo, want_hi = fractal.fill_extents(row, pitch)
+        assert row_lo.tobytes() == want_lo.tobytes()
+        assert row_hi.tobytes() == want_hi.tobytes()
+
+
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
@@ -646,7 +617,7 @@ def test_distinct_matches_np_unique(keys):
 
 
 def padded_rows(sets):
-    """Each set's ascending ids in one row, padded with -1, as _rho_sets."""
+    """Each set's ascending ids in one row, padded with -1."""
     rows = np.full((len(sets), max(map(len, sets))), -1, dtype=np.int64)
     for row, ids in zip(rows, sets):
         row[:len(ids)] = ids
@@ -655,23 +626,30 @@ def padded_rows(sets):
 
 # A few small id sets, some with a run of 500+ further ids, so rows repeat
 # and some are over 500 columns wide.
-RHO_SETS = st.lists(
+ID_SETS = st.lists(
     st.tuples(st.sets(st.integers(0, 9), min_size=1),
               st.sampled_from([0, 3, 501, 600])).map(
         lambda s: sorted(s[0]) + list(range(10, 10 + s[1]))),
     min_size=1, max_size=40)
+# (lo, hi) pairs as boundary_patch_counts groups them, drawn mostly from a
+# few values, so pairs repeat and equal lo values come with different hi.
+ENDS = st.one_of(st.sampled_from([0.1, 1.0 / 3.0, 0.7]), st.floats(0.0, 2.0))
+PAIRS = st.lists(st.tuples(ENDS, ENDS), min_size=1, max_size=40).map(
+    lambda pairs: np.array(pairs, dtype=float))
 
 
 @settings(max_examples=200, deadline=None)
-@given(sets=RHO_SETS)
-@example(sets=[[4]])
-@example(sets=[[0, 2, 7]] * 6)
-@example(sets=[list(range(700)), [1], list(range(700)), [0, 1], [1]])
-def test_distinct_rows_match_np_unique(sets):
-    rows = padded_rows(sets)
+@given(rows=st.one_of(ID_SETS.map(padded_rows), PAIRS))
+@example(rows=padded_rows([[4]]))
+@example(rows=padded_rows([[0, 2, 7]] * 6))
+@example(rows=padded_rows(
+    [list(range(700)), [1], list(range(700)), [0, 1], [1]]))
+@example(rows=np.array([[0.3, 0.4], [0.3, 0.7], [0.3, 0.4], [0.1, 0.7],
+                        [0.3, 0.4]]))
+def test_distinct_rows_match_np_unique(rows):
     got, counts = fractal._distinct_rows(rows)
     want, want_counts = np.unique(rows, axis=0, return_counts=True)
-    assert got.dtype == np.int64
+    assert got.dtype == rows.dtype
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(counts, want_counts)
 
