@@ -20,8 +20,8 @@ import numpy as np
 
 from .diskmap import product_map
 from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import (ProductDomain, common_area, ellipsoid_sample,
-                      two_product)
+from .product import (ProductDomain, check_samples, common_area,
+                      ellipsoid_sample, mc_slices, two_product)
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,10 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     is the largest relative radial shrink plus a margin, which makes the
     containment product \\ U  subset  shrunken product hold with room to
     spare. The ``samples`` test points are psi of product.ellipsoid_sample
-    draws seeded by ``seed``, uniform on the product.
+    draws seeded by ``seed``, uniform on the product. The draw is one call;
+    psi and both gauges then run product.MC_SLICE points at a time.
     """
+    check_samples(samples)
     domain = two_product(factors)
     factors = domain.factors
     a = common_area(domain)
@@ -153,17 +155,27 @@ def boundary_minimal_experiment(factors, point, width, target_area,
         for f, s in zip(factors, shrunk))
     eta = min(0.999, rel_shrink + 0.02)
 
-    pts = product_map(factors, ellipsoid_sample(
-        np.random.default_rng(seed), domain.factor_areas, samples))
-    u = np.mod(np.angle(pts) - directions + np.pi, TWO_PI) - np.pi
-    in_window = np.any(np.abs(u) < width, axis=-1)
-    test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
-    g2 = ProductDomain(shrunk).gauge(test)
-    bad = np.flatnonzero(g2 > 1.0)
-    offenders = [(test[idx], float(g2[idx])) for idx in bad[:5]]
+    draws = ellipsoid_sample(
+        np.random.default_rng(seed), domain.factor_areas, samples)
+    shrunk_domain = ProductDomain(shrunk)
+    checked = violations = 0
+    worst = [0.0]
+    offenders = []
+    for part in mc_slices(samples):
+        pts = product_map(factors, draws[part])
+        u = np.mod(np.angle(pts) - directions + np.pi, TWO_PI) - np.pi
+        in_window = np.any(np.abs(u) < width, axis=-1)
+        test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
+        g2 = shrunk_domain.gauge(test)
+        bad = np.flatnonzero(g2 > 1.0)
+        offenders += [(test[idx], float(g2[idx]))
+                      for idx in bad[:5 - len(offenders)]]
+        checked += test.shape[0]
+        violations += bad.size
+        worst.append(np.max(g2, initial=0.0))
 
     return BoundaryMinimalReport(
         area=a, target_area=target_area, capacity_gap=a - target_area,
-        eta=float(eta), samples=samples, checked=test.shape[0], seed=seed,
-        violations=bad.size, worst_gauge=float(np.max(g2, initial=0.0)),
+        eta=float(eta), samples=samples, checked=checked, seed=seed,
+        violations=violations, worst_gauge=float(np.max(worst)),
         offenders=offenders)

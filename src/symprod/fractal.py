@@ -506,8 +506,7 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                 (np.minimum.reduceat(lo[order], start),
                  np.maximum.reduceat(hi[order], start)), axis=1))
             scale_counts.append(_sector_cell_count(
-                ends[:, 0], ends[:, 1], np.arange(mult.size), mult, pieces,
-                rmax, off, eps))
+                ends[:, 0], ends[:, 1], mult, pieces, rmax, off, eps))
         counts.append(float(np.mean(scale_counts)))
     return np.asarray(counts)
 
@@ -578,19 +577,18 @@ def _sector_columns(lo, hi, piece, rmax, off, eps):
             np.floor((y_hi + rmax - off[1]) / eps).astype(np.int64))
 
 
-def _sector_cell_count(lo, hi, owner, mult, pieces, rmax, off, eps):
-    """Sum over groups j of mult[j] x |the union of their sectors' cells|.
+def _sector_cell_count(lo, hi, mult, pieces, rmax, off, eps):
+    """Sum over intervals k of mult[k] x |the union of their sectors' cells|.
 
-    Interval k, from lo[k] to hi[k], belongs to group owner[k]. Each
-    interval meets the window in one sector per piece. One sort by (group,
-    column, first row) and a running maximum of the last row give the size
-    of each column's union of row ranges.
+    Interval k, from lo[k] to hi[k], meets the window in one sector per
+    piece. One sort by (interval, column, first row) and a running maximum
+    of the last row give the size of each column's union of row ranges.
     """
     count = pieces.shape[1]
     sector, column, row_lo, row_hi = _sector_columns(
         np.repeat(lo, count), np.repeat(hi, count),
         np.tile(pieces, lo.size), rmax, off[2:], eps)
-    owner = np.repeat(owner, count)[sector]
+    owner = sector // count
     column -= column.min()
     shift = row_lo.min()
     row_lo -= shift
@@ -601,7 +599,7 @@ def _sector_cell_count(lo, hi, owner, mult, pieces, rmax, off, eps):
     base = (owner * columns + column) * width
     order = np.argsort(base + row_lo)
     base, row_lo, row_hi = base[order], row_lo[order], row_hi[order]
-    # base + row_hi stays below the next (list, column)'s base, so the
+    # base + row_hi stays below the next (interval, column)'s base, so the
     # running maximum restarts at each of them
     top = np.maximum.accumulate(base + row_hi)
     new = np.maximum(base + row_lo, np.append(base[:1] - 1, top[:-1]) + 1)

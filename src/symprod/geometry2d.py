@@ -203,8 +203,10 @@ class RadialProfile:
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
 
-        The sample cell k comes from the cumulative table; T = s - S(theta_k)
-        is then the area to sweep inside it. On a linear cell the radius is
+        The sample cell k, 0 <= k < N, is the number of the table's interior
+        nodes S(theta_1), ..., S(theta_{N-1}) at or below s (a NaN sorts
+        last, into cell N - 1); T = s - S(theta_k) is then the area to sweep
+        inside it. On a linear cell the radius is
         r0 + m*x with m = (R_{k+1} - R_k)/h, and the area swept over its
         first x is ((r0 + m*x)^3 - r0^3)/(6m) = T, whose root is
 
@@ -226,8 +228,7 @@ class RadialProfile:
         s0 = np.where(over, 0.0, s0)
         winds = winds + over
 
-        k = self._cumulative.searchsorted(s0, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), self.N - 1)
+        k = self._cumulative[1:-1].searchsorted(s0, side="right")
         start = k * self._h
         target = s0 - self._cumulative[k]
         r_coef = self._r.take(k, axis=1)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from symprod import capacities, geometry2d
+from symprod import capacities, diskmap, geometry2d, product
 from symprod.dynamics import FlowPoint
+from symprod.geometry2d import TWO_PI
+from symprod.product import ProductDomain
 
 
 def brute_force_capacities(areas, K):
@@ -87,6 +89,85 @@ def test_boundary_minimal_experiment():
     assert report.violations == 0
     assert report.capacity_gap == pytest.approx(0.1, abs=1e-9)
     assert report.checked > 0
+
+
+def whole_array_report(factors, point, width, target_area, samples, seed):
+    """boundary_minimal_experiment's checked, violations, worst gauge and
+    first five offenders, with psi and both gauges run on every sample in
+    one call; also the sample index of each of those offenders."""
+    domain = ProductDomain(factors)
+    shrunk = [capacities.shrink_profile(f, point.angles[i], width, target_area)
+              for i, f in enumerate(factors)]
+    eta = min(0.999, 0.02 + max(float(np.max(1.0 - s.samples / f.samples))
+                                for f, s in zip(factors, shrunk)))
+    pts = diskmap.product_map(factors, product.ellipsoid_sample(
+        np.random.default_rng(seed), domain.factor_areas, samples))
+    u = np.mod(np.angle(pts) - point.angles + np.pi, TWO_PI) - np.pi
+    keep = ~(np.any(np.abs(u) < width, axis=-1)
+             & (domain.gauge(pts) > 1.0 - eta))
+    test = pts[keep]
+    g2 = ProductDomain(shrunk).gauge(test)
+    bad = np.flatnonzero(g2 > 1.0)[:5]
+    return (test.shape[0], int(np.count_nonzero(g2 > 1.0)),
+            float(np.max(g2, initial=0.0)),
+            [(test[idx], float(g2[idx])) for idx in bad],
+            np.flatnonzero(keep)[bad])
+
+
+@pytest.mark.parametrize("mc_slice", [None, 37])
+@pytest.mark.parametrize("violate", [False, True])
+def test_boundary_minimal_slices_match_whole_array(monkeypatch, violate,
+                                                   mc_slice):
+    """Slices give the whole-array report, offenders in order. The violating
+    case shrinks each factor by 3% more than eta covers outside the
+    windows; its first five offenders lie in several slices of 37. The
+    cubic cosine's psi runs Newton until every point of a call converges,
+    so it is the factor that could tell a slice from the whole array."""
+    if mc_slice is not None:
+        monkeypatch.setattr(product, "MC_SLICE", mc_slice)
+    if violate:
+        shrink = capacities.shrink_profile
+        monkeypatch.setattr(
+            capacities, "shrink_profile", lambda f, *args:
+            geometry2d.RadialProfile(0.97 * shrink(f, *args).samples,
+                                     f.interpolation))
+    factors = [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)]
+    point = FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.5, 0.5]))
+    config = dict(width=0.9, target_area=0.9, samples=3000, seed=4)
+    report = capacities.boundary_minimal_experiment(factors, point, **config)
+    checked, violations, worst, offenders, index = whole_array_report(
+        factors, point, **config)
+    assert (report.checked, report.violations, report.worst_gauge) == (
+        checked, violations, worst)
+    assert len(report.offenders) == len(offenders)
+    for (z, g), (z_ref, g_ref) in zip(report.offenders, offenders):
+        np.testing.assert_array_equal(z, z_ref)
+        assert g == g_ref
+    if violate:
+        assert violations > 5
+        assert np.unique(index // 37).size > 1
+    else:
+        assert violations == 0
+
+
+@pytest.mark.parametrize("samples", [100.0, np.float64(1000.0), True])
+def test_boundary_minimal_rejects_non_integer_samples(samples):
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.0)]
+    point = FlowPoint(angles=[0.0, 0.0], levels=np.sqrt([0.5, 0.5]))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        capacities.boundary_minimal_experiment(
+            factors, point, width=0.9, target_area=0.9, samples=samples,
+            seed=2)
+
+
+def test_boundary_minimal_takes_numpy_integer_samples():
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.0)]
+    point = FlowPoint(angles=[0.0, 0.0], levels=np.sqrt([0.5, 0.5]))
+    a, b = (capacities.boundary_minimal_experiment(
+        factors, point, width=0.9, target_area=0.9, samples=n, seed=2)
+        for n in (np.int64(1000), 1000))
+    assert (a.checked, a.violations, a.worst_gauge) == (
+        b.checked, b.violations, b.worst_gauge)
 
 
 @pytest.mark.parametrize("k", [1, 3])

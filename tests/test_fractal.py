@@ -482,33 +482,35 @@ WINDOWS = st.one_of(
     st.sampled_from([(0.0, TWO_PI), (-0.3, 0.3), (1.0, 2.0)]),
     st.tuples(st.floats(-7.0, 7.0), st.floats(1e-3, TWO_PI)).map(
         lambda w: (w[0], w[0] + w[1])))
-RUNS = st.lists(st.tuples(st.floats(0.01, 1.5), st.floats(0.0, 0.5)),
+RUNS = st.lists(st.tuples(st.floats(0.01, 1.5), st.floats(0.0, 0.5),
+                          st.integers(1, 5)),
                 min_size=1, max_size=3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(runs=RUNS, window=WINDOWS, eps=st.floats(0.02, 0.5),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(runs=[(0.5, 0.0)], window=(0.0, TWO_PI), eps=0.1, seed=0)
+@example(runs=[(0.5, 0.0, 1)], window=(0.0, TWO_PI), eps=0.1, seed=0)
 def test_sector_cell_count_matches_geometry(runs, window, eps, seed):
-    """One group's column count is the union of its sectors' cells.
+    """Each interval counts the union of its sectors' cells, mult times.
 
-    A z_1 cell is a group of one interval, cut into one sector per quadrant
-    piece; 1-3 intervals in one group test the union harder. The grid
-    origin is a uniform draw, as in the library: a grid line through a
-    tangent point would be a tie between sector_cells' closed squares and
-    the library's half-open cells.
+    An interval is one z_1 cell's r_2 range, cut into one sector per
+    quadrant piece; its count is the union over those pieces. 1-3
+    intervals with multiplicities 1-5 test that a cell two intervals meet
+    counts once for each. The grid origin is a uniform draw, as in the library: a grid
+    line through a tangent point would be a tie between sector_cells'
+    closed squares and the library's half-open cells.
     """
     lo = np.array([r[0] for r in runs])
     hi = lo + np.array([r[1] for r in runs])
+    mult = np.array([r[2] for r in runs])
     rmax = 3.0
     off = np.random.default_rng(seed).uniform(0.0, eps, 4)
     got = fractal._sector_cell_count(
-        lo, hi, np.zeros(lo.size, dtype=np.int64), np.array([1]),
-        fractal._quadrant_pieces(*window), rmax, off, eps)
-    assert got == len(set().union(*(
-        sector_cells(a, b, window, rmax, off[2:], eps)
-        for a, b in zip(lo, hi))))
+        lo, hi, mult, fractal._quadrant_pieces(*window), rmax, off, eps)
+    assert got == sum(
+        m * len(sector_cells(a, b, window, rmax, off[2:], eps))
+        for a, b, m in zip(lo, hi, mult))
 
 
 WEIER = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
