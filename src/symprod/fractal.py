@@ -588,7 +588,7 @@ def _sector_cell_count(lo, hi, mult, pieces, rmax, off, eps):
     sector, column, row_lo, row_hi = _sector_columns(
         np.repeat(lo, count), np.repeat(hi, count),
         np.tile(pieces, lo.size), rmax, off[2:], eps)
-    owner = sector // count
+    interval = sector // count
     column -= column.min()
     shift = row_lo.min()
     row_lo -= shift
@@ -596,7 +596,7 @@ def _sector_cell_count(lo, hi, mult, pieces, rmax, off, eps):
     width = int(max(row_lo.max(), row_hi.max())) + 1
     columns = int(column.max()) + 1
     _check_key_range(mult.size * columns * width)
-    base = (owner * columns + column) * width
+    base = (interval * columns + column) * width
     order = np.argsort(base + row_lo)
     base, row_lo, row_hi = base[order], row_lo[order], row_hi[order]
     # base + row_hi stays below the next (interval, column)'s base, so the
@@ -604,4 +604,4 @@ def _sector_cell_count(lo, hi, mult, pieces, rmax, off, eps):
     top = np.maximum.accumulate(base + row_hi)
     new = np.maximum(base + row_lo, np.append(base[:1] - 1, top[:-1]) + 1)
     size = np.maximum(base + row_hi - new + 1, 0)
-    return int(np.dot(size, mult[owner[order]]))
+    return int(np.dot(size, mult[interval[order]]))

@@ -204,11 +204,11 @@ class RadialProfile:
         """Angle theta with S(theta) = s, unwrapped like sector_area.
 
         The sample cell k, 0 <= k < N, is the number of the table's interior
-        nodes S(theta_1), ..., S(theta_{N-1}) at or below s (a NaN sorts
-        last, into cell N - 1); T = s - S(theta_k) is then the area to sweep
-        inside it. On a linear cell the radius is
-        r0 + m*x with m = (R_{k+1} - R_k)/h, and the area swept over its
-        first x is ((r0 + m*x)^3 - r0^3)/(6m) = T, whose root is
+        nodes S(theta_1), ..., S(theta_{N-1}) at or below s reduced mod the
+        area (a NaN sorts last, into cell N - 1); T = s - S(theta_k) is then
+        the area to sweep inside it. On a linear cell the radius is r0 + m*x
+        with m = (R_{k+1} - R_k)/h, and the area swept over its first x is
+        ((r0 + m*x)^3 - r0^3)/(6m) = T, whose root is
 
             x = 6T / (r0^2 (c^2 + c + 1)),  c = cbrt(1 + 6mT/r0^3).
 
