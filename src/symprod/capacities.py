@@ -20,7 +20,7 @@ import numpy as np
 
 from .diskmap import product_map
 from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
-from .product import (ProductDomain, check_samples, common_area,
+from .product import (ProductDomain, check_integer, common_area,
                       ellipsoid_sample, mc_slices, two_product)
 
 
@@ -136,7 +136,7 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     draws seeded by ``seed``, uniform on the product. The draw is one call;
     psi and both gauges then run product.MC_SLICE points at a time.
     """
-    check_samples(samples)
+    check_integer("samples", samples)
     domain = two_product(factors)
     factors = domain.factors
     a = common_area(domain)

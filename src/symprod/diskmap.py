@@ -39,13 +39,17 @@ from .product import ellipsoid_sample, factorwise, two_product
 
 
 def disk_to_domain(profile, z):
-    """Exact 1-homogeneous area-preserving map of D(area) onto the domain."""
+    """Exact 1-homogeneous area-preserving map of D(area) onto the domain.
+
+    phi = S^-1(a arg z / 2 pi) and R(phi) come from one angle reduction and
+    cell lookup (RadialProfile.inverse_sector_area_and_radius).
+    """
     z = np.asarray(z, dtype=complex)
     a = profile.area
     rho = np.abs(z)
-    phi = profile.inverse_sector_area(
+    phi, radius = profile.inverse_sector_area_and_radius(
         np.arctan2(z.imag, z.real) * (a / TWO_PI))
-    out = rho * math.sqrt(np.pi / a) * profile.radius(phi) * np.exp(1j * phi)
+    out = rho * math.sqrt(np.pi / a) * radius * np.exp(1j * phi)
     out = np.where(rho == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
 

@@ -53,16 +53,17 @@ def char_flow_2d(profile, z, t):
     The gauge level is conserved exactly and the origin is fixed. Time is in
     area units; the minimal period on the boundary equals the domain area.
     R and S at arg z come from one angle reduction and cell lookup
-    (RadialProfile.radius_and_sector_area). A point with a NaN coordinate
-    flows to NaN, and so does every point but the origin in a non-finite
-    time.
+    (RadialProfile.radius_and_sector_area), and so do the new angle
+    S^-1(S + t) and R there (RadialProfile.inverse_sector_area_and_radius).
+    A point with a NaN coordinate flows to NaN, and so does every point but
+    the origin in a non-finite time.
     """
     z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
     radius, sector = profile.radius_and_sector_area(np.arctan2(z.imag, z.real))
-    level = np.where(r == 0.0, 0.0, r / radius)
-    theta = np.mod(profile.inverse_sector_area(sector + t), TWO_PI)
-    out = level * profile.radius(theta) * np.exp(1j * theta)
+    level = np.abs(z) / radius
+    theta, radius = profile.inverse_sector_area_and_radius(sector + t)
+    theta = np.mod(theta, TWO_PI)
+    out = level * radius * np.exp(1j * theta)
     out = np.where(level == 0.0, 0.0 + 0.0j, out)
     return complex(out) if out.ndim == 0 else out
 

@@ -5,7 +5,8 @@ angular grid. Everything downstream (area-preserving maps, boundary flows,
 volume estimates) reduces to three primitives implemented here: the radius
 interpolant, the cumulative sector area S(theta) = int_0^theta R(u)^2/2 du,
 and its inverse. All three read one table of per-cell polynomials of R, R'
-and S, evaluated by ``horner``.
+and S, evaluated by ``horner``. Each primitive is one cell lookup, and the
+inverse also yields R at the angle it finds from that same cell.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ class RadialProfile:
     the swept area ((r0 + m*x)^3 - r0^3)/(6m) is a cubic in the offset x
     with an exact real root, so ``inverse_sector_area`` takes a cube root
     there and runs Newton on the cell's polynomials only on cubic
-    profiles. ``min_radius`` and ``max_radius`` are the exact extrema of
-    the interpolant, spline overshoot included (node values and the
-    values at each cell's zeros of R'), and the build rejects
-    ``min_radius <= 0``.
+    profiles. ``inverse_sector_area_and_radius`` also returns R at that
+    root from the same cell and offset, so a map that needs R at S^-1(s)
+    looks up no second cell. ``min_radius`` and ``max_radius`` are the
+    exact extrema of the interpolant, spline overshoot included (node
+    values and the values at each cell's zeros of R'), and the build
+    rejects ``min_radius <= 0``.
 
     The instance is immutable after construction; all methods are pure and
     accept scalars or arrays. A NaN or infinite angle, or a point with a
@@ -203,11 +206,20 @@ class RadialProfile:
     def inverse_sector_area(self, s):
         """Angle theta with S(theta) = s, unwrapped like sector_area.
 
-        The sample cell k, 0 <= k < N, is the number of the table's interior
-        nodes S(theta_1), ..., S(theta_{N-1}) at or below s reduced mod the
-        area (a NaN sorts last, into cell N - 1); T = s - S(theta_k) is then
-        the area to sweep inside it. On a linear cell the radius is r0 + m*x
-        with m = (R_{k+1} - R_k)/h, and the area swept over its first x is
+        The theta of inverse_sector_area_and_radius, which documents the
+        inversion.
+        """
+        return self.inverse_sector_area_and_radius(s)[0]
+
+    def inverse_sector_area_and_radius(self, s):
+        """Angle theta with S(theta) = s, and R(theta), from one cell lookup.
+
+        theta is unwrapped like sector_area. The sample cell k, 0 <= k < N,
+        is the number of the table's interior nodes S(theta_1), ...,
+        S(theta_{N-1}) at or below s reduced mod the area (a NaN sorts last,
+        into cell N - 1); T = s - S(theta_k) is then the area to sweep
+        inside it. On a linear cell the radius is r0 + m*x with
+        m = (R_{k+1} - R_k)/h, and the area swept over its first x is
         ((r0 + m*x)^3 - r0^3)/(6m) = T, whose root is
 
             x = 6T / (r0^2 (c^2 + c + 1)),  c = cbrt(1 + 6mT/r0^3).
@@ -220,6 +232,11 @@ class RadialProfile:
         the rounding of S itself, with S'(theta) = R(theta)^2/2 from its R
         polynomial. Both meet |S - s| <= 1e-14 * area, beyond the rounding
         of theta itself (S'(theta) = R^2/2 per unit of theta).
+
+        R is the cell's R polynomial at the root's offset x before theta
+        is rounded, so it can differ from radius(theta) by the rounding of
+        theta times R'; on a constant cell it equals radius(theta). One
+        point gives two floats.
         """
         s = np.asarray(s, dtype=float)
         winds = np.floor(s / self.area)
@@ -234,9 +251,13 @@ class RadialProfile:
         r_coef = self._r.take(k, axis=1)
         if self.interpolation == "linear":
             r0, m = r_coef
-            c = np.cbrt(1.0 + 6.0 * m * target / r0 ** 3)
+            # The ufunc, not **: a numpy scalar's ** runs libm's pow, which
+            # differs from the array loop's in the last bit of some cubes.
+            c = np.cbrt(1.0 + 6.0 * m * target / np.power(r0, 3))
             x = 6.0 * target / (r0 * r0 * (c * c + c + 1.0))
-            theta = start + np.minimum(np.maximum(x, 0.0), self._h)
+            x = np.minimum(np.maximum(x, 0.0), self._h)
+            theta = start + x
+            radius = r0 + m * x
         else:
             swept = self._s[1:].take(k, axis=1)  # (S - S(theta_k)) / x
             lo, hi = start, start + self._h
@@ -256,17 +277,18 @@ class RadialProfile:
                 newton = theta - step
                 bad = (newton < lo) | (newton > hi)
                 theta = np.where(bad, 0.5 * (lo + hi), newton)
-        out = theta + winds * TWO_PI
-        return float(out) if out.ndim == 0 else out
+            radius = horner(r_coef, theta - start)
+        theta = theta + winds * TWO_PI
+        if theta.ndim == 0:
+            return float(theta), float(radius)
+        return theta, radius
 
     # -- gauge --------------------------------------------------------------
 
     def gauge(self, z):
-        """Minkowski gauge g(z) = |z| / R(arg z); g(0) = 0 by definition."""
+        """Minkowski gauge g(z) = |z| / R(arg z); g(0) = +0.0 since R > 0."""
         z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        out = np.where(r == 0.0, 0.0,
-                       r / self.radius(np.arctan2(z.imag, z.real)))
+        out = np.abs(z) / self.radius(np.arctan2(z.imag, z.real))
         return float(out) if out.ndim == 0 else out
 
     def boundary_point(self, theta):

@@ -141,11 +141,11 @@ def common_area(domain):
     return float(areas[0])
 
 
-def check_samples(samples):
-    """ValueError unless ``samples`` is an integer; bools are not."""
-    if (isinstance(samples, (bool, np.bool_))
-            or not isinstance(samples, numbers.Integral)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+def check_integer(name, value):
+    """ValueError unless ``value`` is an integer; bools are not."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def mc_slices(count):
@@ -199,9 +199,10 @@ def mc_volume(domain, samples, seed, threads=1):
     generators, so the result depends only on (samples, seed), not on the
     worker count; each block is tested MC_SLICE points at a time.
     """
-    check_samples(samples)
+    check_integer("samples", samples)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    check_integer("threads", threads)
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")
     radii = domain.bounding_radii()

@@ -191,10 +191,12 @@ def test_conjugacy_residual_rejects_non_finite_time(t):
 
 
 # Python-level frames of one one-point conjugacy_residual call on W x square,
-# 52 measured with numpy 2.4 (204 while the path called numpy's Python
+# 38 measured with numpy 2.4 (52 while psi and Phi^t read R by a second
+# radius lookup after S^-1, 204 while the path called numpy's Python
 # wrappers np.clip, np.take, np.searchsorted, np.angle, np.atleast_1d and
-# np.stack); one such wrapper put back on the path exceeds the bound.
-CONJUGACY_CALL_FRAMES = 55
+# np.stack); one such wrapper or radius call put back on the path exceeds
+# the bound.
+CONJUGACY_CALL_FRAMES = 41
 
 
 def test_one_point_conjugacy_call_budget():
@@ -225,9 +227,10 @@ def test_one_point_conjugacy_call_budget():
 def test_char_flow_shared_lookup_is_bit_identical(seed, n, interpolation):
     """char_flow_2d equals its composition from the profile's primitives.
 
-    The reference reads gauge(z), then theta = mod(S^-1(S(arg z) + t), 2 pi)
-    and gauge(z) R(theta) e^{i theta}: separate lookups where char_flow_2d
-    shares one for R and S at arg z. Points lie at random angles, at the
+    The reference reads gauge(z), then theta and R at S^-1(S(arg z) + t)
+    from inverse_sector_area_and_radius, and gauge(z) R e^{i theta} with
+    theta reduced mod 2 pi: separate lookups where char_flow_2d shares one
+    for R and S at arg z. Points lie at random angles, at the
     origin, at arg z = +-pi and near cell edges, and some times carry them
     onto cell edges; arrays and one-point calls agree to the bit.
     """
@@ -248,9 +251,10 @@ def test_char_flow_shared_lookup_is_bit_identical(seed, n, interpolation):
 
     def reference(w, time):
         level = profile.gauge(w)
-        theta = np.mod(profile.inverse_sector_area(
-            profile.sector_area(np.angle(w)) + time), TWO_PI)
-        out = level * profile.radius(theta) * np.exp(1j * theta)
+        theta, radius = profile.inverse_sector_area_and_radius(
+            profile.sector_area(np.angle(w)) + time)
+        theta = np.mod(theta, TWO_PI)
+        out = level * radius * np.exp(1j * theta)
         return np.where(level == 0.0, 0.0 + 0.0j, out)
 
     def bits(x):

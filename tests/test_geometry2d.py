@@ -203,15 +203,92 @@ def test_inverse_sector_area_closed_form_random_linear_profiles(seed, n, flat):
     assert np.all(np.diff(theta) >= -ulp)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]))
+def test_inverse_sector_area_and_radius(seed, n, interpolation):
+    """theta is inverse_sector_area's to the bit; R is radius(theta) up to
+    the rounding of theta, |R - radius(theta)| <= 2 max|R'| ulp(theta) +
+    4 ulp(R), where theta = start + x + turns is rounded at the scale of
+    max(|theta|, 2 pi). s runs over several turns, at +- the cumulative
+    nodes, one ulp either side of them, at multiples of the area and at NaN.
+
+    A one-point call gives the bits of the one-element array call, and on a
+    linear profile those of the whole array call too; cubic Newton stops
+    when every point of the call has converged, so there a point's last
+    bits depend on the others in its call.
+    """
+    rng = np.random.default_rng(seed)
+    try:
+        profile = RadialProfile(rng.uniform(0.2, 2.0, n), interpolation)
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    area = profile.area
+    nodes = np.concatenate([profile._cumulative + k * area for k in (-2, 0, 3)])
+    nodes = np.concatenate((nodes, -nodes))
+    s = np.concatenate((
+        rng.uniform(-3.0, 4.0, 200) * area, nodes,
+        np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        np.arange(-3, 5) * area, [np.nan]))
+    theta, radius = profile.inverse_sector_area_and_radius(s)
+    assert theta.tobytes() == profile.inverse_sector_area(s).tobytes()
+
+    rd = profile.cell_polynomials()[1]
+    max_slope = np.max(np.abs(rd) @ (profile._h ** np.arange(rd.shape[1])))
+    bound = (2.0 * max_slope * np.spacing(np.maximum(np.abs(theta), TWO_PI))
+             + 4.0 * np.spacing(radius))
+    finite = ~np.isnan(s)
+    assert np.all(np.abs(radius - profile.radius(theta))[finite]
+                  <= bound[finite])
+    assert np.isnan(theta[-1]) and np.isnan(radius[-1])
+    assert np.all(np.isfinite(theta[finite]) & np.isfinite(radius[finite]))
+
+    for i in rng.choice(s.size - 1, 10, replace=False).tolist() + [-1]:
+        one = profile.inverse_sector_area_and_radius(s[i])
+        assert all(isinstance(v, float) for v in one)
+        single = profile.inverse_sector_area_and_radius(s[[i]])
+        assert np.array(one).tobytes() == np.concatenate(single).tobytes()
+        if interpolation == "linear":
+            assert np.array(one).tobytes() == np.array(
+                [theta[i], radius[i]]).tobytes()
+
+
+def test_gauge_and_flow_at_origin_and_nan_keep_their_bits():
+    """r / R at r = 0 is +0.0 without a special case, also at -0 - 0i.
+
+    The reference is the explicit np.where(r == 0, 0, r / R) of the level;
+    a NaN point gives the same NaN, and the flow of 0 and -0 - 0i is +0.
+    """
+    def bits(x):
+        return np.asarray(x).tobytes()
+
+    points = np.array([0j, complex(-0.0, -0.0), complex(np.nan, 0.0),
+                       complex(0.0, np.nan), 0.3 - 0.2j])
+    for interpolation in ("linear", "cubic"):
+        profile = geometry2d.cosine_profile(np.pi, interpolation=interpolation)
+        r = np.abs(points)
+        level = np.where(r == 0.0, 0.0,
+                         r / profile.radius(np.arctan2(points.imag,
+                                                       points.real)))
+        assert bits(profile.gauge(points)) == bits(level)
+        flow = dynamics.char_flow_2d(profile, points, 0.7)
+        assert bits(flow[:2]) == bits(np.zeros(2, dtype=complex))
+        assert np.all(np.isnan(flow[2:4]))
+        for w, g, f in zip(points, level, flow):
+            assert bits(profile.gauge(w)) == bits(g)
+            assert bits(dynamics.char_flow_2d(profile, w, 0.7)) == bits(f)
+
+
 @pytest.mark.parametrize("name", ["weierstrass", "square", "cosine"])
 def test_inverse_sector_area_newton_converges(name, monkeypatch):
     """Linear profiles invert in closed form; cubic ones by few Newton steps.
 
     Each Newton iteration evaluates the cell's S polynomial and, unless it
-    has converged, its R polynomial, one ``horner`` call each; from the
-    secant point of the sample cell 20,000 points need at most 3
-    iterations and a final check, bisection about 28. A linear cell takes
-    a cube root and evaluates no polynomial.
+    has converged, its R polynomial, one ``horner`` call each, and R at the
+    root is one more; from the secant point of the sample cell 20,000
+    points need one iteration and a final check (4 calls in all),
+    bisection about 28. A linear cell takes a cube root and evaluates no
+    polynomial.
     """
     profile = preset_profiles()[name]
     most = 0 if profile.interpolation == "linear" else 7

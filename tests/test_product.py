@@ -258,6 +258,24 @@ def test_mc_volume_takes_numpy_integer_samples():
     assert est.hits == product.mc_volume(two_disks(), 5000, seed=1).hits
 
 
+@pytest.mark.parametrize("threads", [2.5, 2.0, np.float64(2.0), True,
+                                     np.True_, "2"])
+def test_mc_volume_rejects_non_integer_threads(threads):
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        product.mc_volume(two_disks(), 5000, seed=1, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -1, np.int64(0)])
+def test_mc_volume_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="at least one thread"):
+        product.mc_volume(two_disks(), 5000, seed=1, threads=threads)
+
+
+def test_mc_volume_takes_numpy_integer_threads():
+    est = product.mc_volume(two_disks(), 5000, seed=1, threads=np.int32(2))
+    assert est.hits == product.mc_volume(two_disks(), 5000, seed=1).hits
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0, 6.0])
 def test_closed_form_volume_matches_monte_carlo(p):
     domain = ProductDomain([geometry2d.weierstrass_profile(),
