@@ -9,21 +9,20 @@ for the cumulative sector area S. It preserves area wherever R is C^1 and
 carries each circle of enclosed area A onto the sqrt(A/a)-scaled boundary.
 
 A separate cutoff construction smooths the map near the origin: it is the
-time-1 map of a time-dependent Hamiltonian rho(|z|^2) f_t(arg z) pi|z|^2/a,
-with rho a cutoff that vanishes near 0. Where rho = 1 the flow is the
-interpolated isotopy whose time-1 map is psi, and where rho = 0 it is the
-identity, so cutoff_disk_map uses those closed forms for every trajectory
-that stays in one of the two regions and integrates (RK4) only the points
-whose trajectories meet the ramp in between.
+time-1 map Phi of a time-dependent Hamiltonian rho(|z|^2) f_t(arg z)
+pi|z|^2/a, with rho a cutoff that vanishes near 0. Where rho = 1 the flow
+is the interpolated isotopy whose time-1 map is psi, and where rho = 0 it
+is the identity. The paper's product map Psi = Phi_1 x ... x Phi_n,
+cutoff_product_map, uses those closed forms for every trajectory that
+stays in one of the two regions. It integrates the rest, of every factor
+and both directions, in one elementwise RK4 loop, whose field reads R, R'
+and S for each point from one table of the factors' per-cell polynomials
+(_CellTable): one angle reduction and one cell lookup per point.
 
 The epsilon-sandwich of a 2-product is decided by sandwich_bound, a closed
 form that proves both inclusions for every point of E in O(n).
-sandwich_check reports that bound and cross-checks it by Monte Carlo: the
-ramp coordinates of every factor and of both directions go through one
-RK4 loop at the given step count, since every operation of the loop is
-elementwise. The field reads R, R' and S for each point from one table
-that stacks the factors' per-cell polynomials (_CellTable), with one angle
-reduction and one cell lookup per point.
+sandwich_check reports that bound and cross-checks it by Monte Carlo
+through cutoff_product_map.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def sandwich_delta(profile, epsilon, n_factors):
 
 
 def _exact_level(profile, delta):
-    """lev^2 from which a trajectory stays where rho = 1: l* of _banded_map."""
+    """l*, the lev^2 from which a trajectory stays where rho = 1."""
     return RAMP_HI * delta / min(profile.area, np.pi * profile.min_radius ** 2)
 
 
@@ -226,54 +225,62 @@ def _rk4(table, which, z, inverse, steps):
     return z
 
 
-def _banded_map(profile, config, z, inverse):
-    """Closed-form bands of cutoff_disk_map on a 1-d array, plus the ramp.
+def cutoff_product_map(factors, configs, z, inverse=False):
+    """Psi = Phi_1 x ... x Phi_n: each factor's cutoff map on its coordinate.
 
-    ``inverse`` marks the points to map backwards (a mask, or one flag for
-    all). Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0,
-    gauge^2 at t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2
-    with R_t^2 = (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory
-    with lev^2 >= l* = RAMP_HI delta / min(a, pi R_min^2) (_exact_level)
-    therefore never leaves rho = 1, and its time-1 map is psi (psi^-1
-    backwards). The field vanishes where pi|z|^2 <= RAMP_LO delta, so such
-    points are fixed. Points of the ramp band in between are returned
-    unchanged, for _rk4.
+    ``z`` holds one coordinate per factor on its last axis, and ``inverse``
+    (one flag, or a mask that broadcasts to z.shape[:-1]) marks the rows to
+    map backwards, from t = 1. Returns (image, ramp); ``ramp`` marks the
+    coordinates that RK4 integrated.
+
+    Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0, gauge^2 at
+    t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2 with R_t^2 =
+    (1 - t) a/pi + t R^2 >= min(a/pi, R_min^2). A trajectory with lev^2 >= l*
+    (_exact_level) therefore never leaves rho = 1, and its time-1 map is psi
+    (psi^-1 backwards). Where pi|z|^2 <= RAMP_LO delta the field vanishes and
+    the point is fixed. The ramp coordinates in between, of every factor and
+    both directions, go through one _rk4 call, so the configs must share one
+    step count.
     """
-    inverse = np.broadcast_to(inverse, z.shape)
-    pi_u = np.pi * np.abs(z) ** 2
-    lev2 = pi_u / profile.area
-    if np.any(inverse):
-        lev2[inverse] = profile.gauge(z[inverse]) ** 2
-    exact = lev2 >= _exact_level(profile, config.delta)
-    ramp = ~exact & (pi_u > RAMP_LO * config.delta)
-    out = z.copy()
-    for closed_form, band in ((disk_to_domain, exact & ~inverse),
-                              (domain_to_disk, exact & inverse)):
-        if np.any(band):
-            out[band] = closed_form(profile, z[band])
-    return out, ramp
+    steps = {c.steps for c in configs}
+    if len(steps) != 1:
+        raise ValueError(f"configs need one step count, got {sorted(steps)}")
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1, z.shape[-1])
+    inverse = np.broadcast_to(inverse, z.shape[:-1]).reshape(-1)
+    image = flat.copy()
+    ramp = np.empty(flat.shape, dtype=bool)
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        col, out = flat[:, i], image[:, i]
+        pi_u = np.pi * np.abs(col) ** 2
+        lev2 = pi_u / f.area
+        if np.any(inverse):
+            lev2[inverse] = f.gauge(col[inverse]) ** 2
+        exact = lev2 >= _exact_level(f, cfg.delta)
+        ramp[:, i] = ~exact & (pi_u > RAMP_LO * cfg.delta)
+        for closed_form, band in ((disk_to_domain, exact & ~inverse),
+                                  (domain_to_disk, exact & inverse)):
+            if np.any(band):
+                out[band] = closed_form(f, col[band])
+    rows, cols = np.nonzero(ramp)
+    if rows.size:
+        image[rows, cols] = _rk4(_CellTable(factors, configs), cols,
+                                 flat[rows, cols], inverse[rows],
+                                 configs[0].steps)
+    return image.reshape(z.shape), ramp.reshape(z.shape)
 
 
 def cutoff_disk_map(profile, config, z, inverse=False):
-    """Time-1 map of the cutoff Hamiltonian flow.
+    """Time-1 map of the cutoff flow: cutoff_product_map of one factor.
 
     Smooth at the origin (identity in a neighborhood of 0) and equal to
     disk_to_domain wherever pi |z|^2 min(1, pi R_min^2 / a) >= RAMP_HI delta.
-    Each point is sorted into one of three bands: trajectories that stay
-    where rho = 1 get psi exactly, points where rho = 0 are returned
-    unchanged, and the rest are integrated by RK4 with ``config.steps``
-    fixed steps. With ``inverse`` set, the flow runs backwards from t = 1
-    (psi^-1 in the exact band); it is one flag or a mask that broadcasts
-    to z.
+    With ``inverse`` set, the flow runs backwards from t = 1 (psi^-1 in the
+    exact band); it is one flag or a mask that broadcasts to z.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    inverse = np.broadcast_to(inverse, z.shape).reshape(-1)
-    out, ramp = _banded_map(profile, config, flat, inverse)
-    if np.any(ramp):
-        out[ramp] = _rk4(_CellTable([profile], [config]), 0, flat[ramp],
-                         inverse[ramp], config.steps)
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    out, _ = cutoff_product_map([profile], [config], z[..., None], inverse)
+    return complex(out[..., 0]) if z.ndim == 0 else out[..., 0]
 
 
 # -- epsilon-sandwich check -------------------------------------------------
@@ -317,8 +324,8 @@ def sandwich_bound(factors, epsilon):
     Per factor write lev^2 = pi|z|^2/a, c = RAMP_LO delta / a,
     k_min = a / (pi R_min^2), k_max = a / (pi R_max^2) and l* for
     _exact_level. Phi has three regions:
-    - lev^2 >= l*: the trajectory stays where rho = 1 (_banded_map), so
-      Phi = psi and g(Phi(z))^2 = lev^2 (criterion-02). In particular Phi
+    - lev^2 >= l*: the trajectory stays where rho = 1 (cutoff_product_map),
+      so Phi = psi and g(Phi(z))^2 = lev^2 (criterion-02). In particular Phi
       carries the circle C = {lev^2 = l*} onto the curve {g^2 = l*}.
     - lev^2 <= c: the field vanishes, so Phi(z) = z, and
       g(z)^2 = |z|^2 / R(arg z)^2 lies between k_max lev^2 and
@@ -410,9 +417,8 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     E(a_1, ..., a_n) through the cutoff map; product gauge <= 1 + eps.
     Inner: (1 - eps) psi(samples) is uniform on (1 - eps) * product; pull it
     back per factor by the inverse cutoff map; the preimage lies in E.
-    ``steps`` is the RK4 step count for coordinates in the cutoff ramp;
-    every factor's ramp coordinates, of both directions, go through one
-    _rk4 call.
+    Both directions go through one cutoff_product_map call, whose ramp
+    coordinates RK4 integrates in ``steps`` steps.
     """
     bound = sandwich_bound(factors, epsilon)
     domain = two_product(factors)
@@ -429,15 +435,7 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     pts = np.concatenate([ellipsoid_pts, target])
     inverse = np.arange(2 * samples) >= samples
 
-    image = np.empty_like(pts)
-    ramps = np.empty(pts.shape, dtype=bool)
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
-        image[:, i], ramps[:, i] = _banded_map(f, cfg, pts[:, i], inverse)
-    rows, cols = np.nonzero(ramps)
-    if rows.size:
-        image[rows, cols] = _rk4(_CellTable(factors, configs), cols,
-                                 pts[rows, cols], inverse[rows], steps)
-
+    image, ramps = cutoff_product_map(factors, configs, pts, inverse)
     outer_gauge = domain.gauge(image[:samples])
     inner_gauge = EllipsoidSpec(areas).gauge(image[samples:])
     outer_bad = outer_gauge > 1.0 + epsilon

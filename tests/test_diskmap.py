@@ -262,7 +262,7 @@ def test_cutoff_map_takes_a_per_point_inverse_mask(name):
     u = 2.0 * config.delta / np.pi * rng.uniform(0.0, 1.0, (3, 40))
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
     inverse = rng.random(u.shape) < 0.5
-    _, ramp = diskmap._banded_map(profile, config, z.ravel(), inverse.ravel())
+    _, ramp = reference_bands(profile, config, z, inverse)
     assert 0 < np.count_nonzero(ramp) < ramp.size
     w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
     expected = [diskmap.cutoff_disk_map(profile, config, p, inverse=back)
@@ -504,13 +504,27 @@ def reference_rk4(profile, config, z, inverse, steps):
     return z
 
 
+def reference_bands(profile, config, z, inverse):
+    """The exact and ramp bands of z, from l* and RAMP_LO alone.
+
+    lev^2 is pi|z|^2/a forwards and gauge^2 backwards; the exact band is
+    lev^2 >= l*, the frozen band pi|z|^2 <= RAMP_LO delta.
+    """
+    pi_u = np.pi * np.abs(z) ** 2
+    lev2 = np.where(inverse, profile.gauge(z) ** 2, pi_u / profile.area)
+    exact = lev2 >= diskmap._exact_level(profile, config.delta)
+    return exact, ~exact & (pi_u > diskmap.RAMP_LO * config.delta)
+
+
 def reference_map_and_gauge(factors, configs, pts, inverse, gauge_fn):
     """Per-direction banded maps, each factor's ramp by its own RK4 run."""
-    image = np.empty_like(pts)
+    closed_form = diskmap.domain_to_disk if inverse else diskmap.disk_to_domain
+    image = pts.copy()
     ramps = np.empty(pts.shape, dtype=bool)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
-        image[:, i], ramps[:, i] = diskmap._banded_map(f, cfg, pts[:, i],
-                                                       inverse)
+        exact, ramps[:, i] = reference_bands(f, cfg, pts[:, i], inverse)
+        if np.any(exact):
+            image[exact, i] = closed_form(f, pts[exact, i])
         ramp = ramps[:, i]
         if np.any(ramp):
             image[ramp, i] = reference_rk4(f, cfg, pts[ramp, i], inverse,
@@ -663,9 +677,9 @@ def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
             alone = diskmap._rk4(diskmap._CellTable([f], [cfg]), 0, z[group],
                                  back, steps)
             np.testing.assert_array_equal(out[group], alone)
-            w = diskmap.cutoff_disk_map(f, cfg, z[group], inverse=back)
-            _, ramp = diskmap._banded_map(f, cfg, z[group], back)
-            np.testing.assert_array_equal(w[ramp], alone[ramp])
+            w, ramp = diskmap.cutoff_product_map([f], [cfg], z[group, None],
+                                                 back)
+            np.testing.assert_array_equal(w[ramp], alone[ramp[:, 0]])
 
 
 @pytest.mark.parametrize("steps", [64, 9])
