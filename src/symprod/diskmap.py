@@ -20,7 +20,11 @@ and S for each point from one table of the factors' per-cell polynomials
 (_CellTable): one angle reduction and one cell lookup per point.
 
 The epsilon-sandwich of a 2-product is decided by sandwich_bound, a closed
-form that proves both inclusions for every point of E in O(n).
+form that proves both inclusions for every point of E in O(n). Each
+factor's cutoff level (sandwich_delta) is 0.9 a eps'^2 with
+eps' = 0.9 sqrt(eps/n), or less where the bound needs it: the factors'
+excesses, linear in delta, use at most DELTA_MARGIN of the slack, so the
+bound proves the sandwich for any factors at any eps in (0, 1).
 sandwich_check reports that bound and cross-checks it by Monte Carlo
 through cutoff_product_map.
 """
@@ -91,6 +95,10 @@ def product_map(factors, z):
 # Weierstrass preset, 0.79 for the square).
 RAMP_LO = 0.2
 RAMP_HI = 0.6
+# Share of the slack (1 + eps)^2 - 1 and 1 - (1 - eps)^2 that the factors'
+# cutoff excesses may use at most (sandwich_delta); below 1, so that
+# sandwich_bound proves the sandwich with room to spare.
+DELTA_MARGIN = 0.9
 
 
 @dataclass
@@ -118,14 +126,49 @@ class CutoffMapConfig:
 
 
 def sandwich_delta(profile, epsilon, n_factors):
-    """Cutoff level delta = 0.9 a eps'^2 with eps' = 0.9 sqrt(eps/n)."""
+    """Cutoff level of one of n factors: min(0.9 a eps'^2, delta_bound).
+
+    The first term, with eps' = 0.9 sqrt(eps/n), is the construction's
+    own level. The factor's excesses in sandwich_bound are linear in
+    delta: eta_out = delta A_out and eta_in = delta A_in, with A_out and
+    A_in the excesses at delta = 1 (_excesses). So at
+
+        delta_bound = DELTA_MARGIN min(((1+eps)^2 - 1) / (n A_out),
+                                       (1 - (1-eps)^2) / (n A_in))
+
+    the n factors' excesses sum to at most DELTA_MARGIN ((1+eps)^2 - 1)
+    outwards and DELTA_MARGIN (1 - (1-eps)^2) inwards. Then
+    outer_bound^2 = 1 + sum eta_out < (1+eps)^2 and inner_bound^2 =
+    (1-eps)^2 + sum eta_in < 1, and a smaller delta only shrinks the
+    excesses: the bound proves the sandwich for any factors at any eps in
+    (0, 1). The first term is the smaller one unless the factor is
+    eccentric (k_min = a / (pi R_min^2) well above 1, as on thin
+    rectangles), and then delta_bound takes over.
+    """
     eps_prime = 0.9 * np.sqrt(epsilon / n_factors)
-    return 0.9 * profile.area * eps_prime ** 2
+    slope_out, slope_in, _ = _excesses(profile, 1.0)
+    delta_bound = DELTA_MARGIN / n_factors * min(
+        ((1.0 + epsilon) ** 2 - 1.0) / slope_out,
+        (1.0 - (1.0 - epsilon) ** 2) / slope_in)
+    return float(min(0.9 * profile.area * eps_prime ** 2, delta_bound))
 
 
 def _exact_level(profile, delta):
     """l*, the lev^2 from which a trajectory stays where rho = 1."""
     return RAMP_HI * delta / min(profile.area, np.pi * profile.min_radius ** 2)
+
+
+def _excesses(profile, delta):
+    """(eta_out, eta_in, l*) of the factor's cutoff map at level delta.
+
+    The excesses are sandwich_bound's, each linear in delta.
+    """
+    level = _exact_level(profile, delta)
+    c = RAMP_LO * delta / profile.area
+    k_min = profile.area / (np.pi * profile.min_radius ** 2)
+    k_max = profile.area / (np.pi * profile.max_radius ** 2)
+    return (max(level - c, c * (k_min - 1.0)),
+            max(level - c * k_max, c * max(0.0, 1.0 - k_max)), level)
 
 
 class _CellTable:
@@ -319,7 +362,8 @@ def sandwich_bound(factors, epsilon):
     G(Psi(z))^2 <= 1 + sum eta_out = outer_bound^2, and every w in
     (1-eps) X has E-gauge(Psi^-1(w))^2 <= (1-eps)^2 + sum eta_in =
     inner_bound^2. The sandwich holds for all of E when
-    outer_bound <= 1 + eps and inner_bound <= 1.
+    outer_bound <= 1 + eps and inner_bound <= 1, and sandwich_delta
+    chooses each delta so that both hold, for any factors.
 
     Per factor write lev^2 = pi|z|^2/a, c = RAMP_LO delta / a,
     k_min = a / (pi R_min^2), k_max = a / (pi R_max^2) and l* for
@@ -341,6 +385,7 @@ def sandwich_bound(factors, epsilon):
     fixed disk, g(w)^2 > c k_max; a fixed point gains at most
     c max(0, 1 - k_max). Both maxima are positive, since l* > c and
     l* > c k_max, so they also cover the exact region's excess of 0.
+    _excesses computes them.
 
     Phi is a homeomorphism when the trajectories of its flow are unique.
     On cubic profiles the field is C^1, so they are. On linear profiles R'
@@ -356,15 +401,8 @@ def sandwich_bound(factors, epsilon):
         raise ValueError("epsilon must lie in (0, 1)")
     factors = two_product(factors).factors
     deltas = [sandwich_delta(f, epsilon, len(factors)) for f in factors]
-    eta_out, eta_in, levels = [], [], []
-    for f, delta in zip(factors, deltas):
-        level = _exact_level(f, delta)
-        c = RAMP_LO * delta / f.area
-        k_min = f.area / (np.pi * f.min_radius ** 2)
-        k_max = f.area / (np.pi * f.max_radius ** 2)
-        eta_out.append(max(level - c, c * (k_min - 1.0)))
-        eta_in.append(max(level - c * k_max, c * max(0.0, 1.0 - k_max)))
-        levels.append(level)
+    eta_out, eta_in, levels = (list(x) for x in zip(
+        *(_excesses(f, delta) for f, delta in zip(factors, deltas))))
     return SandwichBound(
         deltas, eta_out, eta_in, levels, float(np.sqrt(1.0 + sum(eta_out))),
         float(np.sqrt((1.0 - epsilon) ** 2 + sum(eta_in))))

@@ -174,6 +174,7 @@ def ellipsoid_sample(rng, areas, count):
     simplex (a flat Dirichlet on n + 1 parts, drawn first) and the angles
     uniform (drawn second). s / sum(s) is then uniform on the face sum = 1.
     """
+    check_integer("sample count", count)
     if count < 1:
         raise ValueError("need at least one sample")
     areas = np.asarray(areas, dtype=float)

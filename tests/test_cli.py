@@ -160,6 +160,20 @@ def test_sandwich_on_three_factors():
     assert int(fields["closed_form"]) + int(fields["integrated"]) == 3000
 
 
+def test_sandwich_on_a_thin_rectangle_squared(tmp_path):
+    """The 2 x 0.2 rectangle has k_min 12.7; delta from the bound passes."""
+    factor = ("[factor]\ntype = polygon\n"
+              "vertices = 1 0.1, -1 0.1, -1 -0.1, 1 -0.1\n")
+    spec = tmp_path / "rectangles.spec"
+    spec.write_text("p = 2\n\n" + factor + "\n" + factor)
+    code, out = run_cli(["sandwich", "--spec", str(spec),
+                         "--samples", "20000", "--seed", "5"])
+    assert code == 0
+    fields = sandwich_fields(out)
+    assert float(fields["outer_bound"]) == pytest.approx(1.04199, abs=1e-5)
+    assert float(fields["inner_bound"]) == pytest.approx(0.99511, abs=1e-5)
+
+
 def test_missing_spec_file_exits_2(capsys):
     assert run(["area", "--spec", "no_such_file.spec"]) == 2
 

@@ -444,10 +444,18 @@ def test_sandwich_report_counts_and_certificate():
     assert report.worst_inner_gauge <= report.inner_bound
 
 
+def rectangle(width, height):
+    x, y = width / 2.0, height / 2.0
+    return geometry2d.polygon_profile([(x, y), (-x, y), (-x, -y), (x, -y)])
+
+
 def bound_products():
     """The products whose closed-form bounds were worked out by hand."""
     weier, square = sandwich_factors().values()
     return {"weierstrass-square": [weier, square],
+            "rectangle(2x0.2)-squared": [rectangle(2.0, 0.2)] * 2,
+            "rectangle(2x0.1)-weierstrass-square": [rectangle(2.0, 0.1),
+                                                    weier, square],
             "weierstrass(0.4,b=4)-disk(36)": [
                 geometry2d.weierstrass_profile(amplitude=0.4, b=4.0),
                 geometry2d.disk_profile(36.0)],
@@ -458,7 +466,9 @@ def bound_products():
 
 @pytest.mark.parametrize("name,outer,inner", [
     ("weierstrass-square", 1.01185, 0.96372),
-    ("weierstrass(0.4,b=4)-disk(36)", 1.04485, 0.99829),
+    ("weierstrass(0.4,b=4)-disk(36)", 1.02468, 0.97656),
+    ("rectangle(2x0.2)-squared", 1.04199, 0.99511),
+    ("rectangle(2x0.1)-weierstrass-square", 1.02214, 0.97430),
     ("weierstrass-square-disk(2)", 1.01032, 0.96170),
     ("four-weierstrass", 1.01346, 0.96530)])
 def test_sandwich_bound_values(name, outer, inner):
@@ -484,6 +494,64 @@ def test_sandwich_check_passes_on_three_and_four_factors(name):
     assert report.worst_inner_gauge <= report.inner_bound
     assert report.passed
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("rectangle(2x0.2)-squared", 5), ("rectangle(2x0.2)-squared", 14),
+    ("rectangle(2x0.2)-squared", 21),
+    ("rectangle(2x0.1)-weierstrass-square", 5)])
+def test_sandwich_check_passes_on_eccentric_factors(name, seed):
+    """A thin rectangle's k_min is 12.7 at 2 x 0.2: delta from the bound
+    keeps its excesses within the sandwich, at 20,000 samples."""
+    report = diskmap.sandwich_check(bound_products()[name], epsilon=0.05,
+                                    samples=20000, seed=seed, steps=64)
+    assert report.integrated > 0
+    assert report.violations_outer == report.violations_inner == 0
+    assert report.worst_outer_gauge <= report.outer_bound <= 1.05
+    assert report.worst_inner_gauge <= report.inner_bound <= 1.0
+    assert report.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sizes=st.lists(st.integers(16, 511), min_size=1, max_size=4),
+       epsilon=st.floats(0.001, 0.5))
+def test_sandwich_bound_passes_for_any_linear_factors(seed, sizes, epsilon):
+    """delta from the bound proves the sandwich for any star-shaped
+    factors; the construction's own delta is never exceeded."""
+    rng = np.random.default_rng(seed)
+    factors = [geometry2d.RadialProfile(rng.uniform(0.02, 2.0, n), "linear")
+               for n in sizes]
+    bound = diskmap.sandwich_bound(factors, epsilon)
+    assert bound.outer_bound <= 1.0 + epsilon
+    assert bound.inner_bound <= 1.0
+    for f, delta in zip(factors, bound.deltas):
+        assert delta <= 0.729 * f.area * epsilon / len(factors)
+
+
+@pytest.mark.parametrize("name", [*preset_profiles(), "disk(2)", "disk(36)",
+                                  "cubic-disk(1)"])
+def test_sandwich_delta_is_the_construction_level_on_round_factors(name):
+    """0.9 a eps'^2 with eps' = 0.9 sqrt(eps/n), for eps in [0.001, 0.9]
+    and n in 1..4: the bound's delta is larger on these factors."""
+    profile = {**preset_profiles(),
+               "disk(2)": geometry2d.disk_profile(2.0),
+               "disk(36)": geometry2d.disk_profile(36.0),
+               "cubic-disk(1)": geometry2d.disk_profile(
+                   1.0, interpolation="cubic")}[name]
+    for n in (1, 2, 3, 4):
+        for eps in np.geomspace(0.001, 0.9, 25):
+            eps_prime = 0.9 * np.sqrt(eps / n)
+            assert diskmap.sandwich_delta(profile, eps, n) == \
+                0.9 * profile.area * eps_prime ** 2
+
+
+def test_sandwich_delta_from_the_bound_on_an_eccentric_factor():
+    """W(0.4, b=4) has k_min 8.1: at eps = 0.05 in a pair, its delta halves
+    from 0.0648."""
+    profile = geometry2d.weierstrass_profile(amplitude=0.4, b=4.0)
+    assert diskmap.sandwich_delta(profile, 0.05, 2) == pytest.approx(
+        0.032757, abs=1e-6)
 
 
 # -- the one-loop sandwich against the frozen per-direction path ----------
@@ -682,6 +750,46 @@ def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
             np.testing.assert_array_equal(w[ramp], alone[ramp[:, 0]])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_factors=st.integers(1, 3),
+       sizes=st.lists(st.integers(16, 511), min_size=3, max_size=3),
+       cubic=st.lists(st.booleans(), min_size=3, max_size=3),
+       rows=st.integers(1, 24), steps=st.integers(8, 17))
+def test_product_map_is_the_factor_maps_side_by_side(seed, n_factors, sizes,
+                                                     cubic, rows, steps):
+    """Each column of cutoff_product_map is cutoff_disk_map of its factor,
+    bit for bit, with rows of both directions; each ramp column is the
+    reference ramp band of that factor."""
+    rng = np.random.default_rng(seed)
+    try:
+        factors = [geometry2d.RadialProfile(
+            rng.uniform(0.5, 1.5, size), "cubic" if c else "linear")
+            for size, c in zip(sizes[:n_factors], cubic)]
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    configs = [diskmap.CutoffMapConfig(
+        delta=diskmap.sandwich_delta(f, 0.05, n_factors), steps=steps)
+        for f in factors]
+    delta = np.array([c.delta for c in configs])
+    u = delta / np.pi * rng.uniform(0.0, 4.0, (rows, n_factors))
+    z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
+    inverse = rng.random(rows) < 0.5
+    image, ramp = diskmap.cutoff_product_map(factors, configs, z, inverse)
+    for i, (f, cfg) in enumerate(zip(factors, configs)):
+        np.testing.assert_array_equal(
+            image[:, i], diskmap.cutoff_disk_map(f, cfg, z[:, i], inverse))
+        np.testing.assert_array_equal(
+            ramp[:, i], reference_bands(f, cfg, z[:, i], inverse)[1])
+
+
+def test_product_map_needs_one_step_count():
+    factors = list(sandwich_factors().values())
+    configs = [diskmap.CutoffMapConfig(delta=0.1, steps=steps)
+               for steps in (64, 9)]
+    with pytest.raises(ValueError, match="one step count"):
+        diskmap.cutoff_product_map(factors, configs, np.zeros((1, 2)))
+
+
 @pytest.mark.parametrize("steps", [64, 9])
 def test_sandwich_check_evaluates_field_four_times_per_step(monkeypatch,
                                                             steps):
@@ -700,3 +808,12 @@ def test_sandwich_check_evaluates_field_four_times_per_step(monkeypatch,
         report = diskmap.sandwich_check(stack[:n_factors], 0.05, 300, 1, steps)
         assert report.integrated > 0
         assert len(calls) == 4 * steps, n_factors
+    configs = [sandwich_config(f, steps) for f in stack]
+    rng = np.random.default_rng(2)
+    u = rng.uniform(0.0, 1.0, (200, 3)) * [c.delta / np.pi for c in configs]
+    z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
+    calls.clear()
+    _, ramp = diskmap.cutoff_product_map(stack, configs, z,
+                                         np.arange(200) % 2 == 1)
+    assert np.all(np.any(ramp[0::2], axis=0) & np.any(ramp[1::2], axis=0))
+    assert len(calls) == 4 * steps

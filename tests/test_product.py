@@ -321,6 +321,22 @@ def test_ellipsoid_sample_count_and_body():
         product.ellipsoid_sample(np.random.default_rng(4), areas, 0)
 
 
+@pytest.mark.parametrize("count", [200.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", ["sandwich_check",
+                                  "sample_conjugacy_residuals",
+                                  "is_foliated_by_systoles"])
+def test_ellipsoid_samplers_reject_a_non_integer_count(name, count):
+    """The count reaches ellipsoid_sample, which names it in a ValueError."""
+    call = {"sandwich_check": lambda d: diskmap.sandwich_check(
+                d, 0.05, count, 1),
+            "sample_conjugacy_residuals": lambda d:
+                dynamics.sample_conjugacy_residuals(d, count, 1),
+            "is_foliated_by_systoles": lambda d:
+                dynamics.is_foliated_by_systoles(d, count, 1)}[name]
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        call(two_disks())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ellipsoid_sample_is_uniform_in_volume(n):
     """The share of E inside gauge g is g^(2n), so G^(2n) is U(0, 1)."""
