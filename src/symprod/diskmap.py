@@ -285,10 +285,14 @@ def cutoff_product_map(factors, configs, z, inverse=False):
     both directions, go through one _rk4 call, so the configs must share one
     step count.
     """
+    z = np.asarray(z, dtype=complex)
+    width = z.shape[-1] if z.ndim else 0
+    if not width == len(configs) == len(factors):
+        raise ValueError(f"{len(factors)} factors need as many configs and "
+                         f"coordinates, got {len(configs)} and {width}")
     steps = {c.steps for c in configs}
     if len(steps) != 1:
         raise ValueError(f"configs need one step count, got {sorted(steps)}")
-    z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1, z.shape[-1])
     inverse = np.broadcast_to(inverse, z.shape[:-1]).reshape(-1)
     image = flat.copy()
@@ -401,8 +405,8 @@ def sandwich_bound(factors, epsilon):
         raise ValueError("epsilon must lie in (0, 1)")
     factors = two_product(factors).factors
     deltas = [sandwich_delta(f, epsilon, len(factors)) for f in factors]
-    eta_out, eta_in, levels = (list(x) for x in zip(
-        *(_excesses(f, delta) for f, delta in zip(factors, deltas))))
+    excesses = [_excesses(f, delta) for f, delta in zip(factors, deltas)]
+    eta_out, eta_in, levels = (list(x) for x in zip(*excesses))
     return SandwichBound(
         deltas, eta_out, eta_in, levels, float(np.sqrt(1.0 + sum(eta_out))),
         float(np.sqrt((1.0 - epsilon) ** 2 + sum(eta_in))))

@@ -525,8 +525,9 @@ def test_sandwich_bound_passes_for_any_linear_factors(seed, sizes, epsilon):
     bound = diskmap.sandwich_bound(factors, epsilon)
     assert bound.outer_bound <= 1.0 + epsilon
     assert bound.inner_bound <= 1.0
+    eps_prime = 0.9 * np.sqrt(epsilon / len(factors))
     for f, delta in zip(factors, bound.deltas):
-        assert delta <= 0.729 * f.area * epsilon / len(factors)
+        assert delta <= 0.9 * f.area * eps_prime ** 2
 
 
 @pytest.mark.parametrize("name", [*preset_profiles(), "disk(2)", "disk(36)",
@@ -782,12 +783,17 @@ def test_product_map_is_the_factor_maps_side_by_side(seed, n_factors, sizes,
             ramp[:, i], reference_bands(f, cfg, z[:, i], inverse)[1])
 
 
-def test_product_map_needs_one_step_count():
+@pytest.mark.parametrize("steps,width,match", [
+    ((64, 9), 2, "one step count"), ((64,), 2, "got 1 and"),
+    ((64, 64), 3, "got 2 and"), ((64, 64), 0, "got 2 and")],
+    ids=["mixed-steps", "one-config", "three-coordinates", "scalar"])
+def test_product_map_rejects_mismatched_configs(steps, width, match):
+    """One config and one coordinate per factor, all with one step count."""
     factors = list(sandwich_factors().values())
-    configs = [diskmap.CutoffMapConfig(delta=0.1, steps=steps)
-               for steps in (64, 9)]
-    with pytest.raises(ValueError, match="one step count"):
-        diskmap.cutoff_product_map(factors, configs, np.zeros((1, 2)))
+    configs = [diskmap.CutoffMapConfig(delta=0.1, steps=s) for s in steps]
+    z = np.zeros((1, width)) if width else 0.0
+    with pytest.raises(ValueError, match=match):
+        diskmap.cutoff_product_map(factors, configs, z)
 
 
 @pytest.mark.parametrize("steps", [64, 9])
