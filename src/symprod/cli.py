@@ -41,9 +41,13 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def _finite_floats(text, option):
-    """The comma-separated numbers of ``text``; each must be finite."""
+def _finite_floats(text, option, count):
+    """The ``count`` comma-separated numbers of ``text``; each must be
+    finite."""
     values = [float(tok) for tok in text.split(",")]
+    if len(values) != count:
+        raise ValueError(f"{option} needs {count} comma-separated numbers, "
+                         f"got {text!r}")
     if not all(np.isfinite(values)):
         raise ValueError(f"{option} needs finite numbers, got {text!r}")
     return values
@@ -57,13 +61,21 @@ def _count(args, name):
     return value
 
 
+def _check_seed(args):
+    """Reject a negative --seed, for every command that takes one, before
+    the command writes anything."""
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _parse_point(text, n):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != n:
         raise ValueError(f"expected {n} 'x,y' pairs separated by ';'")
     out = np.empty(n, dtype=complex)
     for i, p in enumerate(parts):
-        x, y = _finite_floats(p, "--point")
+        x, y = _finite_floats(p, "--point", 2)
         out[i] = complex(x, y)
     return out
 
@@ -108,7 +120,7 @@ def cmd_flow(args):
     domain = product_mod.two_product(load_spec(args.spec))
     factors = domain.factors
     z0 = _parse_point(args.point, len(factors))
-    t0, t1 = _finite_floats(args.t_range, "--t-range")
+    t0, t1 = _finite_floats(args.t_range, "--t-range", 2)
     rows = []
     for t in np.linspace(t0, t1, _count(args, "steps")):
         # A finite but huge time unwraps the flowed angle past the float
@@ -311,6 +323,7 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seed(args)
         return args.fn(args)
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

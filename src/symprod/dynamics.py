@@ -6,8 +6,8 @@ elapsed time, and one period equals the enclosed area. The flow extends
 1-homogeneously off the boundary (angles independent of the level). On a
 2-product boundary the flow splits factor-wise at full speed, which makes it
 conjugate, through the factor-wise disk map psi, to the Reeb rotation on the
-matching ellipsoid. Sampled boundary points are psi of uniform points of
-the ellipsoid divided by their ellipsoid gauge (product.ellipsoid_sample).
+matching ellipsoid. Sampled boundary points are psi of points of the
+ellipsoid's boundary (product.ellipsoid_boundary_sample).
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import EllipsoidSpec, TWO_PI
-from .product import common_area, ellipsoid_sample, factorwise, two_product
+from .geometry2d import TWO_PI
+from .product import (common_area, ellipsoid_boundary_sample, factorwise,
+                      two_product)
 
 
 @dataclass
@@ -108,14 +109,13 @@ def conjugacy_residual(factors, z, t):
 def sample_conjugacy_residuals(factors, count, seed):
     """conjugacy_residual at ``count`` seeded points of the ellipsoid boundary.
 
-    Draws product.ellipsoid_sample points, divided by their E-gauge, then
-    times uniform in +-2 max(area); returns the residual per sample.
+    Draws product.ellipsoid_boundary_sample points, then times uniform in
+    +-2 max(area); returns the residual per sample.
     """
     factors = two_product(factors).factors
     areas = np.array([f.area for f in factors])
     rng = np.random.default_rng(seed)
-    z = ellipsoid_sample(rng, areas, count)
-    z = z / EllipsoidSpec(areas).gauge(z)[:, None]
+    z = ellipsoid_boundary_sample(rng, areas, count)
     times = rng.uniform(-2.0, 2.0, count) * float(np.max(areas))
     return conjugacy_residual(factors, z, times)
 
@@ -157,15 +157,13 @@ class FoliationReport:
 def is_foliated_by_systoles(domain, count, seed):
     """Check that every sampled boundary orbit closes at t = common area.
 
-    The start points are psi of seeded product.ellipsoid_sample draws divided
-    by their E-gauge; an orbit closes when |Phi^a(z) - z| <= 1e-8.
+    The start points are psi of seeded product.ellipsoid_boundary_sample
+    draws; an orbit closes when |Phi^a(z) - z| <= 1e-8.
     """
     domain = two_product(domain)
     a = common_area(domain)
-    areas = domain.factor_areas
-    z = ellipsoid_sample(np.random.default_rng(seed), areas, count)
-    start = product_map(domain.factors,
-                        z / EllipsoidSpec(areas).gauge(z)[:, None])
+    start = product_map(domain.factors, ellipsoid_boundary_sample(
+        np.random.default_rng(seed), domain.factor_areas, count))
     end = factorwise(char_flow_2d, domain.factors, start, a)
     dev = np.max(np.abs(end - start), axis=-1)
     failures = int(np.count_nonzero(dev > 1e-8))

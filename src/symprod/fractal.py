@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry2d import TWO_PI, _check_weierstrass, weierstrass_series
+from .product import check_integer
 
 
 def _check_graph(a, b, terms):
@@ -445,7 +446,8 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                         ("pitch_factor", pitch_factor)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite")
-    if int(n_offsets) != n_offsets or n_offsets < 1:
+    check_integer("n_offsets", n_offsets)
+    if n_offsets < 1:
         raise ValueError("n_offsets must be a positive integer")
     for name, (lo, hi) in (("r1_range", r1_range),
                            ("theta1_range", theta1_range),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import TWO_PI, RadialProfile
+from .geometry2d import TWO_PI, EllipsoidSpec, RadialProfile
 
 # Sample block size for deterministic, worker-count-independent Monte Carlo.
 MC_BLOCK = 1 << 16
@@ -182,6 +182,14 @@ def ellipsoid_sample(rng, areas, count):
     levels = rng.dirichlet(np.ones(n + 1), count)[:, :n]
     theta = rng.uniform(0.0, TWO_PI, (count, n))
     return np.sqrt(levels * areas / np.pi) * np.exp(1j * theta)
+
+
+def ellipsoid_boundary_sample(rng, areas, count):
+    """ellipsoid_sample points divided by their E-gauge: points of the
+    boundary of E(a_1, ..., a_n), shape (count, n), drawn from ``rng``
+    exactly as ellipsoid_sample draws them."""
+    z = ellipsoid_sample(rng, areas, count)
+    return z / EllipsoidSpec(areas).gauge(z)[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """The paper's experiments as invariant checks, behind ``symprod selftest``.
 
-Each ``check_*`` function is the one implementation of its experiment:
-``symprod selftest`` runs them at its own sizes and the acceptance suite
-(tests/test_acceptance.py) at its seeds, sizes and time bounds. Each
-returns (name, passed, detail) with deterministic formatting, so two runs
-with the same seed produce byte-identical reports regardless of the worker
-count.
+Each ``check_*`` function is the one implementation of its experiment and
+of its sample sizes: it takes a seed and ``quick``, which picks the reduced
+sizes of ``symprod selftest --quick``. ``symprod selftest`` runs the CHECKS
+table at its seed's offsets and the acceptance suite
+(tests/test_acceptance.py) runs each check at its own seed and time bound.
+Each returns (name, passed, detail) with deterministic formatting, so two
+runs with the same seed produce byte-identical reports regardless of the
+worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .geometry2d import TWO_PI
 
 def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _fields(**values):
+    """``name=value`` for each keyword, space-separated, in order."""
+    return " ".join(f"{name}={_fmt(value)}" for name, value in values.items())
 
 
 def _standard_factors():
@@ -39,8 +46,9 @@ def _preset_profiles():
     }
 
 
-def check_jacobian(samples=1000, seed=11):
+def check_jacobian(seed, quick=False):
     """Finite-difference Jacobian of the disk map on the smooth profile."""
+    samples = 200 if quick else 1000
     profile = geometry2d.cosine_profile(np.pi)
     rng = np.random.default_rng(seed)
     rho = np.sqrt(rng.uniform(0.04, 4.0, samples)) * np.sqrt(
@@ -51,10 +59,11 @@ def check_jacobian(samples=1000, seed=11):
     return "jacobian", worst <= 1e-6, f"max|det-1|={_fmt(worst)} tol=1e-06"
 
 
-def check_level_mapping(samples=10000, seed=12):
+def check_level_mapping(seed, quick=False):
     """gauge(psi(z))^2 = pi |z|^2 / a on every preset profile. psi scales by
     R(phi) and the gauge divides by it, so this measures the round-off of
     R, S and S^-1; it is no independent check of psi."""
+    samples = 1000 if quick else 10000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, profile in _preset_profiles().items():
@@ -68,25 +77,25 @@ def check_level_mapping(samples=10000, seed=12):
             f"max|g^2-pi|z|^2/a|={_fmt(worst)} tol=1e-10")
 
 
-def check_sandwich(samples=100000, seed=13, steps=64):
+def check_sandwich(seed, quick=False):
     wprof, square = _standard_factors()
-    report = diskmap.sandwich_check([wprof, square], epsilon=0.05,
-                                    samples=samples, seed=seed, steps=steps)
-    detail = (f"violations={report.violations_outer}+"
-              f"{report.violations_inner} "
-              f"worst_outer={_fmt(report.worst_outer_gauge)} "
-              f"worst_inner={_fmt(report.worst_inner_gauge)} "
-              f"outer_bound={_fmt(report.outer_bound)} "
-              f"inner_bound={_fmt(report.inner_bound)}")
-    return "sandwich", report.passed, detail
+    report = diskmap.sandwich_check(
+        [wprof, square], epsilon=0.05, samples=2000 if quick else 100000,
+        seed=seed, steps=32 if quick else 64)
+    return "sandwich", report.passed, _fields(
+        violations=f"{report.violations_outer}+{report.violations_inner}",
+        worst_outer=report.worst_outer_gauge,
+        worst_inner=report.worst_inner_gauge,
+        outer_bound=report.outer_bound, inner_bound=report.inner_bound)
 
 
-def check_volume(samples=1000000, seed=7, threads=1):
+def check_volume(seed, quick=False, threads=1):
     """mc_volume against the closed-form ProductDomain.volume at p = 1, 2, 3.
 
-    Each p draws ``samples`` points on the same seed and must land within
-    3 standard errors of the closed form.
+    Each p draws the same seeded points and must land within 3 standard
+    errors of the closed form.
     """
+    samples = 50000 if quick else 1000000
     cos1 = geometry2d.cosine_profile(1.0)
     disk1 = geometry2d.disk_profile(1.0)
     ok, parts = True, []
@@ -94,56 +103,56 @@ def check_volume(samples=1000000, seed=7, threads=1):
         domain = product.ProductDomain([cos1, disk1], p=p)
         est = product.mc_volume(domain, samples, seed, threads=threads)
         ok = ok and abs(est.volume - domain.volume) <= 3.0 * est.std_error
-        parts.append(f"p={p} estimate={_fmt(est.volume)} "
-                     f"stderr={_fmt(est.std_error)} "
-                     f"target={_fmt(domain.volume)}")
+        parts.append(_fields(p=p, estimate=est.volume,
+                             stderr=est.std_error, target=domain.volume))
     return "volume", ok, "; ".join(parts)
 
 
-def check_period(points=20, seed=14):
-    """Phi^a(z) = z on every preset boundary. S^-1(S(theta) + a) = theta +
-    2 pi by construction, so this measures the round-off of R, S and S^-1;
-    it is no independent check of the flow."""
+def check_period(seed, quick=False):
+    """Phi^a(z) = z at 20 points of every preset boundary, in both modes.
+    S^-1(S(theta) + a) = theta + 2 pi by construction, so this measures the
+    round-off of R, S and S^-1; it is no independent check of the flow."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, profile in _preset_profiles().items():
-        theta = rng.uniform(0.0, TWO_PI, points)
+        theta = rng.uniform(0.0, TWO_PI, 20)
         z = profile.boundary_point(theta)
         back = dynamics.char_flow_2d(profile, z, profile.area)
         worst = max(worst, float(np.max(np.abs(back - z))))
     return "period", worst <= 1e-8, f"max|Phi^a(z)-z|={_fmt(worst)} tol=1e-08"
 
 
-def check_conjugacy(samples=1000, seed=15):
+def check_conjugacy(seed, quick=False):
     """psi(Reeb^t z) = Phi^t(psi(z)): both reach the angle S^-1(a theta/2pi
     + t), so this measures the round-off of R, S and S^-1; it is no
     independent check of psi or of the flow."""
     worst = float(np.max(dynamics.sample_conjugacy_residuals(
-        _standard_factors(), samples, seed)))
+        _standard_factors(), 200 if quick else 1000, seed)))
     return "conjugacy", worst <= 1e-6, f"max_residual={_fmt(worst)} tol=1e-06"
 
 
-def check_foliation(samples=1000, seed=16):
+def check_foliation(seed, quick=False):
     """Orbits close at t = a (check_period's identity, so the round-off of
     R, S and S^-1, no independent check of the flow); areas (1, sqrt 2)
     have no period up to 1000 turns."""
     cos1 = geometry2d.cosine_profile(1.0)
     disk1 = geometry2d.disk_profile(1.0)
-    report = dynamics.is_foliated_by_systoles([cos1, disk1], samples, seed)
-
-    disk_a = geometry2d.disk_profile(1.0)
-    disk_b = geometry2d.disk_profile(np.sqrt(2.0))
+    report = dynamics.is_foliated_by_systoles(
+        [cos1, disk1], 100 if quick else 1000, seed)
     point = dynamics.FlowPoint(angles=[0.3, 1.1],
                                levels=np.sqrt([0.5, 0.5]))
-    period = dynamics.orbit_period([disk_a, disk_b], point,
-                                   denominator_bound=1000)
+    period = dynamics.orbit_period(
+        [disk1, geometry2d.disk_profile(np.sqrt(2.0))], point,
+        denominator_bound=1000)
     ok = report.passed and period is None
-    return ("foliation", ok,
-            f"worst={_fmt(report.worst_deviation)} "
-            f"irrational_period={'none' if period is None else _fmt(period)}")
+    return "foliation", ok, _fields(
+        worst=report.worst_deviation,
+        irrational_period="none" if period is None else period)
 
 
-def check_capacities():
+def check_capacities(seed, quick=False):
+    """Exact capacity and Zoll identities; draws nothing, so the seed and
+    ``quick`` change nothing."""
     table = capacities.gh_capacities([1.0, 2.0], 4)
     expect = (1.0, 2.0, 2.0, 3.0)
     ok = table.values == expect
@@ -155,18 +164,22 @@ def check_capacities():
             "E(1,2)->" + ",".join(_fmt(v) for v in table.values))
 
 
-def check_boundary_minimal(samples=100000, seed=17):
+def check_boundary_minimal(seed, quick=False):
     cos1 = geometry2d.cosine_profile(1.0)
     disk1 = geometry2d.disk_profile(1.0)
     point = dynamics.FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.5, 0.5]))
     report = capacities.boundary_minimal_experiment(
         [cos1, disk1], point, width=0.9, target_area=0.9,
-        samples=samples, seed=seed)
+        samples=5000 if quick else 100000, seed=seed)
     ok = report.passed and abs(report.capacity_gap - 0.1) < 1e-9
-    return ("boundary-minimal", ok,
-            f"violations={report.violations} gap={_fmt(report.capacity_gap)} "
-            f"checked={report.checked}")
+    return "boundary-minimal", ok, _fields(
+        violations=report.violations, gap=report.capacity_gap,
+        checked=report.checked)
 
+
+# The graph x [0, 1] is read from the graph's counts at its first
+# PRODUCT_SCALES scales, 2^-4 ... 2^-9.
+PRODUCT_SCALES, PRODUCT_TOL = 6, 0.15
 
 # criterion-10's disk patch: a patch of the boundary of D(pi) x_2 E(1),
 # a smooth 3-manifold in R^4.
@@ -176,57 +189,80 @@ PATCH_CONFIG = dict(r1_range=(0.2, 0.8), theta1_range=(0.0, TWO_PI),
                     n_offsets=1)
 PATCH_TARGET, PATCH_TOL = 3.0, 0.1
 
+# criterion-10's fractal patch: a patch of the boundary of W(0.4, b=4) x_2
+# D(36), around the profile's least radius. b = 4 makes the graph excess
+# and the Hoelder exponent coincide (1/2), so the boundary's dimension is
+# 2n - 1 + 1/2 = 3.5.
+FRACTAL_SCALES = 2.0 ** -np.arange(6.0, 8.25, 0.5)
+FRACTAL_TARGET, FRACTAL_TOL, FRACTAL_BOOTSTRAP = 3.5, 0.2, 200
 
-def check_boxdim(quick=False, seed=18):
+
+def _fractal_patch_counts(seed):
+    wp = geometry2d.weierstrass_profile(amplitude=0.4, b=4.0)
+    th = np.linspace(0.0, TWO_PI, 1 << 18)
+    radii = wp.radius(th)
+    # W with integer b is even about theta = pi, so its two minima (2.5127
+    # and 3.7705 rad) tie up to rounding; take the one in [0, pi]
+    tmin = th[np.argmin(np.where(th <= np.pi, radii, np.inf))]
+    window = (th > tmin - 0.2) & (th < tmin + 0.2)
+    r_lo = radii[window].min()
+    return fractal.boundary_patch_counts(
+        wp, [36.0], FRACTAL_SCALES, seed=seed,
+        r1_range=(0.7 * r_lo, 0.97 * r_lo),
+        theta1_range=(tmin - 0.2, tmin + 0.2), theta2_range=(0.0, 0.45),
+        oversample=1, pitch_factor=2, n_offsets=1)
+
+
+def check_boxdim(seed, quick=False):
+    """Box-counting: the Weierstrass graph, the graph x [0, 1], the disk
+    patch and the fractal patch (slope with a bootstrap CI half-width)."""
     fn = fractal.Weierstrass(a=0.5, b=3.0, terms=30)
     target = fn.graph_dimension
-    if quick:
-        scales = 2.0 ** -np.arange(4, 11)
-        tol = 0.2
-    else:
-        scales = 2.0 ** -np.arange(4, 15)
-        tol = 0.08
+    scales = 2.0 ** -np.arange(4, 11 if quick else 15)
+    tol = 0.2 if quick else 0.08
     counts = fractal.count_scales(fractal.graph_sampler(fn), scales,
                                   seed=seed)
     est = fractal.estimate_dimension(scales, counts)
+    coarse = scales[:PRODUCT_SCALES]
+    prod = fractal.estimate_dimension(coarse, fractal.product_interval_count(
+        counts[:PRODUCT_SCALES], coarse))
     patch_counts = fractal.boundary_patch_counts(
         geometry2d.disk_profile(np.pi), [1.0], PATCH_SCALES, seed=seed,
         **PATCH_CONFIG)
     patch = fractal.estimate_dimension(PATCH_SCALES, patch_counts)
+    frac = fractal.estimate_dimension(
+        FRACTAL_SCALES, _fractal_patch_counts(seed),
+        bootstrap=FRACTAL_BOOTSTRAP, seed=seed)
     ok = (abs(est.slope - target) <= tol and
-          abs(patch.slope - PATCH_TARGET) <= PATCH_TOL)
-    return ("boxdim", ok,
-            f"slope={_fmt(est.slope)} target={_fmt(target)} tol={_fmt(tol)} "
-            f"r2={_fmt(est.r_squared)} patch_slope={_fmt(patch.slope)} "
-            f"patch_target={_fmt(PATCH_TARGET)} "
-            f"patch_tol={_fmt(PATCH_TOL)}")
+          abs(prod.slope - (target + 1.0)) <= PRODUCT_TOL and
+          abs(patch.slope - PATCH_TARGET) <= PATCH_TOL and
+          abs(frac.slope - FRACTAL_TARGET) <= FRACTAL_TOL)
+    return "boxdim", ok, _fields(
+        slope=est.slope, target=target, tol=tol, r2=est.r_squared,
+        patch_slope=patch.slope, patch_target=PATCH_TARGET,
+        patch_tol=PATCH_TOL, product_slope=prod.slope,
+        product_target=target + 1.0, product_tol=PRODUCT_TOL,
+        fractal_slope=frac.slope, fractal_ci=frac.ci_halfwidth,
+        fractal_target=FRACTAL_TARGET, fractal_tol=FRACTAL_TOL)
+
+
+# Every check with its seed's offset from selftest's --seed, in report order.
+CHECKS = [
+    (check_jacobian, 1), (check_level_mapping, 2), (check_sandwich, 3),
+    (check_volume, 0), (check_period, 4), (check_conjugacy, 5),
+    (check_foliation, 6), (check_capacities, 0),
+    (check_boundary_minimal, 7), (check_boxdim, 8),
+]
 
 
 def run_selftest(seed=7, threads=1, quick=False, out=print):
-    """Run every bundled check; returns 0 when all pass."""
-    checks = [
-        lambda: check_jacobian(samples=200 if quick else 1000, seed=seed + 1),
-        lambda: check_level_mapping(samples=1000 if quick else 10000,
-                                    seed=seed + 2),
-        lambda: check_sandwich(samples=2000 if quick else 100000,
-                               seed=seed + 3, steps=32 if quick else 64),
-        lambda: check_volume(samples=50000 if quick else 1000000, seed=seed,
-                             threads=threads),
-        lambda: check_period(seed=seed + 4),
-        lambda: check_conjugacy(samples=200 if quick else 1000,
-                                seed=seed + 5),
-        lambda: check_foliation(samples=100 if quick else 1000,
-                                seed=seed + 6),
-        check_capacities,
-        lambda: check_boundary_minimal(samples=5000 if quick else 100000,
-                                       seed=seed + 7),
-        lambda: check_boxdim(quick=quick, seed=seed + 8),
-    ]
+    """Run every check of CHECKS; returns 0 when all pass."""
     failed = 0
-    for make in checks:
-        name, ok, detail = make()
+    for check, offset in CHECKS:
+        extra = {"threads": threads} if check is check_volume else {}
+        name, ok, detail = check(seed + offset, quick, **extra)
         out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
-    out(f"{'OK' if failed == 0 else 'FAILED'} ({len(checks) - failed}/"
-        f"{len(checks)} checks passed)")
+    out(f"{'OK' if failed == 0 else 'FAILED'} ({len(CHECKS) - failed}/"
+        f"{len(CHECKS)} checks passed)")
     return 0 if failed == 0 else 1

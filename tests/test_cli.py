@@ -270,6 +270,9 @@ def test_selftest_output_file(tmp_path, capsys):
      "--tolerance", "nan"],
     ["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
      "--tolerance", "-1"],
+    ["selftest", "--quick", "--seed", "-1"],
+    ["boundary-minimal", "--spec", str(SPECS / "disks_1_1.spec"),
+     "--samples", "2000", "--seed", "-1"],
 ], ids=["sandwich-p3", "conjugacy-p3", "boundary-minimal-p3", "flow-p3",
         "flow-one-point", "map-factor-range", "volume-few-samples",
         "boxdim-few-scales", "capacities-negative", "boxdim-family-parameter",
@@ -282,7 +285,8 @@ def test_selftest_output_file(tmp_path, capsys):
         "boundary-minimal-no-samples", "boxdim-zero-scale",
         "boxdim-infinite-scale", "boxdim-boundary-zero-scale",
         "boxdim-boundary-infinite-scale", "conjugacy-nan-tolerance",
-        "conjugacy-negative-tolerance"])
+        "conjugacy-negative-tolerance", "selftest-negative-seed",
+        "boundary-minimal-negative-seed"])
 def test_usage_error_exits_2(argv, tmp_path, capsys):
     """P3_* stand for p = 3 copies of the bundled specs, DIR for a directory."""
     p3 = {"DIR": tmp_path}
@@ -296,6 +300,22 @@ def test_usage_error_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+      "--point", "1,0,2;0.5,0"], "--point needs 2 comma-separated numbers"),
+    (["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+      "--point", "0.4,0.1;0.3,0.2", "--t-range", "1"],
+     "--t-range needs 2 comma-separated numbers"),
+    (["sandwich", "--spec", str(SPECS / "weier_square.spec"),
+      "--seed", "-1"], "--seed must be non-negative"),
+], ids=["flow-point-three-numbers", "flow-t-range-one-number",
+        "sandwich-negative-seed"])
+def test_usage_error_names_the_option(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -364,6 +364,7 @@ def test_boundary_patch_rejects_singular_box():
 
 @pytest.mark.parametrize("config", [
     dict(n_offsets=0), dict(n_offsets=-1), dict(n_offsets=1.5),
+    dict(n_offsets=2.0), dict(n_offsets=True),
     dict(oversample=0), dict(oversample=-8), dict(oversample=np.inf),
     dict(pitch_factor=0.0), dict(pitch_factor=-2.0),
     dict(pitch_factor=np.nan), dict(scales=[0.25, 0.0, 0.0625]),
@@ -376,6 +377,7 @@ def test_boundary_patch_rejects_singular_box():
     dict(tail_areas=[0.0]), dict(tail_areas=[-1.0]),
     dict(tail_areas=[np.nan]), dict(tail_areas=[np.inf])],
     ids=["offsets-zero", "offsets-negative", "offsets-fraction",
+         "offsets-float", "offsets-bool",
          "oversample-zero", "oversample-negative", "oversample-inf",
          "pitch-zero", "pitch-negative", "pitch-nan", "scale-zero",
          "scale-inf", "scale-negative", "r1-reversed", "r1-empty", "r1-nan",
