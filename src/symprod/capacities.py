@@ -19,9 +19,10 @@ from itertools import count
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import EllipsoidSpec, RadialProfile, TWO_PI
+from .geometry2d import RadialProfile, TWO_PI
 from .product import (ProductDomain, check_integer, common_area,
-                      ellipsoid_sample, mc_slices, two_product)
+                      ellipsoid_areas, ellipsoid_sample, mc_slices,
+                      two_product)
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,8 @@ class CapacityTable:
 
 def gh_capacities(areas, K):
     """First K ellipsoid capacities: an n-way merge of {i * a_j : i >= 1}."""
-    if K < 1:
-        raise ValueError("need K >= 1")
-    areas = EllipsoidSpec(areas).areas
+    areas = ellipsoid_areas(areas)
+    check_integer("K", K, least=1)
     streams = [map(float(a).__mul__, count(1)) for a in areas]
     merged = heapq.merge(*streams)
     values = tuple(v for v, _ in zip(merged, range(K)))

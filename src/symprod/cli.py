@@ -21,14 +21,17 @@ from .selftest import _fmt, run_selftest
 from .specfile import SpecFileError, load_spec
 
 
+def _output(args):
+    """--output opened for writing, or stdout, as a context manager."""
+    return (open(args.output, "w", encoding="utf-8") if args.output
+            else contextlib.nullcontext(sys.stdout))
+
+
 def _emit(args, lines):
     """Write the version header and ``lines`` to --output or stdout."""
     text = "".join(f"{ln}\n" for ln in [f"# symprod {__version__}", *lines])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _emit_fields(args, report, names, extra):
@@ -41,12 +44,16 @@ def _csv(columns, rows):
     return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def _finite_floats(text, option, count):
-    """The ``count`` comma-separated numbers of ``text``; each must be
-    finite."""
-    values = [float(tok) for tok in text.split(",")]
-    if len(values) != count:
-        raise ValueError(f"{option} needs {count} comma-separated numbers, "
+def _finite_floats(text, option, count=None):
+    """The comma-separated numbers of ``text``, ``count`` of them when
+    that is given; each must be finite."""
+    try:
+        values = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        what = "" if count is None else f"{count} "
+        raise ValueError(f"{option} needs {what}comma-separated numbers, "
                          f"got {text!r}")
     if not all(np.isfinite(values)):
         raise ValueError(f"{option} needs finite numbers, got {text!r}")
@@ -108,7 +115,7 @@ def cmd_map(args):
 def cmd_volume(args):
     domain = load_spec(args.spec)
     est = product_mod.mc_volume(domain, args.samples, args.seed,
-                                threads=args.threads)
+                                threads=_count(args, "threads"))
     lines = [f"estimate = {_fmt(est.volume)}",
              f"stderr = {_fmt(est.std_error)}",
              f"reference = {_fmt(domain.volume)}"]
@@ -156,8 +163,8 @@ def cmd_conjugacy(args):
 
 
 def cmd_capacities(args):
-    areas = [float(tok) for tok in args.areas.split(",")]
-    table = capacities.gh_capacities(areas, args.count)
+    areas = _finite_floats(args.areas, "--areas")
+    table = capacities.gh_capacities(areas, _count(args, "count"))
     zoll, c1, cn = capacities.zoll_check(areas)
     _emit(args, [",".join(map(_fmt, table.values)),
                  f"zoll = {'true' if zoll else 'false'} "
@@ -229,8 +236,7 @@ def cmd_boxdim(args):
 def cmd_selftest(args):
     """Stream the report lines, headerless, to --output or stdout."""
     threads = _count(args, "threads")
-    with (open(args.output, "w", encoding="utf-8") if args.output
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with _output(args) as fh:
         return run_selftest(seed=args.seed, threads=threads,
                             quick=args.quick,
                             out=lambda line: print(line, file=fh))
@@ -243,61 +249,61 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"symprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    required = {"required": True}
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, spec=True, samples=None, seed=required):
+        """A subcommand with --output and, unless False or None, --spec,
+        --samples with this default and --seed with these keywords."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--output", help="write output here instead of stdout")
+        if spec:
+            p.add_argument("--spec", required=True)
+        if samples is not None:
+            p.add_argument("--samples", type=int, default=samples)
+        if seed is not None:
+            p.add_argument("--seed", type=int, **seed)
         return p
 
-    p = add("area", cmd_area, help="factor areas of a domain spec")
-    p.add_argument("--spec", required=True)
+    add("area", cmd_area, "factor areas of a domain spec", seed=None)
 
-    p = add("map", cmd_map, help="disk-map grid CSV with Jacobians")
-    p.add_argument("--spec", required=True)
+    p = add("map", cmd_map, "disk-map grid CSV with Jacobians", seed=None)
     p.add_argument("--factor", type=int, default=0)
     p.add_argument("--grid", type=int, default=24)
 
-    p = add("volume", cmd_volume, help="Monte Carlo volume of a product")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--samples", type=int, default=1000000)
-    p.add_argument("--seed", type=int, required=True)
+    p = add("volume", cmd_volume, "Monte Carlo volume of a product",
+            samples=1000000)
     p.add_argument("--threads", type=int, default=1)
 
-    p = add("flow", cmd_flow, help="characteristic-flow trajectory CSV")
-    p.add_argument("--spec", required=True)
+    p = add("flow", cmd_flow, "characteristic-flow trajectory CSV",
+            seed=None)
     p.add_argument("--point", required=True,
                    help="per-factor 'x,y' pairs separated by ';'")
     p.add_argument("--t-range", default="0,1")
     p.add_argument("--steps", type=int, default=100)
 
-    p = add("conjugacy", cmd_conjugacy, help="conjugacy residual statistics")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p = add("conjugacy", cmd_conjugacy, "conjugacy residual statistics",
+            samples=1000)
     p.add_argument("--tolerance", type=float, default=1e-6)
 
-    p = add("capacities", cmd_capacities, help="ellipsoid capacity table")
+    p = add("capacities", cmd_capacities, "ellipsoid capacity table",
+            spec=False, seed=None)
     p.add_argument("--areas", required=True, help="comma-separated areas")
     p.add_argument("--count", type=int, default=4)
 
-    p = add("sandwich", cmd_sandwich, help="epsilon-sandwich verification")
-    p.add_argument("--spec", required=True)
+    p = add("sandwich", cmd_sandwich, "epsilon-sandwich verification",
+            samples=100000)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, default=64,
                    help="RK4 steps for points in the cutoff ramp")
 
     p = add("boundary-minimal", cmd_boundary_minimal,
-            help="boundary-minimality shrinking experiment")
-    p.add_argument("--spec", required=True)
+            "boundary-minimality shrinking experiment", samples=100000)
     p.add_argument("--width", type=float, default=0.9)
     p.add_argument("--target-ratio", type=float, default=0.9)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, required=True)
 
-    p = add("boxdim", cmd_boxdim, help="box-counting dimension estimate")
+    p = add("boxdim", cmd_boxdim, "box-counting dimension estimate",
+            spec=False)
     p.add_argument("--target", choices=["function", "product", "boundary"],
                    default="function")
     p.add_argument("--family", default="weierstrass",
@@ -308,10 +314,9 @@ def build_parser():
     p.add_argument("--terms", type=int, default=30)
     p.add_argument("--min-exp", type=int, default=4)
     p.add_argument("--max-exp", type=int, default=14)
-    p.add_argument("--seed", type=int, required=True)
 
-    p = add("selftest", cmd_selftest, help="run the bundled invariant suite")
-    p.add_argument("--seed", type=int, default=7)
+    p = add("selftest", cmd_selftest, "run the bundled invariant suite",
+            spec=False, seed={"default": 7})
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--quick", action="store_true",
                    help="reduced sample counts for fast verification")

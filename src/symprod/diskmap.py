@@ -32,13 +32,13 @@ through cutoff_product_map.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry2d import EllipsoidSpec, TWO_PI, horner
-from .product import ellipsoid_sample, factorwise, two_product
+from .geometry2d import TWO_PI, horner
+from .product import (check_integer, ellipsoid_level, ellipsoid_sample,
+                      factorwise, two_product)
 
 
 def disk_to_domain(profile, z):
@@ -119,8 +119,7 @@ class CutoffMapConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < np.inf:
             raise ValueError("cutoff level delta must be finite and positive")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ValueError("integration step count must be an integer")
+        check_integer("integration step count", self.steps)
         if self.steps < 8:
             raise ValueError("need at least 8 integration steps")
 
@@ -479,7 +478,7 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
 
     image, ramps = cutoff_product_map(factors, configs, pts, inverse)
     outer_gauge = domain.gauge(image[:samples])
-    inner_gauge = EllipsoidSpec(areas).gauge(image[samples:])
+    inner_gauge = np.sqrt(ellipsoid_level(areas, image[samples:]))
     outer_bad = outer_gauge > 1.0 + epsilon
     inner_bad = inner_gauge > 1.0
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .diskmap import product_map
 from .geometry2d import TWO_PI
-from .product import (common_area, ellipsoid_boundary_sample, factorwise,
-                      two_product)
+from .product import (check_integer, common_area, ellipsoid_boundary_sample,
+                      ellipsoid_level, factorwise, two_product)
 
 
 @dataclass
@@ -75,7 +75,7 @@ def reeb_ellipsoid(areas, z, t):
     return z * np.exp(1j * TWO_PI * t / np.asarray(areas, dtype=float))
 
 
-# Largest |sum pi |z_i|^2 / a_i - 1| accepted as the ellipsoid boundary.
+# Largest |product.ellipsoid_level - 1| accepted as the ellipsoid boundary.
 ELLIPSOID_BOUNDARY_TOL = 1e-8
 
 
@@ -96,7 +96,7 @@ def conjugacy_residual(factors, z, t):
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("times must be finite")
-    level = (np.pi * np.abs(z) ** 2 / areas).sum(axis=-1)
+    level = ellipsoid_level(areas, z)
     if not (np.abs(level - 1.0) <= ELLIPSOID_BOUNDARY_TOL).all():
         raise ValueError("point is not on the ellipsoid boundary")
     lhs, start = product_map(
@@ -132,6 +132,7 @@ def orbit_period(domain, point, denominator_bound=1000):
     whose turn counts t / a_i all lie within 1e-8 of an integer is the
     period.
     """
+    check_integer("denominator_bound", denominator_bound, least=1)
     factors = two_product(domain).factors
     point.check_factors(len(factors))
     areas = np.array([f.area for f in factors])[point.levels > ACTIVE_LEVEL]

@@ -1,4 +1,5 @@
-"""Fractal function families and box-counting dimension estimation.
+"""The Weierstrass series, plain or phase-shifted, and box-counting
+dimension estimation.
 
 Dimension claims are verified in box-counting (Minkowski) form only, and
 no counter builds the point cloud it counts. A graph is counted by column
@@ -44,10 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .geometry2d import TWO_PI, _check_weierstrass, weierstrass_series
+from .geometry2d import (TWO_PI, _check_weierstrass, hunt_phases,
+                         weierstrass_series)
 from .product import check_integer
 
 
@@ -60,8 +63,10 @@ def _check_graph(a, b, terms):
 
 @dataclass(frozen=True)
 class Weierstrass:
-    """W_{a,b}(x) = sum a^k cos(2 pi b^k x), truncated at ``terms``.
+    """W_{a,b}(x) = sum a^k cos(2 pi (b^k x + theta_k)), to k = ``terms``.
 
+    The phases theta_k are zero, or with an integer ``seed`` the phases
+    hunt_profile draws (geometry2d.hunt_phases), the phase-shifted family.
     Truncation error is bounded by a^(terms+1) / (1 - a). The graph's
     box-counting dimension is 2 + log a / log b.
     """
@@ -69,37 +74,24 @@ class Weierstrass:
     a: float = 0.5
     b: float = 3.0
     terms: int = 30
+    seed: int | None = None
 
     def __post_init__(self):
         _check_graph(self.a, self.b, self.terms)
 
     def __call__(self, x):
-        return weierstrass_series(x, self.a, self.b, self.terms)
+        phases = (None if self.seed is None
+                  else hunt_phases(self.terms, self.seed))
+        return weierstrass_series(x, self.a, self.b, self.terms, phases)
 
     @property
     def graph_dimension(self):
         return 2.0 + np.log(self.a) / np.log(self.b)
 
 
-@dataclass(frozen=True)
-class PhaseShiftedWeierstrass(Weierstrass):
-    """Weierstrass series with per-term phase shifts theta_k in [0, 1).
-
-    The terms + 1 phases are uniform draws from a generator seeded with
-    ``seed``.
-    """
-
-    seed: int = 0
-
-    def __call__(self, x):
-        phases = np.random.default_rng(self.seed).uniform(
-            0.0, 1.0, self.terms + 1)
-        return weierstrass_series(x, self.a, self.b, self.terms, phases)
-
-
 _FAMILIES = {
     "weierstrass": Weierstrass,
-    "weierstrass_phase": PhaseShiftedWeierstrass,
+    "weierstrass_phase": partial(Weierstrass, seed=0),
 }
 
 
@@ -267,6 +259,7 @@ class DimensionEstimate:
 
 def estimate_dimension(scales, counts, bootstrap=0, seed=0):
     """OLS slope of log N versus log(1/eps) over the declared scale window."""
+    check_integer("bootstrap", bootstrap, least=0)
     scales = _check_scales(scales)
     counts = np.asarray(counts, dtype=float)
     if scales.size < MIN_SCALES:
@@ -446,9 +439,7 @@ def boundary_patch_counts(profile, tail_areas, scales, seed=0,
                         ("pitch_factor", pitch_factor)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite")
-    check_integer("n_offsets", n_offsets)
-    if n_offsets < 1:
-        raise ValueError("n_offsets must be a positive integer")
+    check_integer("n_offsets", n_offsets, least=1)
     for name, (lo, hi) in (("r1_range", r1_range),
                            ("theta1_range", theta1_range),
                            ("theta2_range", theta2_range)):

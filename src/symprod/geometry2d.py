@@ -301,25 +301,6 @@ class RadialProfile:
                 f"area={self.area:.6g})")
 
 
-class EllipsoidSpec:
-    """Symplectic ellipsoid E(a_1, ..., a_n): sum_i pi|z_i|^2 / a_i <= 1."""
-
-    def __init__(self, areas):
-        areas = tuple(float(a) for a in np.atleast_1d(areas))
-        if not all(0.0 < a < np.inf for a in areas):
-            raise ValueError("ellipsoid areas must be finite and positive")
-        self.areas = areas
-
-    def gauge(self, z):
-        """1-homogeneous gauge: sqrt(sum pi|z_i|^2 / a_i) over the block."""
-        z = np.asarray(z, dtype=complex)
-        a = np.asarray(self.areas)
-        return np.sqrt((np.pi * np.abs(z) ** 2 / a).sum(axis=-1))
-
-    def __repr__(self):
-        return f"EllipsoidSpec(areas={self.areas})"
-
-
 # -- presets ----------------------------------------------------------------
 
 def disk_profile(area=np.pi, N=4096, interpolation="linear"):
@@ -406,13 +387,18 @@ def hunt_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, phases=None,
     """Phase-shifted Weierstrass perturbation; phases drawn i.i.d. if absent."""
     _check_weierstrass(a, b, terms)
     if phases is None:
-        phases = np.random.default_rng(seed).uniform(0.0, 1.0, terms + 1)
+        phases = hunt_phases(terms, seed)
     phases = np.asarray(phases, dtype=float)
     if phases.size != terms + 1:
         raise ValueError("need one phase per series term")
     theta = np.arange(N) * (TWO_PI / N)
     radii = r0 + amplitude * weierstrass_series(theta / TWO_PI, a, b, terms, phases)
     return RadialProfile(radii, "linear")
+
+
+def hunt_phases(terms, seed):
+    """A Hunt series' terms + 1 phases, uniform on [0, 1), from ``seed``."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, terms + 1)
 
 
 def triangle_wave(x):

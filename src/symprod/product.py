@@ -3,8 +3,9 @@
 The product is realized through its gauge: G(z_1, ..., z_n) =
 (sum_i g_i(z_i)^p)^(1/p), with g_i the 1-homogeneous gauge of the i-th
 RadialProfile and one complex coordinate z_i per factor. An ellipsoid
-E(a_1, ..., a_m) is no factor type of its own: it is the 2-product of the
-disks D(a_1), ..., D(a_m), whose gauges square-sum to the ellipsoid's.
+E(a_1, ..., a_m) is no factor type of its own: it is its areas
+(ellipsoid_areas), and the 2-product of the disks D(a_1), ..., D(a_m),
+whose squared gauges sum to its level (ellipsoid_level).
 The equivalence with the union-over-simplex definition is exercised by a
 brute-force test, not assumed here.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry2d import TWO_PI, EllipsoidSpec, RadialProfile
+from .geometry2d import TWO_PI, RadialProfile
 
 # Sample block size for deterministic, worker-count-independent Monte Carlo.
 MC_BLOCK = 1 << 16
@@ -141,11 +142,31 @@ def common_area(domain):
     return float(areas[0])
 
 
-def check_integer(name, value):
-    """ValueError unless ``value`` is an integer; bools are not."""
+def check_integer(name, value, least=None):
+    """ValueError unless ``value`` is an integer, and at least ``least``
+    when that is given; bools are not integers."""
     if (isinstance(value, (bool, np.bool_))
             or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def ellipsoid_areas(areas):
+    """The areas of E(a_1, ..., a_n) as a tuple of floats; ValueError
+    unless there is at least one and each is finite and positive."""
+    areas = tuple(float(a) for a in np.atleast_1d(areas))
+    if not areas:
+        raise ValueError("need at least one ellipsoid area")
+    if not all(0.0 < a < np.inf for a in areas):
+        raise ValueError("ellipsoid areas must be finite and positive")
+    return areas
+
+
+def ellipsoid_level(areas, z):
+    """sum_i pi|z_i|^2 / a_i over z's last axis: E(a_1, ..., a_n)'s level,
+    1 on its boundary, and the square of its 1-homogeneous gauge."""
+    return (np.pi * np.abs(z) ** 2 / np.asarray(areas, float)).sum(axis=-1)
 
 
 def mc_slices(count):
@@ -185,11 +206,11 @@ def ellipsoid_sample(rng, areas, count):
 
 
 def ellipsoid_boundary_sample(rng, areas, count):
-    """ellipsoid_sample points divided by their E-gauge: points of the
-    boundary of E(a_1, ..., a_n), shape (count, n), drawn from ``rng``
-    exactly as ellipsoid_sample draws them."""
+    """ellipsoid_sample points divided by their E-gauge, the square root
+    of ellipsoid_level: points of the boundary of E(a_1, ..., a_n), shape
+    (count, n), drawn from ``rng`` exactly as ellipsoid_sample draws them."""
     z = ellipsoid_sample(rng, areas, count)
-    return z / EllipsoidSpec(areas).gauge(z)[:, None]
+    return z / np.sqrt(ellipsoid_level(areas, z))[:, None]
 
 
 @dataclass(frozen=True)

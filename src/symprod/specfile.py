@@ -31,7 +31,7 @@ cubic.
     hunt        geometry2d.hunt_profile
     xz          geometry2d.xz_profile
     samples     geometry2d.RadialProfile (values = "r0 r1 ...")
-    ellipsoid   geometry2d.EllipsoidSpec (areas = "a1 a2 ...")
+    ellipsoid   product.ellipsoid_areas (areas = "a1 a2 ...")
 
 An ``ellipsoid`` section stands for one disk factor per area: the
 2-product of those disks is the ellipsoid E(a1, a2, ...). That holds only
@@ -39,7 +39,8 @@ at p = 2, so under any other p the section is an error at its line.
 
 Unknown or repeated keys and unparsable values are rejected with a
 line-anchored message; a missing required key and a value the library
-rejects are reported at the factor's section line, or at the p line.
+rejects are reported at the factor's section line, or at the p line,
+once the whole file has been read, after any syntax error.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from __future__ import annotations
 import inspect
 
 from . import geometry2d
-from .geometry2d import EllipsoidSpec, RadialProfile
-from .product import ProductDomain
+from .geometry2d import RadialProfile
+from .product import ProductDomain, ellipsoid_areas
 
 
 class SpecFileError(ValueError):
@@ -71,7 +72,7 @@ _BUILDERS = {
     "hunt": geometry2d.hunt_profile,
     "xz": geometry2d.xz_profile,
     "samples": RadialProfile,
-    "ellipsoid": EllipsoidSpec,
+    "ellipsoid": ellipsoid_areas,
 }
 
 # Builder parameters whose spec key is not their lowercased name.
@@ -161,7 +162,7 @@ def _build_factors(entries, section_line, p):
         raise SpecFileError(
             "an ellipsoid factor is the 2-product of its disks and needs "
             f"p = 2, got p = {p:g}", section_line)
-    return [geometry2d.disk_profile(a) for a in builder(**kwargs).areas]
+    return [geometry2d.disk_profile(a) for a in builder(**kwargs)]
 
 
 def _anchored(build, line, *args):
@@ -178,19 +179,14 @@ def parse_spec(text):
     """Parse spec text into a ProductDomain."""
     p = 2.0
     p_line = None
-    factors = []
+    sections = []  # (section line, {key: (value, line)}) per [factor]
     current = None
-    current_line = None
     for lineno, kind, payload in _tokenize(text):
         if kind == "section":
             if payload != "factor":
                 raise SpecFileError(f"unknown section [{payload}]", lineno)
-            if current is not None:
-                factors.extend(
-                    _anchored(_build_factors, current_line, current,
-                              current_line, p))
             current = {}
-            current_line = lineno
+            sections.append((lineno, current))
         else:
             key, value = payload
             if current is None:
@@ -209,9 +205,8 @@ def parse_spec(text):
                 if key in current:
                     raise SpecFileError(f"duplicate key {key!r}", lineno)
                 current[key] = (value, lineno)
-    if current is not None:
-        factors.extend(_anchored(_build_factors, current_line, current,
-                                 current_line, p))
+    factors = [factor for line, entries in sections
+               for factor in _anchored(_build_factors, line, entries, line, p)]
     if not factors:
         raise SpecFileError("spec file declares no factors")
     return _anchored(ProductDomain, p_line, factors, p)

@@ -31,11 +31,12 @@ def test_gh_capacities_against_brute_force():
 
 
 def test_gh_capacities_rejects_bad_count():
-    with pytest.raises(ValueError):
-        capacities.gh_capacities([1.0], 0)
+    for count in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            capacities.gh_capacities([1.0], count)
 
 
-@pytest.mark.parametrize("areas", [[1.0, -2.0], [0.0], [1.5, 0.0, 1.5]])
+@pytest.mark.parametrize("areas", [[1.0, -2.0], [0.0], [1.5, 0.0, 1.5], []])
 def test_capacities_reject_nonpositive_areas(areas):
     with pytest.raises(ValueError):
         capacities.gh_capacities(areas, 4)

@@ -310,8 +310,21 @@ def test_usage_error_exits_2(argv, tmp_path, capsys):
      "--t-range needs 2 comma-separated numbers"),
     (["sandwich", "--spec", str(SPECS / "weier_square.spec"),
       "--seed", "-1"], "--seed must be non-negative"),
+    (["capacities", "--areas", "1,x"],
+     "--areas needs comma-separated numbers"),
+    (["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+      "--point", "1,x;0.5,0"], "--point needs 2 comma-separated numbers"),
+    (["flow", "--spec", str(SPECS / "disks_1_1.spec"),
+      "--point", "0.4,0.1;0.3,0.2", "--t-range", "0,y"],
+     "--t-range needs 2 comma-separated numbers"),
+    (["capacities", "--areas", "1,2", "--count", "0"],
+     "--count must be at least 1"),
+    (["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+      "--threads", "0"], "--threads must be at least 1"),
 ], ids=["flow-point-three-numbers", "flow-t-range-one-number",
-        "sandwich-negative-seed"])
+        "sandwich-negative-seed", "capacities-areas-not-a-number",
+        "flow-point-not-a-number", "flow-t-range-not-a-number",
+        "capacities-count-zero", "volume-threads-zero"])
 def test_usage_error_names_the_option(argv, message, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")

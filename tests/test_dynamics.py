@@ -137,7 +137,7 @@ def test_conjugacy_residual_batched_matches_per_point():
     # The same draws, in the same order, as sample_conjugacy_residuals.
     rng = np.random.default_rng(seed)
     z = product.ellipsoid_sample(rng, areas, 50)
-    z = z / geometry2d.EllipsoidSpec(areas).gauge(z)[:, None]
+    z = z / np.sqrt(product.ellipsoid_level(areas, z))[:, None]
     times = rng.uniform(-2.0, 2.0, 50) * float(np.max(areas))
     per_point = [dynamics.conjugacy_residual(factors, z[j], times[j])
                  for j in range(50)]
@@ -279,6 +279,14 @@ def test_orbit_period_rejects_wrong_coordinate_count(k):
     with pytest.raises(ValueError,
                        match=f"point has {k} coordinates, expected 2"):
         dynamics.orbit_period(factors, point)
+
+
+@pytest.mark.parametrize("bound", [0, -5, 2.5, True])
+def test_orbit_period_rejects_bad_denominator_bound(bound):
+    factors = [geometry2d.disk_profile(1.0), geometry2d.disk_profile(1.5)]
+    point = FlowPoint(angles=[0.0, 0.0], levels=np.sqrt([0.5, 0.5]))
+    with pytest.raises(ValueError, match="denominator_bound"):
+        dynamics.orbit_period(factors, point, denominator_bound=bound)
 
 
 def test_orbit_period_exact_rational_areas():

@@ -215,16 +215,23 @@ def test_weierstrass_rejects_divergent_parameters():
 
 
 def test_phase_shifted_family_seeded():
-    f1 = fractal.PhaseShiftedWeierstrass(a=0.5, b=3.0, terms=8, seed=3)
-    f2 = fractal.PhaseShiftedWeierstrass(a=0.5, b=3.0, terms=8, seed=3)
+    """A seed shifts the terms by hunt_profile's phases for that seed."""
+    f1 = fractal.Weierstrass(a=0.5, b=3.0, terms=8, seed=3)
+    f2 = fractal.Weierstrass(a=0.5, b=3.0, terms=8, seed=3)
     x = np.linspace(0.0, 1.0, 50)
     assert np.allclose(f1(x), f2(x))
     assert f1.graph_dimension == pytest.approx(2.0 + np.log(0.5) / np.log(3.0))
+    hunt = geometry2d.hunt_profile(r0=3.0, amplitude=1.0, terms=8, seed=3,
+                                   N=64)
+    np.testing.assert_allclose(hunt.samples - 3.0, f1(np.arange(64) / 64),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_make_fractal_dispatch():
     fn = fractal.make_fractal("weierstrass", a=0.5, b=3.0, terms=5)
-    assert isinstance(fn, fractal.Weierstrass)
+    assert fn == fractal.Weierstrass(a=0.5, b=3.0, terms=5, seed=None)
+    fn = fractal.make_fractal("weierstrass_phase", a=0.5, b=3.0, terms=5)
+    assert fn == fractal.Weierstrass(a=0.5, b=3.0, terms=5, seed=0)
     with pytest.raises(ValueError):
         fractal.make_fractal("unknown")
 
@@ -338,6 +345,13 @@ def test_estimate_dimension_rejects_bad_count(bad):
     counts[2] = bad
     with pytest.raises(ValueError, match="counts"):
         fractal.estimate_dimension(FIVE_SCALES, counts)
+
+
+@pytest.mark.parametrize("bootstrap", [-3, 2.5, True])
+def test_estimate_dimension_rejects_bad_bootstrap(bootstrap):
+    with pytest.raises(ValueError, match="bootstrap"):
+        fractal.estimate_dimension(FIVE_SCALES, 1.0 / FIVE_SCALES,
+                                   bootstrap=bootstrap)
 
 
 def test_estimate_dimension_rejects_count_length_mismatch():
@@ -521,7 +535,7 @@ GRAPH_CASES = {
     **{f"seed{seed}": (fractal.graph_sampler(WEIER), seed)
        for seed in range(20)},
     "phase-shifted": (fractal.graph_sampler(
-        fractal.PhaseShiftedWeierstrass(terms=20, seed=4)), 1),
+        fractal.Weierstrass(terms=20, seed=4)), 1),
     "xiao-zhou": (fractal.graph_sampler(
         lambda x: geometry2d.xz_series(x, 0.5, 1.2, 1.5, 12)), 2),
     "steep": (fractal.graph_sampler(lambda x: 40.0 * np.sin(7.0 * x)), 3),

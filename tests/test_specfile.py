@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from symprod.geometry2d import EllipsoidSpec, RadialProfile
+from symprod.geometry2d import RadialProfile
+from symprod.product import ellipsoid_level
 from symprod import specfile
 from symprod.cli import run
 from symprod.specfile import SpecFileError, parse_spec
@@ -36,7 +37,7 @@ def test_parse_ellipsoid_factor():
     assert all(isinstance(f, RadialProfile) for f in domain.factors)
     rng = np.random.default_rng(0)
     z = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
-    assert np.allclose(domain.gauge(z), EllipsoidSpec([1, 2, 3]).gauge(z),
+    assert np.allclose(domain.gauge(z), np.sqrt(ellipsoid_level([1, 2, 3], z)),
                        rtol=0.0, atol=1e-12)
 
 
@@ -146,6 +147,15 @@ def test_library_rejected_value_is_line_anchored(text, line):
         parse_spec(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: ")
+
+
+def test_syntax_error_is_reported_before_a_rejected_value():
+    """Factors are built after the whole file is read: the malformed line
+    6 is reported, not the negative area of the factor at line 1."""
+    text = "[factor]\ntype = disk\narea = -1\n[factor]\ntype = disk\nbad\n"
+    with pytest.raises(SpecFileError, match="key = value") as exc:
+        parse_spec(text)
+    assert exc.value.line == 6
 
 
 @pytest.mark.parametrize("ftype, key", [
