@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import count
 
 import numpy as np
@@ -163,8 +164,9 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     offenders = []
     for part in mc_slices(samples):
         pts = product_map(factors, draws[part])
-        u = np.mod(np.angle(pts) - directions + np.pi, TWO_PI) - np.pi
-        in_window = np.any(np.abs(u) < width, axis=-1)
+        in_window = reduce(np.logical_or, (
+            np.abs(np.mod(np.angle(w) - d + np.pi, TWO_PI) - np.pi) < width
+            for w, d in zip(pts.T, directions)))
         test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
         g2 = shrunk_domain.gauge(test)
         bad = np.flatnonzero(g2 > 1.0)

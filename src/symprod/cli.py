@@ -60,11 +60,11 @@ def _finite_floats(text, option, count=None):
     return values
 
 
-def _count(args, name):
-    """The integer option ``--name``, which must be at least 1."""
+def _count(args, name, least=1):
+    """The integer option ``--name``, which must be at least ``least``."""
     value = getattr(args, name)
-    if value < 1:
-        raise ValueError(f"--{name} must be at least 1, got {value}")
+    if value < least:
+        raise ValueError(f"--{name} must be at least {least}, got {value}")
     return value
 
 
@@ -113,9 +113,10 @@ def cmd_map(args):
 
 
 def cmd_volume(args):
+    samples = _count(args, "samples", product_mod.MC_MIN_SAMPLES)
+    threads = _count(args, "threads")
     domain = load_spec(args.spec)
-    est = product_mod.mc_volume(domain, args.samples, args.seed,
-                                threads=_count(args, "threads"))
+    est = product_mod.mc_volume(domain, samples, args.seed, threads=threads)
     lines = [f"estimate = {_fmt(est.volume)}",
              f"stderr = {_fmt(est.std_error)}",
              f"reference = {_fmt(domain.volume)}"]
@@ -154,8 +155,9 @@ def cmd_conjugacy(args):
     if not 0.0 <= args.tolerance < np.inf:
         raise ValueError("--tolerance must be finite and nonnegative, "
                          f"got {args.tolerance}")
+    samples = _count(args, "samples")
     residuals = dynamics.sample_conjugacy_residuals(
-        load_spec(args.spec), args.samples, args.seed)
+        load_spec(args.spec), samples, args.seed)
     _emit(args, [f"samples = {args.samples}",
                  f"max_residual = {_fmt(residuals.max())}",
                  f"mean_residual = {_fmt(residuals.mean())}"])
@@ -173,8 +175,10 @@ def cmd_capacities(args):
 
 
 def cmd_sandwich(args):
+    samples = _count(args, "samples")
+    steps = _count(args, "steps", diskmap.MIN_STEPS)
     report = diskmap.sandwich_check(load_spec(args.spec), args.epsilon,
-                                    args.samples, args.seed, steps=args.steps)
+                                    samples, args.seed, steps=steps)
     _emit_fields(args, report, [
         "epsilon", "violations_outer", "violations_inner",
         "worst_outer_gauge", "worst_inner_gauge", "closed_form",
@@ -185,6 +189,7 @@ def cmd_sandwich(args):
 
 
 def cmd_boundary_minimal(args):
+    samples = _count(args, "samples")
     domain = load_spec(args.spec)
     n = len(domain.factors)
     rng = np.random.default_rng(args.seed)
@@ -193,7 +198,7 @@ def cmd_boundary_minimal(args):
     a = domain.factor_areas[0]
     report = capacities.boundary_minimal_experiment(
         domain, point, width=args.width, target_area=args.target_ratio * a,
-        samples=args.samples, seed=args.seed)
+        samples=samples, seed=args.seed)
     _emit_fields(args, report, [
         "area", "target_area", "capacity_gap", "eta", "checked",
         "violations"],

@@ -99,6 +99,8 @@ RAMP_HI = 0.6
 # cutoff excesses may use at most (sandwich_delta); below 1, so that
 # sandwich_bound proves the sandwich with room to spare.
 DELTA_MARGIN = 0.9
+# Fewest RK4 steps a CutoffMapConfig accepts.
+MIN_STEPS = 8
 
 
 @dataclass
@@ -120,8 +122,8 @@ class CutoffMapConfig:
         if not 0.0 < self.delta < np.inf:
             raise ValueError("cutoff level delta must be finite and positive")
         check_integer("integration step count", self.steps)
-        if self.steps < 8:
-            raise ValueError("need at least 8 integration steps")
+        if self.steps < MIN_STEPS:
+            raise ValueError(f"need at least {MIN_STEPS} integration steps")
 
 
 def sandwich_delta(profile, epsilon, n_factors):

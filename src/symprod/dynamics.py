@@ -13,13 +13,14 @@ ellipsoid's boundary (product.ellipsoid_boundary_sample).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .diskmap import product_map
 from .geometry2d import TWO_PI
 from .product import (check_integer, common_area, ellipsoid_boundary_sample,
-                      ellipsoid_level, factorwise, two_product)
+                      ellipsoid_level, two_product)
 
 
 @dataclass
@@ -101,8 +102,13 @@ def conjugacy_residual(factors, z, t):
         raise ValueError("point is not on the ellipsoid boundary")
     lhs, start = product_map(
         factors, np.array([reeb_ellipsoid(areas, z, t[..., None]), z]))
-    rhs = factorwise(char_flow_2d, factors, start, t)
-    out = np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=-1))
+    # Squared distances summed one factor at a time (product's docstring),
+    # over the rows of the transposes: numpy scalars for one point.
+    total = None
+    for f, moved, w in zip(factors, lhs.T, start.T):
+        dist = np.square(np.abs(moved - char_flow_2d(f, w, t.T)))
+        total = dist if total is None else total + dist
+    out = np.sqrt(total).T
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,8 +171,8 @@ def is_foliated_by_systoles(domain, count, seed):
     a = common_area(domain)
     start = product_map(domain.factors, ellipsoid_boundary_sample(
         np.random.default_rng(seed), domain.factor_areas, count))
-    end = factorwise(char_flow_2d, domain.factors, start, a)
-    dev = np.max(np.abs(end - start), axis=-1)
+    dev = reduce(np.maximum, (np.abs(char_flow_2d(f, w, a) - w)
+                              for f, w in zip(domain.factors, start.T)))
     failures = int(np.count_nonzero(dev > 1e-8))
     return FoliationReport(area=a, samples=count, seed=seed,
                            passed=failures == 0,

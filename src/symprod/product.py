@@ -17,6 +17,16 @@ hits depend only on (samples, seed). MC_SLICE fixes only the working set:
 the Monte Carlo checks evaluate their points MC_SLICE at a time
 (mc_slices), which keeps each temporary inside the L2 cache and out of
 the allocator's return to the kernel, and changes no result.
+
+Per-factor arithmetic runs one factor column at a time: the gauge, the
+ellipsoid level and the samplers never reduce or broadcast over the
+short last axis, where numpy runs one inner loop per point. On a
+(4096, 2) array, .sum(axis=-1) took 61 us against 3.1 us for the two
+columns added, and a broadcast multiply by per-factor radii 26 us against
+6.2 us (2-vCPU Xeon, numpy 2.4). Columns are added left to right, which
+is numpy's own order for a reduction axis shorter than 8 (checked for
+n = 1 ... 7; n = 8 differs), so each sum keeps the bits of .sum(axis=-1);
+no spec or workload has more than 4 factors.
 """
 
 from __future__ import annotations
@@ -37,6 +47,18 @@ MC_BLOCK = 1 << 16
 # brings back about 1000 page faults per closed_form benchmark round;
 # at 2**12 a two-factor slice is 128 KB and its temporaries fit in L2.
 MC_SLICE = 1 << 12
+# Fewest samples mc_volume accepts.
+MC_MIN_SAMPLES = 1000
+
+
+def complex_points(z, n):
+    """``z`` as a complex array with n coordinates on its last axis; any
+    other count is a ValueError."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1] != n:
+        raise ValueError(f"point has {z.shape[-1]} complex coordinates, "
+                         f"expected {n}")
+    return z
 
 
 def factorwise(fn, factors, z, *args):
@@ -49,10 +71,7 @@ def factorwise(fn, factors, z, *args):
     made once every factor is done, so it does not add to the peak memory
     of the factor calls.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != len(factors):
-        raise ValueError(f"point has {z.shape[-1]} complex coordinates, "
-                         f"expected {len(factors)}")
+    z = complex_points(z, len(factors))
     parts = [fn(f, z[..., i], *args) for i, f in enumerate(factors)]
     first = np.asarray(parts[0])
     out = np.empty(first.shape + (len(parts),), first.dtype)
@@ -99,14 +118,19 @@ class ProductDomain:
             1.0 + 2.0 * n / self.p)
         return math.prod(self.factor_areas) * ball
 
-    def factor_gauges(self, x):
-        """Stack of factor gauge values, shape (..., n_factors)."""
-        return factorwise(RadialProfile.gauge, self.factors, x)
-
     def gauge(self, x):
-        """1-homogeneous product gauge (sum_i g_i^p)^(1/p)."""
-        g = self.factor_gauges(x)
-        out = (g ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        """1-homogeneous product gauge (sum_i g_i^p)^(1/p), summed one
+        factor at a time (see the module docstring).
+
+        A one-point g_i is a Python float; np.asarray keeps its power in
+        numpy arithmetic, because Python's ** calls libm pow, which can
+        differ from numpy's square in the last bit.
+        """
+        x = complex_points(x, len(self.factors))
+        total = np.asarray(self.factors[0].gauge(x[..., 0])) ** self.p
+        for i in range(1, len(self.factors)):
+            total += np.asarray(self.factors[i].gauge(x[..., i])) ** self.p
+        out = total ** (1.0 / self.p)
         return float(out) if out.ndim == 0 else out
 
     def bounding_radii(self):
@@ -165,8 +189,18 @@ def ellipsoid_areas(areas):
 
 def ellipsoid_level(areas, z):
     """sum_i pi|z_i|^2 / a_i over z's last axis: E(a_1, ..., a_n)'s level,
-    1 on its boundary, and the square of its 1-homogeneous gauge."""
-    return (np.pi * np.abs(z) ** 2 / np.asarray(areas, float)).sum(axis=-1)
+    1 on its boundary, and the square of its 1-homogeneous gauge. ``z``
+    needs one coordinate per area; the sum runs one column at a time.
+
+    The columns are the rows of w.T, so a one-point call divides and adds
+    numpy scalars, whose IEEE division and addition give the array bits.
+    """
+    areas = np.asarray(areas, float).tolist()
+    w = (np.pi * np.square(np.abs(complex_points(z, len(areas))))).T
+    level = w[0] / areas[0]
+    for i in range(1, len(areas)):
+        level += w[i] / areas[i]
+    return level.T
 
 
 def mc_slices(count):
@@ -177,13 +211,20 @@ def mc_slices(count):
 def sample_complex_box(rng, radii, count):
     """Uniform samples from the product of squares [-r_i, r_i]^2.
 
-    All real parts are drawn first, then all imaginary parts, each written
-    straight into one complex array.
+    All real parts are drawn first, then all imaginary parts, into one
+    draw buffer: 2u - 1 for u uniform on [0, 1) is rng.uniform(-1, 1)'s
+    own arithmetic, so the draws are its draws. Each column of the buffer
+    is then scaled by its radius straight into one complex array.
     """
     radii = np.asarray(radii)
     out = np.empty((count, radii.size), dtype=complex)
+    draw = np.empty(out.shape)
     for part in (out.real, out.imag):
-        np.multiply(rng.uniform(-1.0, 1.0, out.shape), radii, out=part)
+        rng.random(out=draw)
+        draw *= 2.0
+        draw -= 1.0
+        for i, r in enumerate(radii):
+            np.multiply(draw[:, i], r, out=part[:, i])
     return out
 
 
@@ -200,9 +241,13 @@ def ellipsoid_sample(rng, areas, count):
         raise ValueError("need at least one sample")
     areas = np.asarray(areas, dtype=float)
     n = areas.size
-    levels = rng.dirichlet(np.ones(n + 1), count)[:, :n]
+    levels = rng.dirichlet(np.ones(n + 1), count)
     theta = rng.uniform(0.0, TWO_PI, (count, n))
-    return np.sqrt(levels * areas / np.pi) * np.exp(1j * theta)
+    radius = np.empty((count, n))
+    for i, a in enumerate(areas):
+        np.multiply(levels[:, i], a, out=radius[:, i])
+    radius /= np.pi
+    return np.sqrt(radius, out=radius) * np.exp(1j * theta)
 
 
 def ellipsoid_boundary_sample(rng, areas, count):
@@ -210,7 +255,10 @@ def ellipsoid_boundary_sample(rng, areas, count):
     of ellipsoid_level: points of the boundary of E(a_1, ..., a_n), shape
     (count, n), drawn from ``rng`` exactly as ellipsoid_sample draws them."""
     z = ellipsoid_sample(rng, areas, count)
-    return z / np.sqrt(ellipsoid_level(areas, z))[:, None]
+    gauge = np.sqrt(ellipsoid_level(areas, z))
+    for i in range(z.shape[-1]):
+        np.divide(z[:, i], gauge, out=z[:, i])
+    return z
 
 
 @dataclass(frozen=True)
@@ -230,8 +278,8 @@ def mc_volume(domain, samples, seed, threads=1):
     worker count; each block is tested MC_SLICE points at a time.
     """
     check_integer("samples", samples)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples")
     check_integer("threads", threads)
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")

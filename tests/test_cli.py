@@ -321,10 +321,22 @@ def test_usage_error_exits_2(argv, tmp_path, capsys):
      "--count must be at least 1"),
     (["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
       "--threads", "0"], "--threads must be at least 1"),
+    (["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "10",
+      "--seed", "1"], "--samples must be at least 1000, got 10"),
+    (["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--samples", "0",
+      "--seed", "1"], "--samples must be at least 1, got 0"),
+    (["sandwich", "--spec", str(SPECS / "weier_square.spec"), "--samples",
+      "0", "--seed", "1"], "--samples must be at least 1, got 0"),
+    (["boundary-minimal", "--spec", str(SPECS / "disks_1_1.spec"),
+      "--samples", "0", "--seed", "1"], "--samples must be at least 1, got 0"),
+    (["sandwich", "--spec", str(SPECS / "weier_square.spec"), "--steps", "4",
+      "--seed", "1"], "--steps must be at least 8, got 4"),
 ], ids=["flow-point-three-numbers", "flow-t-range-one-number",
         "sandwich-negative-seed", "capacities-areas-not-a-number",
         "flow-point-not-a-number", "flow-t-range-not-a-number",
-        "capacities-count-zero", "volume-threads-zero"])
+        "capacities-count-zero", "volume-threads-zero", "volume-few-samples",
+        "conjugacy-no-samples", "sandwich-no-samples",
+        "boundary-minimal-no-samples", "sandwich-few-steps"])
 def test_usage_error_names_the_option(argv, message, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")

@@ -191,7 +191,8 @@ def test_conjugacy_residual_rejects_non_finite_time(t):
 
 
 # Python-level frames of one one-point conjugacy_residual call on W x square,
-# 38 measured with numpy 2.4 (52 while psi and Phi^t read R by a second
+# 37 measured with numpy 2.4 (38 while the residual stacked Phi^t with
+# factorwise and summed with .sum, 52 while psi and Phi^t read R by a second
 # radius lookup after S^-1, 204 while the path called numpy's Python
 # wrappers np.clip, np.take, np.searchsorted, np.angle, np.atleast_1d and
 # np.stack); one such wrapper or radius call put back on the path exceeds

@@ -1,5 +1,6 @@
 """Product domains, gauges, volumes."""
 
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -123,9 +124,12 @@ def test_two_product_experiments_reject_other_p(name):
 
 
 def test_gauge_rejects_dimension_mismatch():
+    """One point or many, a wrong coordinate count is named."""
     domain = two_disks()
-    with pytest.raises(ValueError):
-        domain.gauge(np.zeros(3, dtype=complex))
+    for shape in [(3,), (1,), (4, 3), (2, 5, 1)]:
+        with pytest.raises(ValueError, match=f"point has {shape[-1]} complex "
+                                             "coordinates, expected 2"):
+            domain.gauge(np.zeros(shape, dtype=complex))
 
 
 # Per-factor functions with complex (psi, the flow) and real (gauge) values.
@@ -364,7 +368,9 @@ def test_psi_of_ellipsoid_samples_matches_box_rejection():
         rng, domain.factor_areas, 5000))
     oracle = box_rejection_sample(rng, domain, 5000)
     assert np.all(domain.gauge(mapped) <= 1.0 + 1e-12)
-    for stat in (domain.factor_gauges, np.angle):
+    factor_gauges = functools.partial(
+        product.factorwise, geometry2d.RadialProfile.gauge, domain.factors)
+    for stat in (factor_gauges, np.angle):
         for i in range(2):
             assert scipy.stats.ks_2samp(stat(mapped)[:, i],
                                         stat(oracle)[:, i]).pvalue >= 0.01
