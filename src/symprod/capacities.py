@@ -51,9 +51,14 @@ def zoll_check(areas):
 
 # -- boundary shrinking -----------------------------------------------------
 
+def _offset(theta, center):
+    """theta - center in [-pi, pi), the window rule of _bump and of U."""
+    return np.mod(theta - center + np.pi, TWO_PI) - np.pi
+
+
 def _bump(theta, center, width):
     """Raised-cosine window, 1 at the center, 0 outside [c - w, c + w]."""
-    u = np.mod(theta - center + np.pi, TWO_PI) - np.pi
+    u = _offset(theta, center)
     inside = np.abs(u) < width
     return np.where(inside, 0.5 * (1.0 + np.cos(np.pi * u / width)), 0.0)
 
@@ -165,7 +170,7 @@ def boundary_minimal_experiment(factors, point, width, target_area,
     for part in mc_slices(samples):
         pts = product_map(factors, draws[part])
         in_window = reduce(np.logical_or, (
-            np.abs(np.mod(np.angle(w) - d + np.pi, TWO_PI) - np.pi) < width
+            np.abs(_offset(np.angle(w), d)) < width
             for w, d in zip(pts.T, directions)))
         test = pts[~(in_window & (domain.gauge(pts) > 1.0 - eta))]
         g2 = shrunk_domain.gauge(test)

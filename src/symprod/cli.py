@@ -207,6 +207,10 @@ def cmd_boundary_minimal(args):
     return 0 if report.passed else 1
 
 
+# boxdim's --family names and the fractal.Weierstrass phase seed of each.
+PHASE_SEEDS = {"weierstrass": None, "weierstrass_phase": 0}
+
+
 def cmd_boxdim(args):
     with np.errstate(over="ignore"):  # inf scales are rejected downstream
         scales = 2.0 ** -np.arange(args.min_exp, args.max_exp + 1)
@@ -223,8 +227,10 @@ def cmd_boxdim(args):
         counts = fractal.boundary_patch_counts(profile, [1.0], scales,
                                                seed=args.seed)
     else:
-        fn = fractal.make_fractal(args.family, a=args.a, b=args.b,
-                                  terms=args.terms)
+        if args.family not in PHASE_SEEDS:
+            raise ValueError(f"unknown fractal family {args.family!r}")
+        fn = fractal.Weierstrass(a=args.a, b=args.b, terms=args.terms,
+                                 seed=PHASE_SEEDS[args.family])
         counts = fractal.count_scales(fractal.graph_sampler(fn), scales,
                                       seed=args.seed)
         if args.target == "product":

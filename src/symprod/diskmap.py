@@ -17,7 +17,7 @@ cutoff_product_map, uses those closed forms for every trajectory that
 stays in one of the two regions. It integrates the rest, of every factor
 and both directions, in one elementwise RK4 loop, whose field reads R, R'
 and S for each point from one table of the factors' per-cell polynomials
-(_CellTable): one angle reduction and one cell lookup per point.
+(_cell_table): one angle reduction and one cell lookup per point.
 
 The epsilon-sandwich of a 2-product is decided by sandwich_bound, a closed
 form that proves both inclusions for every point of E in O(n). Each
@@ -121,9 +121,7 @@ class CutoffMapConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < np.inf:
             raise ValueError("cutoff level delta must be finite and positive")
-        check_integer("integration step count", self.steps)
-        if self.steps < MIN_STEPS:
-            raise ValueError(f"need at least {MIN_STEPS} integration steps")
+        check_integer("integration step count", self.steps, least=MIN_STEPS)
 
 
 def sandwich_delta(profile, epsilon, n_factors):
@@ -172,44 +170,39 @@ def _excesses(profile, delta):
             max(level - c * k_max, c * max(0.0, 1.0 - k_max)), level)
 
 
-class _CellTable:
+def _cell_table(factors, configs, which):
     """The cutoff fields of several factors, stacked for one RK4 loop.
 
-    ``coef`` holds every factor's per-cell polynomials of R, R' and S
-    (RadialProfile.cell_polynomials, the tables behind the profile's own
-    methods) in one column per cell, padded with zeros to the highest
-    degree present, which leaves each factor's Horner values unchanged.
-    ``params`` and ``cells`` hold one column per factor: cell width,
-    a/2pi, pi/a, the ramp's lower end and width in |z|^2, then the last
-    cell and the factor's first column in ``coef``.
+    Returns (coef, rows, points). ``coef`` holds every factor's per-cell
+    polynomials of R, R' and S (RadialProfile.cell_polynomials, the tables
+    behind the profile's own methods) in one column per cell, padded with
+    zeros to the highest degree present, which leaves each factor's Horner
+    values unchanged; ``rows`` slices out the R, R' and S rows. ``points``
+    is (params, cells) of factor ``which`` per point: cell width, a/2pi,
+    pi/a, the ramp's lower end and width in |z|^2, then the last cell and
+    the factor's first column in ``coef``.
     """
-
-    def __init__(self, factors, configs):
-        polys = [f.cell_polynomials() for f in factors]
-        ends = np.cumsum([max(p[k].shape[1] for p in polys) for k in range(3)])
-        self.rows = (slice(0, ends[0]), slice(ends[0], ends[1]),
-                     slice(ends[1], ends[2]))
-        sizes = np.array([f.N for f in factors])
-        first = np.cumsum(sizes) - sizes
-        self.coef = np.zeros((ends[-1], sizes.sum()))
-        for poly, start, size in zip(polys, first, sizes):
-            for c, rows in zip(poly, self.rows):
-                self.coef[rows.start:rows.start + c.shape[1],
-                          start:start + size] = c.T
-        self.params = np.array([
-            [TWO_PI / f.N for f in factors],
-            [f.area / TWO_PI for f in factors],
-            [np.pi / f.area for f in factors],
-            [RAMP_LO * c.delta / np.pi for c in configs],
-            [(RAMP_HI - RAMP_LO) * c.delta / np.pi for c in configs]])
-        self.cells = np.array([sizes - 1, first])
-
-    def points(self, which):
-        """Per-point (params, cells) for points of factors ``which``."""
-        return self.params[:, which], self.cells[:, which]
+    polys = [f.cell_polynomials() for f in factors]
+    ends = np.cumsum([max(p[k].shape[0] for p in polys) for k in range(3)])
+    rows = (slice(0, ends[0]), slice(ends[0], ends[1]),
+            slice(ends[1], ends[2]))
+    sizes = np.array([f.N for f in factors])
+    first = np.cumsum(sizes) - sizes
+    coef = np.zeros((ends[-1], sizes.sum()))
+    for poly, start, size in zip(polys, first, sizes):
+        for c, r in zip(poly, rows):
+            coef[r.start:r.start + c.shape[0], start:start + size] = c
+    params = np.array([
+        [TWO_PI / f.N for f in factors],
+        [f.area / TWO_PI for f in factors],
+        [np.pi / f.area for f in factors],
+        [RAMP_LO * c.delta / np.pi for c in configs],
+        [(RAMP_HI - RAMP_LO) * c.delta / np.pi for c in configs]])
+    cells = np.array([sizes - 1, first])
+    return coef, rows, (params[:, which], cells[:, which])
 
 
-def _cutoff_velocity(table, points, z, t):
+def _cutoff_velocity(table, z, t):
     """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a.
 
     rho is a quintic smoothstep across each point's ramp: 0 below
@@ -219,8 +212,9 @@ def _cutoff_velocity(table, points, z, t):
     with S_t' = (1 - t) a/2pi + t R^2/2. Its angle derivative is analytic:
     with num = S - (a/2pi) theta and den = S_t', num' = R^2/2 - a/2pi and
     den' = t R R'. R, R' and S come from one angle reduction and one cell
-    lookup per point in ``table``; ``points`` is table.points(...) of z.
+    lookup per point in ``table``, the _cell_table of z's points.
     """
+    stack, (r_rows, rd_rows, s_rows), points = table
     (h, rate, scale, lo, span), (last, first) = points
     u = z.real ** 2 + z.imag ** 2
     x = np.minimum(np.maximum((u - lo) / span, 0.0), 1.0)
@@ -232,8 +226,7 @@ def _cutoff_velocity(table, points, z, t):
     theta = np.mod(np.arctan2(z.imag, z.real), TWO_PI)
     j = np.minimum((theta / h).astype(np.int64), last)
     s = theta - j * h
-    coef = table.coef.take(j + first, axis=1)
-    r_rows, rd_rows, s_rows = table.rows
+    coef = stack.take(j + first, axis=1)
     r = horner(coef[r_rows], s)
     half_r2 = 0.5 * r * r
     num = horner(coef[s_rows], s) - rate * theta
@@ -244,26 +237,29 @@ def _cutoff_velocity(table, points, z, t):
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
-def _rk4(table, which, z, inverse, steps):
+def _rk4(factors, configs, which, z, inverse):
     """Fixed-step RK4 of the cutoff field with per-point start times.
 
     Each point moves in the field of its factor ``which`` (an index into
-    ``table``, per point or one for all). Points with ``inverse`` set (a
-    mask, or one flag for all) run backwards from t = 1, the others
-    forwards from t = 0, all in ``steps`` steps of length 1/steps. Every
-    operation is elementwise, so each point's result is bit-identical to
-    a run of its group alone, in a table of its factor alone.
+    ``factors`` and ``configs``, per point or one for all), all tabled once
+    by _cell_table. Points with ``inverse`` set (a mask, or one flag for
+    all) run backwards from t = 1, the others forwards from t = 0, in
+    steps of 1/steps for the configs' one step count (cutoff_product_map
+    checks that they share it). Every operation is elementwise, so each
+    point's result is bit-identical to a run of its group alone, with its
+    factor alone.
     """
     z = np.array(z, dtype=complex)
     inverse = np.broadcast_to(inverse, z.shape)
-    points = table.points(np.broadcast_to(which, z.shape))
+    table = _cell_table(factors, configs, np.broadcast_to(which, z.shape))
+    steps = configs[0].steps
     dt = np.where(inverse, -1.0, 1.0) / steps
     t = np.where(inverse, 1.0, 0.0)
     for _ in range(steps):
-        k1 = _cutoff_velocity(table, points, z, t)
-        k2 = _cutoff_velocity(table, points, z + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = _cutoff_velocity(table, points, z + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = _cutoff_velocity(table, points, z + dt * k3, t + dt)
+        k1 = _cutoff_velocity(table, z, t)
+        k2 = _cutoff_velocity(table, z + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = _cutoff_velocity(table, z + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = _cutoff_velocity(table, z + dt * k3, t + dt)
         z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + dt
     return z
@@ -312,9 +308,8 @@ def cutoff_product_map(factors, configs, z, inverse=False):
                 out[band] = closed_form(f, col[band])
     rows, cols = np.nonzero(ramp)
     if rows.size:
-        image[rows, cols] = _rk4(_CellTable(factors, configs), cols,
-                                 flat[rows, cols], inverse[rows],
-                                 configs[0].steps)
+        image[rows, cols] = _rk4(factors, configs, cols, flat[rows, cols],
+                                 inverse[rows])
     return image.reshape(z.shape), ramp.reshape(z.shape)
 
 
@@ -463,8 +458,8 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     Both directions go through one cutoff_product_map call, whose ramp
     coordinates RK4 integrates in ``steps`` steps.
     """
-    bound = sandwich_bound(factors, epsilon)
     domain = two_product(factors)
+    bound = sandwich_bound(domain, epsilon)
     factors = domain.factors
     areas = np.array(domain.factor_areas)
     configs = [CutoffMapConfig(delta=d, steps=steps) for d in bound.deltas]

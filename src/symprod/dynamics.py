@@ -118,12 +118,12 @@ def sample_conjugacy_residuals(factors, count, seed):
     Draws product.ellipsoid_boundary_sample points, then times uniform in
     +-2 max(area); returns the residual per sample.
     """
-    factors = two_product(factors).factors
-    areas = np.array([f.area for f in factors])
+    domain = two_product(factors)
+    areas = np.array(domain.factor_areas)
     rng = np.random.default_rng(seed)
     z = ellipsoid_boundary_sample(rng, areas, count)
     times = rng.uniform(-2.0, 2.0, count) * float(np.max(areas))
-    return conjugacy_residual(factors, z, times)
+    return conjugacy_residual(domain, z, times)
 
 
 ACTIVE_LEVEL = 1e-12

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -54,21 +53,15 @@ from .geometry2d import (TWO_PI, _check_weierstrass, hunt_phases,
 from .product import check_integer
 
 
-def _check_graph(a, b, terms):
-    """Weierstrass parameters whose graph is fractal (a * b > 1)."""
-    _check_weierstrass(a, b, terms)
-    if a * b <= 1.0:
-        raise ValueError("need a * b > 1 for a fractal graph")
-
-
 @dataclass(frozen=True)
 class Weierstrass:
     """W_{a,b}(x) = sum a^k cos(2 pi (b^k x + theta_k)), to k = ``terms``.
 
     The phases theta_k are zero, or with an integer ``seed`` the phases
     hunt_profile draws (geometry2d.hunt_phases), the phase-shifted family.
-    Truncation error is bounded by a^(terms+1) / (1 - a). The graph's
-    box-counting dimension is 2 + log a / log b.
+    Truncation error is bounded by a^(terms+1) / (1 - a). The graph is
+    fractal, which needs a * b > 1, with box-counting dimension
+    2 + log a / log b.
     """
 
     a: float = 0.5
@@ -77,7 +70,9 @@ class Weierstrass:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_graph(self.a, self.b, self.terms)
+        _check_weierstrass(self.a, self.b, self.terms)
+        if self.a * self.b <= 1.0:
+            raise ValueError("need a * b > 1 for a fractal graph")
 
     def __call__(self, x):
         phases = (None if self.seed is None
@@ -87,21 +82,6 @@ class Weierstrass:
     @property
     def graph_dimension(self):
         return 2.0 + np.log(self.a) / np.log(self.b)
-
-
-_FAMILIES = {
-    "weierstrass": Weierstrass,
-    "weierstrass_phase": partial(Weierstrass, seed=0),
-}
-
-
-def make_fractal(family, **params):
-    """Build a family by name from its parameters."""
-    try:
-        cls = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown fractal family {family!r}") from None
-    return cls(**params)
 
 
 # -- box counting -----------------------------------------------------------

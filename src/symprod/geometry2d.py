@@ -179,15 +179,16 @@ class RadialProfile:
     def cell_polynomials(self):
         """R, R' and S on each sample cell as polynomials in the offset s.
 
-        Returns three read-only (N, k) coefficient arrays, lowest order
-        first, with R(theta_j + s) = sum_i r[j, i] s^i for 0 <= s <= h,
-        and R', S the same way. A linear profile gives its node radius and
-        slope (degree 1), a cubic one the periodic spline's coefficients
-        (degree 3), built by the FFT circulant solve of ``_periodic_spline``.
+        Returns the three read-only (k, N) coefficient tables the profile's
+        own methods read: rows lowest order first, one column per cell,
+        with R(theta_j + s) = sum_i r[i, j] s^i for 0 <= s <= h, and R', S
+        the same way. A linear profile gives its node radius and slope
+        (degree 1), a cubic one the periodic spline's coefficients (degree
+        3), built by the FFT circulant solve of ``_periodic_spline``.
         The S rows are the cumulative table entry S(theta_j) followed by
         the exact antiderivative of R^2/2, of degree 3 or 7.
         """
-        return self._r.T, self._rd.T, self._s.T
+        return self._r, self._rd, self._s
 
     # -- sector area and its inverse ---------------------------------------
 
@@ -231,7 +232,10 @@ class RadialProfile:
         less the constant S(theta_k), so that the residual does not carry
         the rounding of S itself, with S'(theta) = R(theta)^2/2 from its R
         polynomial. Both meet |S - s| <= 1e-14 * area, beyond the rounding
-        of theta itself (S'(theta) = R^2/2 per unit of theta).
+        of theta itself (S'(theta) = R^2/2 per unit of theta). Newton stops
+        each point once its own residual meets that tolerance (a NaN
+        residual at once), so no point's bits depend on the other points of
+        the call.
 
         R is the cell's R polynomial at the root's offset x before theta
         is rounded, so it can differ from radius(theta) by the rounding of
@@ -267,11 +271,13 @@ class RadialProfile:
             for _ in range(80):
                 x = theta - start
                 val = horner(swept, x) * x - target
-                # fmax skips the NaN of a non-finite s, which never converges.
-                if np.fmax.reduce(np.abs(val), axis=None, initial=0.0) <= tol:
+                active = np.abs(val) > tol
+                if not active.any():
                     break
                 r = horner(r_coef, x)
-                step = val / (0.5 * r * r)
+                # A stopped point steps by 0 to its own theta, which lies
+                # in its bracket, so it keeps its bits.
+                step = val * active / (0.5 * r * r)
                 hi = np.where(val > 0.0, theta, hi)
                 lo = np.where(val < 0.0, theta, lo)
                 newton = theta - step

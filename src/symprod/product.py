@@ -236,9 +236,7 @@ def ellipsoid_sample(rng, areas, count):
     simplex (a flat Dirichlet on n + 1 parts, drawn first) and the angles
     uniform (drawn second). s / sum(s) is then uniform on the face sum = 1.
     """
-    check_integer("sample count", count)
-    if count < 1:
-        raise ValueError("need at least one sample")
+    check_integer("sample count", count, least=1)
     areas = np.asarray(areas, dtype=float)
     n = areas.size
     levels = rng.dirichlet(np.ones(n + 1), count)
@@ -277,12 +275,8 @@ def mc_volume(domain, samples, seed, threads=1):
     generators, so the result depends only on (samples, seed), not on the
     worker count; each block is tested MC_SLICE points at a time.
     """
-    check_integer("samples", samples)
-    if samples < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples")
-    check_integer("threads", threads)
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got {threads}")
+    check_integer("samples", samples, least=MC_MIN_SAMPLES)
+    check_integer("threads", threads, least=1)
     radii = domain.bounding_radii()
     box_volume = float(np.prod((2.0 * radii) ** 2))
     blocks = [(b, min(MC_BLOCK, samples - b * MC_BLOCK))

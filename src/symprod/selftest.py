@@ -27,11 +27,19 @@ def _fields(**values):
     return " ".join(f"{name}={_fmt(value)}" for name, value in values.items())
 
 
+SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+
+
 def _standard_factors():
-    wprof = geometry2d.weierstrass_profile(terms=20)
-    square = geometry2d.polygon_profile(
-        [(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    return wprof, square
+    """Weierstrass x square, the pair of the sandwich and conjugacy checks."""
+    return (geometry2d.weierstrass_profile(terms=20),
+            geometry2d.polygon_profile(SQUARE))
+
+
+def _cosine_disk():
+    """cos(1) x D(1), the equal-area pair of volume, foliation and
+    boundary minimality."""
+    return geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)
 
 
 def _preset_profiles():
@@ -96,11 +104,10 @@ def check_volume(seed, quick=False, threads=1):
     errors of the closed form.
     """
     samples = 50000 if quick else 1000000
-    cos1 = geometry2d.cosine_profile(1.0)
-    disk1 = geometry2d.disk_profile(1.0)
+    factors = _cosine_disk()
     ok, parts = True, []
     for p in (1, 2, 3):
-        domain = product.ProductDomain([cos1, disk1], p=p)
+        domain = product.ProductDomain(factors, p=p)
         est = product.mc_volume(domain, samples, seed, threads=threads)
         ok = ok and abs(est.volume - domain.volume) <= 3.0 * est.std_error
         parts.append(_fields(p=p, estimate=est.volume,
@@ -135,8 +142,7 @@ def check_foliation(seed, quick=False):
     """Orbits close at t = a (check_period's identity, so the round-off of
     R, S and S^-1, no independent check of the flow); areas (1, sqrt 2)
     have no period up to 1000 turns."""
-    cos1 = geometry2d.cosine_profile(1.0)
-    disk1 = geometry2d.disk_profile(1.0)
+    cos1, disk1 = _cosine_disk()
     report = dynamics.is_foliated_by_systoles(
         [cos1, disk1], 100 if quick else 1000, seed)
     point = dynamics.FlowPoint(angles=[0.3, 1.1],
@@ -165,11 +171,9 @@ def check_capacities(seed, quick=False):
 
 
 def check_boundary_minimal(seed, quick=False):
-    cos1 = geometry2d.cosine_profile(1.0)
-    disk1 = geometry2d.disk_profile(1.0)
     point = dynamics.FlowPoint(angles=[0.5, 2.0], levels=np.sqrt([0.5, 0.5]))
     report = capacities.boundary_minimal_experiment(
-        [cos1, disk1], point, width=0.9, target_area=0.9,
+        _cosine_disk(), point, width=0.9, target_area=0.9,
         samples=5000 if quick else 100000, seed=seed)
     ok = report.passed and abs(report.capacity_gap - 0.1) < 1e-9
     return "boundary-minimal", ok, _fields(

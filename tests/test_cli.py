@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symprod import fractal, geometry2d
@@ -120,6 +121,24 @@ def test_boxdim_function_csv():
                          "--max-exp", "9", "--seed", "1"])
     assert code == 0
     assert "# slope = " in out
+
+
+def test_boxdim_family_counts_its_weierstrass_graph():
+    """--family weierstrass counts the zero-phase series, and
+    weierstrass_phase the phases of seed 0 (geometry2d.hunt_phases)."""
+    scales = 2.0 ** -np.arange(4, 10)
+    counts = {}
+    for family, seed in (("weierstrass", None), ("weierstrass_phase", 0)):
+        code, out = run_cli(["boxdim", "--family", family, "--terms", "12",
+                             "--min-exp", "4", "--max-exp", "9",
+                             "--seed", "2"])
+        assert code == 0
+        rows = out.splitlines()[2:2 + scales.size]
+        counts[family] = [float(row.split(",")[1]) for row in rows]
+        fn = fractal.Weierstrass(terms=12, seed=seed)
+        assert counts[family] == fractal.count_scales(
+            fractal.graph_sampler(fn), scales, seed=2).tolist()
+    assert counts["weierstrass"] != counts["weierstrass_phase"]
 
 
 def test_csv_output_is_reproducible():

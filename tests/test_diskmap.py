@@ -9,8 +9,8 @@ from hypothesis import given, reject, settings, strategies as st
 
 from symprod import diskmap, geometry2d, product
 from symprod.geometry2d import TWO_PI
-
-SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+from symprod.selftest import (SQUARE, _preset_profiles as preset_profiles,
+                              _standard_factors)
 
 
 def verify_cutoff_containment(profile, config, eps_prime, rings=5, angles=64):
@@ -27,17 +27,6 @@ def verify_cutoff_containment(profile, config, eps_prime, rings=5, angles=64):
                                       radius * np.exp(1j * theta))
         worst = max(worst, float(np.max(profile.gauge(img))) / eps_prime)
     return worst
-
-
-def preset_profiles():
-    return {
-        "disk": geometry2d.disk_profile(np.pi),
-        "cosine": geometry2d.cosine_profile(np.pi),
-        "square": geometry2d.polygon_profile(SQUARE),
-        "weierstrass": geometry2d.weierstrass_profile(terms=20),
-        "hunt": geometry2d.hunt_profile(terms=20, seed=3),
-        "xz": geometry2d.xz_profile(),
-    }
 
 
 def random_disk_points(profile, n, seed):
@@ -183,8 +172,7 @@ def test_verify_cutoff_containment():
 
 
 def test_sandwich_check_small():
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
+    factors = list(_standard_factors())
     report = diskmap.sandwich_check(factors, epsilon=0.05, samples=2000,
                                     seed=11, steps=64)
     assert report.violations_outer == 0
@@ -206,8 +194,7 @@ def test_sandwich_check_cubic_disk():
 # -- bands of the cutoff map ------------------------------------------------
 
 def sandwich_factors():
-    return {"weierstrass": geometry2d.weierstrass_profile(terms=20),
-            "square": geometry2d.polygon_profile(SQUARE)}
+    return dict(zip(("weierstrass", "square"), _standard_factors()))
 
 
 def sandwich_config(profile, steps=64):
@@ -315,8 +302,8 @@ def test_map_is_continuous_across_exact_threshold(name, inverse):
     for factor in (1.0 + 1e-3, 1.0 - 1e-3):
         z = level_points(profile, factor * lev2, theta, inverse)
         w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
-        ref = diskmap._rk4(diskmap._CellTable([profile], [config]), 0, z,
-                           inverse, 1024)
+        fine = dataclasses.replace(config, steps=1024)
+        ref = diskmap._rk4([profile], [fine], 0, z, inverse)
         assert np.max(np.abs(w - ref)) <= 0.2 / config.steps + 0.2 / 1024
 
 
@@ -334,9 +321,9 @@ def off_node(profile, theta, h):
 
 def library_field(profile, config, size):
     """The library's cutoff field of one factor on ``size`` points."""
-    table = diskmap._CellTable([profile], [config])
-    points = table.points(np.zeros(size, dtype=np.int64))
-    return lambda z, t: diskmap._cutoff_velocity(table, points, z, t)
+    table = diskmap._cell_table([profile], [config],
+                                np.zeros(size, dtype=np.int64))
+    return lambda z, t: diskmap._cutoff_velocity(table, z, t)
 
 
 def library_contact_hamiltonian(profile, theta, t):
@@ -739,13 +726,11 @@ def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
     u = delta / np.pi * rng.uniform(0.0, 1.0, size)
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, size))
     inverse = rng.random(size) < 0.5
-    out = diskmap._rk4(diskmap._CellTable(factors, configs), which, z,
-                       inverse, steps)
+    out = diskmap._rk4(factors, configs, which, z, inverse)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
         for back in (False, True):
             group = (which == i) & (inverse == back)
-            alone = diskmap._rk4(diskmap._CellTable([f], [cfg]), 0, z[group],
-                                 back, steps)
+            alone = diskmap._rk4([f], [cfg], 0, z[group], back)
             np.testing.assert_array_equal(out[group], alone)
             w, ramp = diskmap.cutoff_product_map([f], [cfg], z[group, None],
                                                  back)

@@ -10,8 +10,8 @@ from hypothesis import given, reject, settings, strategies as st
 from symprod import diskmap, dynamics, geometry2d, product
 from symprod.dynamics import FlowPoint
 from symprod.geometry2d import RadialProfile, TWO_PI
-
-SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+from symprod.selftest import (_preset_profiles as preset_profiles,
+                              _standard_factors)
 
 
 def hamiltonian_flow_ode(profile, z0, t_final, steps):
@@ -41,15 +41,6 @@ def hamiltonian_flow_ode(profile, z0, t_final, steps):
     return state if np.asarray(z0).ndim else complex(state[0])
 
 
-def preset_profiles():
-    return {
-        "disk": geometry2d.disk_profile(np.pi),
-        "cosine": geometry2d.cosine_profile(np.pi),
-        "square": geometry2d.polygon_profile(SQUARE),
-        "weierstrass": geometry2d.weierstrass_profile(terms=20),
-    }
-
-
 def test_flow_advances_sector_area_at_unit_rate():
     """Oracle: S(arg Phi^t z) - S(arg z) == t (mod area)."""
     profile = geometry2d.weierstrass_profile(terms=20)
@@ -65,7 +56,7 @@ def test_flow_advances_sector_area_at_unit_rate():
         assert np.allclose(ds, expected, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", list(preset_profiles()))
+@pytest.mark.parametrize("name", ["disk", "cosine", "square", "weierstrass"])
 def test_period_equals_area(name):
     profile = preset_profiles()[name]
     rng = np.random.default_rng(1)
@@ -116,8 +107,7 @@ def test_reeb_flow_rotation():
 
 
 def test_conjugacy_residual_is_tiny():
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
+    factors = list(_standard_factors())
     residuals = dynamics.sample_conjugacy_residuals(factors, 100, seed=4)
     assert residuals.shape == (100,)
     assert np.max(residuals) < 1e-8
@@ -129,8 +119,7 @@ def test_conjugacy_residual_batched_matches_per_point():
     The benchmark's closed_form workload makes the one-point calls and
     selftest the batched one; both must report the same residuals.
     """
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
+    factors = list(_standard_factors())
     areas = np.array([f.area for f in factors])
     seed = 6
     batched = dynamics.sample_conjugacy_residuals(factors, 50, seed)
@@ -146,8 +135,7 @@ def test_conjugacy_residual_batched_matches_per_point():
 
 def test_conjugacy_residual_maps_once(monkeypatch):
     """One call applies psi to Reeb^t z and to z in one product_map call."""
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
+    factors = list(_standard_factors())
     calls = []
     product_map = dynamics.product_map
 
@@ -202,8 +190,7 @@ CONJUGACY_CALL_FRAMES = 41
 
 def test_one_point_conjugacy_call_budget():
     """Count the profiler's call events: deterministic, unlike a timing."""
-    factors = [geometry2d.weierstrass_profile(terms=20),
-               geometry2d.polygon_profile(SQUARE)]
+    factors = list(_standard_factors())
     areas = np.array([f.area for f in factors])
     z = np.sqrt(np.array([0.3, 0.7]) * areas / np.pi) * np.exp(
         1j * np.array([0.4, 2.9]))
@@ -326,7 +313,7 @@ def test_foliation_equal_areas():
 
 def test_foliation_rejects_zero_samples():
     """No sample checked is no pass: zero samples is a ValueError."""
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
         dynamics.is_foliated_by_systoles(
             [geometry2d.cosine_profile(1.0), geometry2d.disk_profile(1.0)],
             0, seed=5)

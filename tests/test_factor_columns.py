@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from symprod import diskmap, dynamics, geometry2d, product
 from symprod.geometry2d import TWO_PI
 from symprod.product import ProductDomain
+from symprod.selftest import SQUARE
 
-SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 LEADING = [(), (1,), (7,), (2, 3)]
 
 

@@ -227,15 +227,6 @@ def test_phase_shifted_family_seeded():
                                rtol=0.0, atol=1e-12)
 
 
-def test_make_fractal_dispatch():
-    fn = fractal.make_fractal("weierstrass", a=0.5, b=3.0, terms=5)
-    assert fn == fractal.Weierstrass(a=0.5, b=3.0, terms=5, seed=None)
-    fn = fractal.make_fractal("weierstrass_phase", a=0.5, b=3.0, terms=5)
-    assert fn == fractal.Weierstrass(a=0.5, b=3.0, terms=5, seed=0)
-    with pytest.raises(ValueError):
-        fractal.make_fractal("unknown")
-
-
 def test_box_count_unit_segment():
     """[TRIVIAL] oracle: a unit segment meets ~1/eps grid cells."""
     t = np.linspace(0.0, 1.0, 100001)

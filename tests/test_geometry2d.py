@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.interpolate
 from hypothesis import given, reject, settings, strategies as st
 
 from symprod import diskmap, dynamics, geometry2d
 from symprod.geometry2d import RadialProfile, TWO_PI
 from symprod.product import ProductDomain, ellipsoid_areas, ellipsoid_level
-
-SQUARE = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+from symprod.selftest import SQUARE, _preset_profiles as preset_profiles
 
 # Reference evaluation, independent of the per-cell tables: linear node
 # interpolation or a scipy periodic spline for R and R', and S from a
@@ -100,22 +100,11 @@ def reference_sector_area(profile, theta):
             + winds * cumulative[-1])
 
 
-def preset_profiles():
-    return {
-        "disk": geometry2d.disk_profile(np.pi),
-        "cosine": geometry2d.cosine_profile(np.pi),
-        "square": geometry2d.polygon_profile(SQUARE),
-        "weierstrass": geometry2d.weierstrass_profile(terms=20),
-        "hunt": geometry2d.hunt_profile(terms=20, seed=3),
-        "xz": geometry2d.xz_profile(),
-    }
-
-
 def trapezoid_area(profile, n=1 << 20):
     """Independent oracle: trapezoid rule for int 0.5 R^2 dtheta."""
     theta = np.linspace(0.0, TWO_PI, n + 1)
     r = profile.radius(theta)
-    return np.trapezoid(0.5 * r * r, theta)
+    return scipy.integrate.trapezoid(0.5 * r * r, theta)
 
 
 def test_disk_area_exact():
@@ -140,7 +129,7 @@ def test_sector_area_against_trapezoid_oracle(name):
         n = 1 << 18
         grid = np.linspace(0.0, theta, n + 1)
         r = profile.radius(grid)
-        oracle = np.trapezoid(0.5 * r * r, grid)
+        oracle = scipy.integrate.trapezoid(0.5 * r * r, grid)
         assert profile.sector_area(theta) == pytest.approx(
             oracle, rel=1e-6, abs=1e-9)
 
@@ -213,10 +202,9 @@ def test_inverse_sector_area_and_radius(seed, n, interpolation):
     max(|theta|, 2 pi). s runs over several turns, at +- the cumulative
     nodes, one ulp either side of them, at multiples of the area and at NaN.
 
-    A one-point call gives the bits of the one-element array call, and on a
-    linear profile those of the whole array call too; cubic Newton stops
-    when every point of the call has converged, so there a point's last
-    bits depend on the others in its call.
+    A one-point call gives the bits of the one-element array call and of
+    the whole array call, on cubic profiles too: Newton stops each point
+    on its own residual, so no point's bits depend on the others.
     """
     rng = np.random.default_rng(seed)
     try:
@@ -234,7 +222,7 @@ def test_inverse_sector_area_and_radius(seed, n, interpolation):
     assert theta.tobytes() == profile.inverse_sector_area(s).tobytes()
 
     rd = profile.cell_polynomials()[1]
-    max_slope = np.max(np.abs(rd) @ (profile._h ** np.arange(rd.shape[1])))
+    max_slope = np.max((profile._h ** np.arange(rd.shape[0])) @ np.abs(rd))
     bound = (2.0 * max_slope * np.spacing(np.maximum(np.abs(theta), TWO_PI))
              + 4.0 * np.spacing(radius))
     finite = ~np.isnan(s)
@@ -248,9 +236,68 @@ def test_inverse_sector_area_and_radius(seed, n, interpolation):
         assert all(isinstance(v, float) for v in one)
         single = profile.inverse_sector_area_and_radius(s[[i]])
         assert np.array(one).tobytes() == np.concatenate(single).tobytes()
-        if interpolation == "linear":
-            assert np.array(one).tobytes() == np.array(
-                [theta[i], radius[i]]).tobytes()
+        assert np.array(one).tobytes() == np.array(
+            [theta[i], radius[i]]).tobytes()
+
+
+def assert_per_point(fn, *args):
+    """fn gives each point the same bits in the whole batch, in a permuted
+    batch and in a one-point call. The points run along the first axis of
+    every argument; a tuple result is one array per output."""
+    def stacked(out):
+        return np.array(out if isinstance(out, tuple) else [out])
+
+    size = len(args[0])
+    whole = stacked(fn(*args))
+    perm = np.random.default_rng(size).permutation(size)
+    permuted = stacked(fn(*(a[perm] for a in args)))
+    assert permuted[:, np.argsort(perm)].tobytes() == whole.tobytes()
+    for i in range(size):
+        one = stacked(fn(*(a[i] for a in args)))
+        assert one.tobytes() == whole[:, i].tobytes(), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(16, 511),
+       interpolation=st.sampled_from(["linear", "cubic"]),
+       size=st.integers(1, 40))
+def test_results_are_per_point(seed, n, interpolation, size):
+    """Every primitive gives a point the bits it has alone, whatever the
+    other points of its call, on random linear and cubic profiles, for
+    angles, areas and times over several turns; Newton stops each point of
+    a cubic S^-1 on its own residual. The rows of cutoff_product_map, on
+    the profile times a second random one, are per point too."""
+    rng = np.random.default_rng(seed)
+    try:
+        profile, other = (RadialProfile(rng.uniform(0.3, 1.5, n), kind)
+                          for kind in (interpolation, "cubic"))
+    except ValueError:
+        reject()  # cubic overshoot below zero
+    theta = rng.uniform(-3.0, 4.0, size) * TWO_PI
+    s = rng.uniform(-3.0, 4.0, size) * profile.area
+    t = rng.uniform(-3.0, 4.0, size) * profile.area
+    z = rng.uniform(0.0, 1.5, size) * np.exp(1j * theta)
+    for method in (profile.radius, profile.sector_area,
+                   profile.radius_and_sector_area):
+        assert_per_point(method, theta)
+    for method in (profile.inverse_sector_area,
+                   profile.inverse_sector_area_and_radius):
+        assert_per_point(method, s)
+    assert_per_point(profile.gauge, z)
+    for fn in (diskmap.disk_to_domain, diskmap.domain_to_disk):
+        assert_per_point(lambda w: fn(profile, w), z)
+    assert_per_point(lambda w, dt: dynamics.char_flow_2d(profile, w, dt),
+                     z, t)
+
+    factors = [profile, other]
+    configs = [diskmap.CutoffMapConfig(
+        delta=diskmap.sandwich_delta(f, 0.05, 2), steps=8) for f in factors]
+    u = rng.uniform(0.0, 4.0, (size, 2)) * [c.delta / np.pi for c in configs]
+    pts = np.sqrt(u) * np.exp(1j * rng.uniform(-3.0, 4.0, u.shape) * TWO_PI)
+    assert_per_point(
+        lambda w, back: diskmap.cutoff_product_map(factors, configs, w,
+                                                   back)[0],
+        pts, rng.random(size) < 0.5)
 
 
 def test_gauge_and_flow_at_origin_and_nan_keep_their_bits():
@@ -411,13 +458,13 @@ def test_cell_polynomials_match_profile(seed, n, interpolation):
     """R, R' and S from one cell lookup agree with the reference evaluation."""
     rng, profile = random_profile(seed, n, interpolation)
     r, rd, s = profile.cell_polynomials()
-    assert r.shape[1] == rd.shape[1] + 1 == s.shape[1] // 2
+    assert r.shape[0] == rd.shape[0] + 1 == s.shape[0] // 2
     theta = rng.uniform(0.0, TWO_PI, 400)
     j = np.minimum((theta / (TWO_PI / n)).astype(np.int64), n - 1)
     offset = theta - j * (TWO_PI / n)
 
     def poly(coef):
-        return sum(coef[j, i] * offset ** i for i in range(coef.shape[1]))
+        return sum(coef[i, j] * offset ** i for i in range(coef.shape[0]))
 
     scale = profile.max_radius
     np.testing.assert_allclose(poly(r), reference_radius(profile, theta),
@@ -540,9 +587,9 @@ def assert_spline_matches_oracle(rng, profile):
     offset = theta - j * (TWO_PI / n)
     spline = reference_spline(profile)
     scale = profile.max_radius
-    np.testing.assert_allclose(geometry2d.horner(r[j].T, offset),
+    np.testing.assert_allclose(geometry2d.horner(r[:, j], offset),
                                spline(theta), rtol=0.0, atol=1e-12 * scale)
-    np.testing.assert_allclose(geometry2d.horner(rd[j].T, offset),
+    np.testing.assert_allclose(geometry2d.horner(rd[:, j], offset),
                                spline(theta, 1), rtol=0.0,
                                atol=1e-12 * n * scale)
     lo, hi = reference_extrema(profile.samples)

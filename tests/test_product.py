@@ -11,6 +11,7 @@ import scipy.stats
 
 from symprod import capacities, diskmap, dynamics, geometry2d, product
 from symprod.product import ProductDomain
+from symprod.selftest import SQUARE, _standard_factors
 from symprod.specfile import load_spec, parse_spec
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -56,8 +57,7 @@ def test_gauge_homogeneity():
 def test_membership_matches_union_over_simplex():
     """Oracle: x is in the p-product iff some split t works factor-wise."""
     factors = [geometry2d.cosine_profile(1.0),
-               geometry2d.polygon_profile([(1, 1), (-1, 1), (-1, -1),
-                                           (1, -1)])]
+               geometry2d.polygon_profile(SQUARE)]
     for p in (1.0, 2.0, 4.0):
         domain = ProductDomain(factors, p=p)
         rng = np.random.default_rng(2)
@@ -276,7 +276,7 @@ def test_mc_volume_rejects_non_integer_threads(threads):
 
 @pytest.mark.parametrize("threads", [0, -1, np.int64(0)])
 def test_mc_volume_rejects_fewer_than_one_thread(threads):
-    with pytest.raises(ValueError, match="at least one thread"):
+    with pytest.raises(ValueError, match="threads must be at least 1, got"):
         product.mc_volume(two_disks(), 5000, seed=1, threads=threads)
 
 
@@ -288,8 +288,7 @@ def test_mc_volume_takes_numpy_integer_threads():
 @pytest.mark.parametrize("p", [1.0, 3.0, 6.0])
 def test_closed_form_volume_matches_monte_carlo(p):
     domain = ProductDomain([geometry2d.weierstrass_profile(),
-                            geometry2d.polygon_profile(
-                                [(1, 1), (-1, 1), (-1, -1), (1, -1)])], p=p)
+                            geometry2d.polygon_profile(SQUARE)], p=p)
     est = product.mc_volume(domain, 200000, seed=31)
     assert abs(est.volume - domain.volume) <= 3.0 * est.std_error
 
@@ -326,7 +325,7 @@ def test_ellipsoid_sample_count_and_body():
     pts = product.ellipsoid_sample(np.random.default_rng(4), areas, 5000)
     assert pts.shape == (5000, 3)
     assert np.all(ellipsoid_gauge(areas, pts) <= 1.0)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
         product.ellipsoid_sample(np.random.default_rng(4), areas, 0)
 
 
@@ -360,9 +359,7 @@ def test_psi_of_ellipsoid_samples_matches_box_rejection():
     """psi(E) is X with its volume: per-factor gauges and angles of
     psi-samples and of box-rejection samples of W x square have one
     distribution each."""
-    domain = ProductDomain([geometry2d.weierstrass_profile(terms=20),
-                            geometry2d.polygon_profile(
-                                [(1, 1), (-1, 1), (-1, -1), (1, -1)])])
+    domain = ProductDomain(_standard_factors())
     rng = np.random.default_rng(12)
     mapped = diskmap.product_map(domain.factors, product.ellipsoid_sample(
         rng, domain.factor_areas, 5000))
