@@ -20,7 +20,7 @@ from itertools import count
 import numpy as np
 
 from .diskmap import product_map
-from .geometry2d import RadialProfile, TWO_PI
+from .geometry2d import RadialProfile, TWO_PI, node_angles
 from .product import (ProductDomain, check_integer, common_area,
                       ellipsoid_areas, ellipsoid_sample, mc_slices,
                       two_product)
@@ -64,7 +64,7 @@ def _bump(theta, center, width):
 
 
 def _shrunken_samples(profile, center, width, amplitude):
-    theta = np.arange(profile.N) * (TWO_PI / profile.N)
+    theta = node_angles(profile.N)
     return profile.samples * (1.0 - amplitude * _bump(theta, center, width))
 
 

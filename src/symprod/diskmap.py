@@ -99,13 +99,13 @@ RAMP_HI = 0.6
 # cutoff excesses may use at most (sandwich_delta); below 1, so that
 # sandwich_bound proves the sandwich with room to spare.
 DELTA_MARGIN = 0.9
-# Fewest RK4 steps a CutoffMapConfig accepts.
+# Fewest RK4 steps cutoff_product_map accepts.
 MIN_STEPS = 8
 
 
 @dataclass
 class CutoffMapConfig:
-    """Parameters of the smoothed disk map.
+    """Parameters of cutoff_disk_map, the one-factor cutoff map.
 
     delta is the cutoff level in area units: the Hamiltonian is frozen well
     below it and untouched for pi |z|^2 >= delta; the ramp in between is
@@ -117,11 +117,6 @@ class CutoffMapConfig:
     delta: float
     steps: int = 256
     epsilon: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < np.inf:
-            raise ValueError("cutoff level delta must be finite and positive")
-        check_integer("integration step count", self.steps, least=MIN_STEPS)
 
 
 def sandwich_delta(profile, epsilon, n_factors):
@@ -170,7 +165,7 @@ def _excesses(profile, delta):
             max(level - c * k_max, c * max(0.0, 1.0 - k_max)), level)
 
 
-def _cell_table(factors, configs, which):
+def _cell_table(factors, deltas, which):
     """The cutoff fields of several factors, stacked for one RK4 loop.
 
     Returns (coef, rows, points). ``coef`` holds every factor's per-cell
@@ -179,8 +174,8 @@ def _cell_table(factors, configs, which):
     zeros to the highest degree present, which leaves each factor's Horner
     values unchanged; ``rows`` slices out the R, R' and S rows. ``points``
     is (params, cells) of factor ``which`` per point: cell width, a/2pi,
-    pi/a, the ramp's lower end and width in |z|^2, then the last cell and
-    the factor's first column in ``coef``.
+    pi/a, the ramp's lower end and width in |z|^2 (from ``deltas``), then
+    the last cell and the factor's first column in ``coef``.
     """
     polys = [f.cell_polynomials() for f in factors]
     ends = np.cumsum([max(p[k].shape[0] for p in polys) for k in range(3)])
@@ -196,8 +191,8 @@ def _cell_table(factors, configs, which):
         [TWO_PI / f.N for f in factors],
         [f.area / TWO_PI for f in factors],
         [np.pi / f.area for f in factors],
-        [RAMP_LO * c.delta / np.pi for c in configs],
-        [(RAMP_HI - RAMP_LO) * c.delta / np.pi for c in configs]])
+        [RAMP_LO * delta / np.pi for delta in deltas],
+        [(RAMP_HI - RAMP_LO) * delta / np.pi for delta in deltas]])
     cells = np.array([sizes - 1, first])
     return coef, rows, (params[:, which], cells[:, which])
 
@@ -237,22 +232,20 @@ def _cutoff_velocity(table, z, t):
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
-def _rk4(factors, configs, which, z, inverse):
+def _rk4(factors, deltas, steps, which, z, inverse):
     """Fixed-step RK4 of the cutoff field with per-point start times.
 
     Each point moves in the field of its factor ``which`` (an index into
-    ``factors`` and ``configs``, per point or one for all), all tabled once
-    by _cell_table. Points with ``inverse`` set (a mask, or one flag for
-    all) run backwards from t = 1, the others forwards from t = 0, in
-    steps of 1/steps for the configs' one step count (cutoff_product_map
-    checks that they share it). Every operation is elementwise, so each
-    point's result is bit-identical to a run of its group alone, with its
-    factor alone.
+    ``factors`` and their cutoff levels ``deltas``, per point or one for
+    all), all tabled once by _cell_table. Points with ``inverse`` set (a
+    mask, or one flag for all) run backwards from t = 1, the others
+    forwards from t = 0, in ``steps`` steps of 1/steps. Every operation is
+    elementwise, so each point's result is bit-identical to a run of its
+    group alone, with its factor alone.
     """
     z = np.array(z, dtype=complex)
     inverse = np.broadcast_to(inverse, z.shape)
-    table = _cell_table(factors, configs, np.broadcast_to(which, z.shape))
-    steps = configs[0].steps
+    table = _cell_table(factors, deltas, np.broadcast_to(which, z.shape))
     dt = np.where(inverse, -1.0, 1.0) / steps
     t = np.where(inverse, 1.0, 0.0)
     for _ in range(steps):
@@ -265,13 +258,15 @@ def _rk4(factors, configs, which, z, inverse):
     return z
 
 
-def cutoff_product_map(factors, configs, z, inverse=False):
+def cutoff_product_map(factors, deltas, steps, z, inverse=False):
     """Psi = Phi_1 x ... x Phi_n: each factor's cutoff map on its coordinate.
 
-    ``z`` holds one coordinate per factor on its last axis, and ``inverse``
-    (one flag, or a mask that broadcasts to z.shape[:-1]) marks the rows to
-    map backwards, from t = 1. Returns (image, ramp); ``ramp`` marks the
-    coordinates that RK4 integrated.
+    Factor i has the cutoff level deltas[i], finite and positive, and every
+    factor takes ``steps`` >= MIN_STEPS RK4 steps. ``z`` holds one
+    coordinate per factor on its last axis, and ``inverse`` (one flag, or a
+    mask that broadcasts to z.shape[:-1]) marks the rows to map backwards,
+    from t = 1. Returns (image, ramp); ``ramp`` marks the coordinates that
+    RK4 integrated.
 
     Where rho = 1 the flow conserves lev^2 (pi|z|^2/a at t = 0, gauge^2 at
     t = 1) and moves points along |z_t|^2 = lev^2 R_t(phi)^2 with R_t^2 =
@@ -279,37 +274,36 @@ def cutoff_product_map(factors, configs, z, inverse=False):
     (_exact_level) therefore never leaves rho = 1, and its time-1 map is psi
     (psi^-1 backwards). Where pi|z|^2 <= RAMP_LO delta the field vanishes and
     the point is fixed. The ramp coordinates in between, of every factor and
-    both directions, go through one _rk4 call, so the configs must share one
-    step count.
+    both directions, go through one _rk4 call.
     """
     z = np.asarray(z, dtype=complex)
     width = z.shape[-1] if z.ndim else 0
-    if not width == len(configs) == len(factors):
-        raise ValueError(f"{len(factors)} factors need as many configs and "
-                         f"coordinates, got {len(configs)} and {width}")
-    steps = {c.steps for c in configs}
-    if len(steps) != 1:
-        raise ValueError(f"configs need one step count, got {sorted(steps)}")
+    if not width == len(deltas) == len(factors):
+        raise ValueError(f"{len(factors)} factors need as many deltas and "
+                         f"coordinates, got {len(deltas)} and {width}")
+    if not all(0.0 < delta < np.inf for delta in deltas):
+        raise ValueError("cutoff level delta must be finite and positive")
+    check_integer("integration step count", steps, least=MIN_STEPS)
     flat = z.reshape(-1, z.shape[-1])
     inverse = np.broadcast_to(inverse, z.shape[:-1]).reshape(-1)
     image = flat.copy()
     ramp = np.empty(flat.shape, dtype=bool)
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
+    for i, (f, delta) in enumerate(zip(factors, deltas)):
         col, out = flat[:, i], image[:, i]
         pi_u = np.pi * np.abs(col) ** 2
         lev2 = pi_u / f.area
         if np.any(inverse):
             lev2[inverse] = f.gauge(col[inverse]) ** 2
-        exact = lev2 >= _exact_level(f, cfg.delta)
-        ramp[:, i] = ~exact & (pi_u > RAMP_LO * cfg.delta)
+        exact = lev2 >= _exact_level(f, delta)
+        ramp[:, i] = ~exact & (pi_u > RAMP_LO * delta)
         for closed_form, band in ((disk_to_domain, exact & ~inverse),
                                   (domain_to_disk, exact & inverse)):
             if np.any(band):
                 out[band] = closed_form(f, col[band])
     rows, cols = np.nonzero(ramp)
     if rows.size:
-        image[rows, cols] = _rk4(factors, configs, cols, flat[rows, cols],
-                                 inverse[rows])
+        image[rows, cols] = _rk4(factors, deltas, steps, cols,
+                                 flat[rows, cols], inverse[rows])
     return image.reshape(z.shape), ramp.reshape(z.shape)
 
 
@@ -322,7 +316,8 @@ def cutoff_disk_map(profile, config, z, inverse=False):
     exact band); it is one flag or a mask that broadcasts to z.
     """
     z = np.asarray(z, dtype=complex)
-    out, _ = cutoff_product_map([profile], [config], z[..., None], inverse)
+    out, _ = cutoff_product_map([profile], [config.delta], config.steps,
+                                z[..., None], inverse)
     return complex(out[..., 0]) if z.ndim == 0 else out[..., 0]
 
 
@@ -462,7 +457,6 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     bound = sandwich_bound(domain, epsilon)
     factors = domain.factors
     areas = np.array(domain.factor_areas)
-    configs = [CutoffMapConfig(delta=d, steps=steps) for d in bound.deltas]
     rng = np.random.default_rng(seed)
 
     # Outer: samples of E, pushed forward. Inner: samples of
@@ -473,7 +467,8 @@ def sandwich_check(factors, epsilon, samples, seed, steps=64):
     pts = np.concatenate([ellipsoid_pts, target])
     inverse = np.arange(2 * samples) >= samples
 
-    image, ramps = cutoff_product_map(factors, configs, pts, inverse)
+    image, ramps = cutoff_product_map(factors, bound.deltas, steps, pts,
+                                      inverse)
     outer_gauge = domain.gauge(image[:samples])
     inner_gauge = np.sqrt(ellipsoid_level(areas, image[samples:]))
     outer_bad = outer_gauge > 1.0 + epsilon

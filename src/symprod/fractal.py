@@ -26,9 +26,9 @@ at the defaults, so boundary_patch_counts refuses any scale whose grid
 exceeds PATCH_GRID_BUDGET before it counts one.
 
 count_scales evaluates the graph once, at the pitch of its finest scale,
-and reads each coarser scale whose pitch is an exact integer multiple of
-that pitch off every r-th sample; other scales are evaluated at their own
-pitch.
+and reads each coarser scale off every r-th sample, so every scale's
+pitch must be an exact integer multiple of the finest one, as the pitches
+of scales 2^-k are.
 
 Distinct cells are found by sorting their int64 keys and keeping each
 key that differs from its predecessor (``_distinct``), never by a plain
@@ -184,13 +184,13 @@ def column_cells(x, lo, hi, eps, offset):
     return int(np.sum(top - bottom)) + start.size
 
 
-def _stride(pitch, fine):
-    """The integer r with pitch == r * fine exactly, or 0 if there is none.
-
-    fmod is exact, so it is 0 just when pitch is an integer multiple of
-    fine; that integer is then a float, and pitch / fine rounds to it.
-    """
-    return int(pitch / fine) if math.fmod(pitch, fine) == 0.0 else 0
+def _stride(eps, pitch, fine):
+    """The integer r with pitch == r * fine exactly, for scale eps. fmod is
+    exact, so it is 0 just when r exists, and pitch / fine rounds to r."""
+    if math.fmod(pitch, fine):
+        raise ValueError(f"scale {float(eps)!r} is not an integer multiple "
+                         "of the finest scale")
+    return int(pitch / fine)
 
 
 def count_scales(sampler, scales, seed=0):
@@ -199,28 +199,25 @@ def count_scales(sampler, scales, seed=0):
     Each scale samples at pitch eps / PITCH_FACTOR and averages
     column_cells over N_OFFSETS random grid origins; the counts equal
     box_count over the filled point cloud sampler(pitch), which is never
-    built. The graph is evaluated once, at the finest pitch. A scale whose
-    pitch is exactly r times the finest takes every r-th finest sample:
+    built. The graph is evaluated once, at the finest pitch. Every scale
+    must be an exact integer multiple r of the finest, as scales 2^-k are,
+    or count_scales raises ValueError; it takes every r-th finest sample:
     pitch * i and finest * (r * i) round the same real number, so its
-    samples are bit for bit its own. Any other scale is evaluated at its
-    own pitch.
+    samples are bit for bit its own.
     """
     scales = _check_scales(scales)
     rng = np.random.default_rng(seed)
     pitches = scales / PITCH_FACTOR
     fine = pitches.min(initial=np.inf)
-    strides = [_stride(pitch, fine) for pitch in pitches]
-    # a nested scale's samples are the finest ones up to index stop - 1,
+    strides = [_stride(eps, p, fine) for eps, p in zip(scales, pitches)]
+    # a scale's samples are the finest ones up to index stop - 1,
     # which can lie past the finest scale's own last sample
     stops = [r * (_sample_count(pitch) - 1) + 1
              for r, pitch in zip(strides, pitches)]
     x, y = sampler.samples(fine, max(stops, default=0))
     counts = []
     for eps, pitch, r, stop in zip(scales, pitches, strides, stops):
-        if r:
-            xs, ys = x[:stop:r], y[:stop:r]
-        else:
-            xs, ys = sampler.samples(pitch)
+        xs, ys = x[:stop:r], y[:stop:r]
         lo, hi = fill_extents(ys, pitch)
         cells = [column_cells(xs, lo, hi, eps, rng.uniform(0.0, eps, 2))
                  for _ in range(N_OFFSETS)]

@@ -17,6 +17,8 @@ import sys
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Fewest radius samples a RadialProfile takes.
+MIN_NODES = 16
 
 
 def horner(coef, s):
@@ -106,8 +108,9 @@ class RadialProfile:
 
     def __init__(self, samples, interpolation="linear"):
         samples = np.array(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 16:
-            raise ValueError("need a 1-d array of at least 16 radius samples")
+        if samples.ndim != 1 or samples.size < MIN_NODES:
+            raise ValueError(f"need a 1-d array of at least {MIN_NODES} "
+                             "radius samples")
         if interpolation not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         if not np.all(np.isfinite(samples)):
@@ -309,6 +312,13 @@ class RadialProfile:
 
 # -- presets ----------------------------------------------------------------
 
+def node_angles(N):
+    """2 pi k / N for k < N; fewer than MIN_NODES is a ValueError."""
+    if N < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} radius samples, got {N}")
+    return np.arange(N) * (TWO_PI / N)
+
+
 def disk_profile(area=np.pi, N=4096, interpolation="linear"):
     """Disk of the given area centered at the origin."""
     if not 0.0 < area < np.inf:
@@ -342,7 +352,7 @@ def polygon_profile(vertices, N=4096):
     if np.any(np.diff(ang) <= 0.0):
         raise ValueError("polygon is not star-shaped with respect to the origin")
 
-    theta = np.arange(N) * (TWO_PI / N)
+    theta = node_angles(N)
     edge = np.searchsorted(ang, theta, side="right") - 1
     edge = np.mod(edge, verts.shape[0])
     p = verts[edge]
@@ -397,7 +407,7 @@ def hunt_profile(r0=1.0, amplitude=0.1, a=0.5, b=3.0, terms=20, phases=None,
     phases = np.asarray(phases, dtype=float)
     if phases.size != terms + 1:
         raise ValueError("need one phase per series term")
-    theta = np.arange(N) * (TWO_PI / N)
+    theta = node_angles(N)
     radii = r0 + amplitude * weierstrass_series(theta / TWO_PI, a, b, terms, phases)
     return RadialProfile(radii, "linear")
 
@@ -426,7 +436,7 @@ def xz_profile(r0=1.0, amplitude=0.1, a=0.5, alpha=1.2, beta=1.5, terms=12,
                N=4096):
     """Triangle-wave series profile (dimension-2 boundary family)."""
     _check_xz(a, alpha, beta)
-    theta = np.arange(N) * (TWO_PI / N)
+    theta = node_angles(N)
     radii = r0 + amplitude * xz_series(theta / TWO_PI, a, alpha, beta, terms)
     return RadialProfile(radii, "linear")
 
@@ -435,7 +445,7 @@ def cosine_profile(area=np.pi, N=4096, interpolation="cubic"):
     """Smooth reference profile with R(theta)^2 = (area/pi)(1 + cos(theta)/2)."""
     if not 0.0 < area < np.inf:
         raise ValueError("cosine profile area must be finite and positive")
-    theta = np.arange(N) * (TWO_PI / N)
+    theta = node_angles(N)
     radii = np.sqrt(area / np.pi * (1.0 + 0.5 * np.cos(theta)))
     return RadialProfile(radii, interpolation)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symprod import fractal, geometry2d
+from symprod import capacities, diskmap, fractal, geometry2d
 from symprod.cli import build_parser, run
 from symprod.selftest import run_selftest
 
@@ -382,6 +382,25 @@ def test_boxdim_refuses_before_counting(argv, message, monkeypatch, capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["map", "--spec", str(SPECS / "cosine_disk.spec"), "--grid", "513"],
+     diskmap, "disk_to_domain"),
+    (["capacities", "--areas", "1,2", "--count", "1000001"],
+     capacities, "gh_capacities")], ids=["map-grid", "capacities-count"])
+def test_size_limit_refuses_before_computing(argv, module, name, monkeypatch,
+                                             capsys):
+    """One past the option's limit exits 2, naming the option, and the
+    computation, which fails the test if it is ever called, never runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} computed past its size limit")
+
+    monkeypatch.setattr(module, name, forbidden)
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        f"error: {argv[-2]} must be at most {int(argv[-1]) - 1}, got")
 
 
 def test_readme_examples_parse():

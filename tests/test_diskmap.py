@@ -154,13 +154,20 @@ def test_cutoff_map_roundtrip_fractal():
     assert np.max(np.abs(back - z)) < 1e-3
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(delta=float("nan")), dict(delta=float("inf")),
-    dict(delta=0.1, steps=8.5)], ids=["delta-nan", "delta-inf", "steps-8.5"])
-def test_cutoff_config_rejects_bad_values(kwargs):
-    """A non-finite delta would freeze every point; float steps break RK4."""
-    with pytest.raises(ValueError):
-        diskmap.CutoffMapConfig(**kwargs)
+@pytest.mark.parametrize("delta,steps,match", [
+    (float("nan"), 64, "delta must be finite and positive"),
+    (float("inf"), 64, "delta must be finite and positive"),
+    (0.1, 8.5, "step count must be an integer")],
+    ids=["delta-nan", "delta-inf", "steps-8.5"])
+def test_cutoff_config_rejects_bad_values(delta, steps, match):
+    """A non-finite delta would freeze every point; float steps break RK4.
+    cutoff_product_map rejects both, also when cutoff_disk_map calls it."""
+    profile = geometry2d.disk_profile(1.0)
+    with pytest.raises(ValueError, match=match):
+        diskmap.cutoff_product_map([profile], [delta], steps, [[0.1]])
+    config = diskmap.CutoffMapConfig(delta=delta, steps=steps)
+    with pytest.raises(ValueError, match=match):
+        diskmap.cutoff_disk_map(profile, config, 0.1)
 
 
 def test_verify_cutoff_containment():
@@ -302,8 +309,7 @@ def test_map_is_continuous_across_exact_threshold(name, inverse):
     for factor in (1.0 + 1e-3, 1.0 - 1e-3):
         z = level_points(profile, factor * lev2, theta, inverse)
         w = diskmap.cutoff_disk_map(profile, config, z, inverse=inverse)
-        fine = dataclasses.replace(config, steps=1024)
-        ref = diskmap._rk4([profile], [fine], 0, z, inverse)
+        ref = diskmap._rk4([profile], [config.delta], 1024, 0, z, inverse)
         assert np.max(np.abs(w - ref)) <= 0.2 / config.steps + 0.2 / 1024
 
 
@@ -321,7 +327,7 @@ def off_node(profile, theta, h):
 
 def library_field(profile, config, size):
     """The library's cutoff field of one factor on ``size`` points."""
-    table = diskmap._cell_table([profile], [config],
+    table = diskmap._cell_table([profile], [config.delta],
                                 np.zeros(size, dtype=np.int64))
     return lambda z, t: diskmap._cutoff_velocity(table, z, t)
 
@@ -718,22 +724,19 @@ def test_batched_rk4_matches_each_group_alone(seed, n_factors, sizes, cubic,
             for size, c in zip(sizes[:n_factors], cubic)]
     except ValueError:
         reject()  # cubic overshoot below zero
-    configs = [diskmap.CutoffMapConfig(
-        delta=diskmap.sandwich_delta(f, 0.05, n_factors), steps=steps)
-        for f in factors]
+    deltas = [diskmap.sandwich_delta(f, 0.05, n_factors) for f in factors]
     which = rng.integers(0, n_factors, size)
-    delta = np.array([c.delta for c in configs])[which]
-    u = delta / np.pi * rng.uniform(0.0, 1.0, size)
+    u = np.array(deltas)[which] / np.pi * rng.uniform(0.0, 1.0, size)
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, size))
     inverse = rng.random(size) < 0.5
-    out = diskmap._rk4(factors, configs, which, z, inverse)
-    for i, (f, cfg) in enumerate(zip(factors, configs)):
+    out = diskmap._rk4(factors, deltas, steps, which, z, inverse)
+    for i, (f, delta) in enumerate(zip(factors, deltas)):
         for back in (False, True):
             group = (which == i) & (inverse == back)
-            alone = diskmap._rk4([f], [cfg], 0, z[group], back)
+            alone = diskmap._rk4([f], [delta], steps, 0, z[group], back)
             np.testing.assert_array_equal(out[group], alone)
-            w, ramp = diskmap.cutoff_product_map([f], [cfg], z[group, None],
-                                                 back)
+            w, ramp = diskmap.cutoff_product_map([f], [delta], steps,
+                                                 z[group, None], back)
             np.testing.assert_array_equal(w[ramp], alone[ramp[:, 0]])
 
 
@@ -761,7 +764,8 @@ def test_product_map_is_the_factor_maps_side_by_side(seed, n_factors, sizes,
     u = delta / np.pi * rng.uniform(0.0, 4.0, (rows, n_factors))
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
     inverse = rng.random(rows) < 0.5
-    image, ramp = diskmap.cutoff_product_map(factors, configs, z, inverse)
+    image, ramp = diskmap.cutoff_product_map(
+        factors, [c.delta for c in configs], steps, z, inverse)
     for i, (f, cfg) in enumerate(zip(factors, configs)):
         np.testing.assert_array_equal(
             image[:, i], diskmap.cutoff_disk_map(f, cfg, z[:, i], inverse))
@@ -769,17 +773,15 @@ def test_product_map_is_the_factor_maps_side_by_side(seed, n_factors, sizes,
             ramp[:, i], reference_bands(f, cfg, z[:, i], inverse)[1])
 
 
-@pytest.mark.parametrize("steps,width,match", [
-    ((64, 9), 2, "one step count"), ((64,), 2, "got 1 and"),
-    ((64, 64), 3, "got 2 and"), ((64, 64), 0, "got 2 and")],
-    ids=["mixed-steps", "one-config", "three-coordinates", "scalar"])
-def test_product_map_rejects_mismatched_configs(steps, width, match):
-    """One config and one coordinate per factor, all with one step count."""
+@pytest.mark.parametrize("n_deltas,width,match", [
+    (1, 2, "got 1 and"), (2, 3, "got 2 and"), (2, 0, "got 2 and")],
+    ids=["one-config", "three-coordinates", "scalar"])
+def test_product_map_rejects_mismatched_configs(n_deltas, width, match):
+    """One cutoff level and one coordinate per factor."""
     factors = list(sandwich_factors().values())
-    configs = [diskmap.CutoffMapConfig(delta=0.1, steps=s) for s in steps]
     z = np.zeros((1, width)) if width else 0.0
     with pytest.raises(ValueError, match=match):
-        diskmap.cutoff_product_map(factors, configs, z)
+        diskmap.cutoff_product_map(factors, [0.1] * n_deltas, 64, z)
 
 
 @pytest.mark.parametrize("steps", [64, 9])
@@ -800,12 +802,12 @@ def test_sandwich_check_evaluates_field_four_times_per_step(monkeypatch,
         report = diskmap.sandwich_check(stack[:n_factors], 0.05, 300, 1, steps)
         assert report.integrated > 0
         assert len(calls) == 4 * steps, n_factors
-    configs = [sandwich_config(f, steps) for f in stack]
+    deltas = [diskmap.sandwich_delta(f, 0.05, 2) for f in stack]
     rng = np.random.default_rng(2)
-    u = rng.uniform(0.0, 1.0, (200, 3)) * [c.delta / np.pi for c in configs]
+    u = rng.uniform(0.0, 1.0, (200, 3)) * [d / np.pi for d in deltas]
     z = np.sqrt(u) * np.exp(1j * rng.uniform(0.0, TWO_PI, u.shape))
     calls.clear()
-    _, ramp = diskmap.cutoff_product_map(stack, configs, z,
+    _, ramp = diskmap.cutoff_product_map(stack, deltas, steps, z,
                                          np.arange(200) % 2 == 1)
     assert np.all(np.any(ramp[0::2], axis=0) & np.any(ramp[1::2], axis=0))
     assert len(calls) == 4 * steps

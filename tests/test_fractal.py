@@ -1,5 +1,7 @@
 """Fractal families and the box-counting dimension estimator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -534,18 +536,14 @@ GRAPH_CASES = {
     "segment": (fractal.graph_sampler(lambda x: 0.3 * x), 5),
     "chunk2": (fractal.graph_sampler(WEIER), 7),
     "chunk997": (fractal.graph_sampler(WEIER), 8),
-    "unnested": (fractal.graph_sampler(WEIER), 9),
     "ragged": (fractal.graph_sampler(WEIER), 10),
 }
 # Cases that evaluate the graph this many samples at a time.
 GRAPH_CHUNKS = {"chunk2": 2, "chunk997": 997}
-# Cases on other scales than GRAPH_SCALES. The half-integer exponents of
-# "unnested" are no integer multiple of the finest pitch, so count_scales
-# evaluates them at their own. The pitches of "ragged" are, but 1 / pitch
-# is no integer, so the coarsest scale reaches past the finest's own
-# samples.
-GRAPH_CASE_SCALES = {"unnested": 2.0 ** -np.linspace(4.0, 7.0, 7),
-                     "ragged": 0.3 * 2.0 ** -np.arange(2, 9)}
+# Cases on other scales than GRAPH_SCALES. The pitches of "ragged" are
+# integer multiples of the finest, but 1 / pitch is no integer, so the
+# coarsest scale reaches past the finest's own samples.
+GRAPH_CASE_SCALES = {"ragged": 0.3 * 2.0 ** -np.arange(2, 9)}
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
@@ -557,6 +555,15 @@ def test_count_scales_matches_point_cloud(case, monkeypatch):
     np.testing.assert_array_equal(
         fractal.count_scales(sampler, scales, seed=seed),
         reference_graph_counts(sampler, scales, seed=seed))
+
+
+def test_count_scales_rejects_unnested_scale():
+    """Scales 2^-4, 2^-4.5, ..., 2^-7: 2^-4.5 is the first that is no
+    integer multiple of the finest, and the error names it."""
+    scales = 2.0 ** -np.linspace(4.0, 7.0, 7)
+    with pytest.raises(ValueError, match=re.escape(
+            f"scale {float(scales[1])!r} is not an integer multiple")):
+        fractal.count_scales(fractal.graph_sampler(WEIER), scales)
 
 
 @pytest.mark.parametrize("chunk", [None, 997])

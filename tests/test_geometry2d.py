@@ -290,12 +290,11 @@ def test_results_are_per_point(seed, n, interpolation, size):
                      z, t)
 
     factors = [profile, other]
-    configs = [diskmap.CutoffMapConfig(
-        delta=diskmap.sandwich_delta(f, 0.05, 2), steps=8) for f in factors]
-    u = rng.uniform(0.0, 4.0, (size, 2)) * [c.delta / np.pi for c in configs]
+    deltas = [diskmap.sandwich_delta(f, 0.05, 2) for f in factors]
+    u = rng.uniform(0.0, 4.0, (size, 2)) * [d / np.pi for d in deltas]
     pts = np.sqrt(u) * np.exp(1j * rng.uniform(-3.0, 4.0, u.shape) * TWO_PI)
     assert_per_point(
-        lambda w, back: diskmap.cutoff_product_map(factors, configs, w,
+        lambda w, back: diskmap.cutoff_product_map(factors, deltas, 8, w,
                                                    back)[0],
         pts, rng.random(size) < 0.5)
 

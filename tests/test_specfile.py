@@ -149,6 +149,20 @@ def test_library_rejected_value_is_line_anchored(text, line):
     assert str(exc.value).startswith(f"line {line}: ")
 
 
+@pytest.mark.parametrize("ftype, extra", [
+    ("weierstrass", ""), ("hunt", ""), ("xz", ""), ("cosine", ""),
+    ("polygon", "vertices = 1 1, -1 1, -1 -1, 1 -1\n")],
+    ids=["weierstrass", "hunt", "xz", "cosine", "polygon"])
+def test_zero_nodes_exit_2_with_line(ftype, extra, tmp_path, capsys):
+    """n = 0 is rejected before the node angles 2 pi k / n are divided
+    out, so it is a spec error and not a ZeroDivisionError."""
+    spec = tmp_path / "zero.spec"
+    spec.write_text(f"[factor]\ntype = {ftype}\n{extra}n = 0\n")
+    assert run(["area", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "spec error: line 1: need at least 16 radius samples, got 0\n")
+
+
 def test_syntax_error_is_reported_before_a_rejected_value():
     """Factors are built after the whole file is read: the malformed line
     6 is reported, not the negative area of the factor at line 1."""
