@@ -17,7 +17,11 @@ cutoff_product_map, uses those closed forms for every trajectory that
 stays in one of the two regions. It integrates the rest, of every factor
 and both directions, in one elementwise RK4 loop, whose field reads R, R'
 and S for each point from one table of the factors' per-cell polynomials
-(_cell_table): one angle reduction and one cell lookup per point.
+(_cell_table): one cell lookup per point, at arctan2's angle moved onto
+[0, 2 pi] by one add where it is negative (_wrap_angle, np.mod's bits at
+a fraction of its cost). The loop makes its per-step constants once: dt/2
+and dt/6 per run, and the time-only terms of the field (_stage) once per
+RK4 time, so k2 and k3 share theirs.
 
 The epsilon-sandwich of a 2-product is decided by sandwich_bound, a closed
 form that proves both inclusions for every point of E in O(n). Each
@@ -174,8 +178,9 @@ def _cell_table(factors, deltas, which):
     zeros to the highest degree present, which leaves each factor's Horner
     values unchanged; ``rows`` slices out the R, R' and S rows. ``points``
     is (params, cells) of factor ``which`` per point: cell width, a/2pi,
-    pi/a, the ramp's lower end and width in |z|^2 (from ``deltas``), then
-    the last cell and the factor's first column in ``coef``.
+    -a/2pi, pi/a, the ramp's lower end and width in |z|^2 (from
+    ``deltas``), then the last cell and the factor's first column in
+    ``coef``.
     """
     polys = [f.cell_polynomials() for f in factors]
     ends = np.cumsum([max(p[k].shape[0] for p in polys) for k in range(3)])
@@ -190,6 +195,7 @@ def _cell_table(factors, deltas, which):
     params = np.array([
         [TWO_PI / f.N for f in factors],
         [f.area / TWO_PI for f in factors],
+        [-f.area / TWO_PI for f in factors],
         [np.pi / f.area for f in factors],
         [RAMP_LO * delta / np.pi for delta in deltas],
         [(RAMP_HI - RAMP_LO) * delta / np.pi for delta in deltas]])
@@ -197,7 +203,25 @@ def _cell_table(factors, deltas, which):
     return coef, rows, (params[:, which], cells[:, which])
 
 
-def _cutoff_velocity(table, z, t):
+def _wrap_angle(theta):
+    """arctan2's angle in [-pi, pi] moved to [0, 2 pi] by adding 2 pi
+    where it is negative: np.mod(theta, TWO_PI) bit for bit on that range,
+    -0 and NaN included, in three cheap ufuncs instead of np.mod's floor
+    division. A tiny negative angle rounds up to 2 pi, as under np.mod."""
+    return theta + TWO_PI * (theta < 0.0)
+
+
+def _stage(table, t):
+    """The field's time argument at times t: (t, (1 - t) a/2pi) per point.
+
+    (1 - t) a/2pi is the disk's share of S_t'. _rk4 makes one stage per
+    RK4 time: k2 and k3 share one, and k4's is the next step's k1's.
+    """
+    (_, rate, *_), _ = table[2]
+    return t, (1.0 - t) * rate
+
+
+def _cutoff_velocity(table, z, stage):
     """Hamiltonian vector field of rho(|z|^2) f_t(arg z) pi |z|^2 / a.
 
     rho is a quintic smoothstep across each point's ramp: 0 below
@@ -206,29 +230,34 @@ def _cutoff_velocity(table, z, t):
     S_t = (1 - t) S_disk + t S on the circle: f_t = -(a/2pi)(S - S_disk)/S_t'
     with S_t' = (1 - t) a/2pi + t R^2/2. Its angle derivative is analytic:
     with num = S - (a/2pi) theta and den = S_t', num' = R^2/2 - a/2pi and
-    den' = t R R'. R, R' and S come from one angle reduction and one cell
-    lookup per point in ``table``, the _cell_table of z's points.
+    den' = t R R'. R, R' and S come from one cell lookup per point in
+    ``table``, the _cell_table of z's points, which also holds -a/2pi;
+    ``stage`` is _stage's (t, (1 - t) a/2pi). The angle is wrapped by
+    _wrap_angle.
     """
     stack, (r_rows, rd_rows, s_rows), points = table
-    (h, rate, scale, lo, span), (last, first) = points
-    u = z.real ** 2 + z.imag ** 2
+    (h, rate, neg_rate, scale, lo, span), (last, first) = points
+    t, disk = stage
+    re, im = z.real, z.imag
+    u = re ** 2 + im ** 2
     x = np.minimum(np.maximum((u - lo) / span, 0.0), 1.0)
     rho = x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
     rho_d = 30.0 * (x * (1.0 - x)) ** 2 / span
 
-    # np.mod may round a tiny negative angle up to 2 pi; the clamp to the
-    # last cell then evaluates that cell's end, where S = a.
-    theta = np.mod(np.arctan2(z.imag, z.real), TWO_PI)
+    # The clamp to the last cell evaluates an angle wrapped up to 2 pi at
+    # that cell's end, where S = a.
+    theta = _wrap_angle(np.arctan2(im, re))
     j = np.minimum((theta / h).astype(np.int64), last)
     s = theta - j * h
-    coef = stack.take(j + first, axis=1)
+    # A list of rows: horner's slices are then list slices, not new views.
+    coef = list(stack.take(j + first, axis=1))
     r = horner(coef[r_rows], s)
     half_r2 = 0.5 * r * r
     num = horner(coef[s_rows], s) - rate * theta
-    den = (1.0 - t) * rate + t * half_r2
-    f = -rate * num / den
-    fd = -rate * ((half_r2 - rate) * den -
-                  num * t * r * horner(coef[rd_rows], s)) / den ** 2
+    den = disk + t * half_r2
+    f = neg_rate * num / den
+    fd = neg_rate * ((half_r2 - rate) * den -
+                     num * t * r * horner(coef[rd_rows], s)) / den ** 2
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
 
 
@@ -239,22 +268,29 @@ def _rk4(factors, deltas, steps, which, z, inverse):
     ``factors`` and their cutoff levels ``deltas``, per point or one for
     all), all tabled once by _cell_table. Points with ``inverse`` set (a
     mask, or one flag for all) run backwards from t = 1, the others
-    forwards from t = 0, in ``steps`` steps of 1/steps. Every operation is
-    elementwise, so each point's result is bit-identical to a run of its
-    group alone, with its factor alone.
+    forwards from t = 0, in ``steps`` steps of 1/steps. The step's
+    fractions dt/2 and dt/6 are made once per run, and each RK4 time's
+    _stage once, in the operations of the textbook update. Every operation
+    is elementwise, so each point's result is bit-identical to a run of
+    its group alone, with its factor alone.
     """
     z = np.array(z, dtype=complex)
     inverse = np.broadcast_to(inverse, z.shape)
     table = _cell_table(factors, deltas, np.broadcast_to(which, z.shape))
     dt = np.where(inverse, -1.0, 1.0) / steps
+    half, sixth = 0.5 * dt, dt / 6.0
     t = np.where(inverse, 1.0, 0.0)
+    start = _stage(table, t)
     for _ in range(steps):
-        k1 = _cutoff_velocity(table, z, t)
-        k2 = _cutoff_velocity(table, z + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = _cutoff_velocity(table, z + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = _cutoff_velocity(table, z + dt * k3, t + dt)
-        z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mid = _stage(table, t + half)
         t = t + dt
+        end = _stage(table, t)
+        k1 = _cutoff_velocity(table, z, start)
+        k2 = _cutoff_velocity(table, z + half * k1, mid)
+        k3 = _cutoff_velocity(table, z + half * k2, mid)
+        k4 = _cutoff_velocity(table, z + dt * k3, end)
+        z += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        start = end
     return z
 
 

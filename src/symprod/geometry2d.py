@@ -17,8 +17,12 @@ import sys
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# Fewest radius samples a RadialProfile takes.
+# Fewest and most radius samples a RadialProfile takes. At MAX_NODES = 2**20
+# a cubic cosine_profile builds in 0.34 s and peaks at 390 MB RSS with a
+# Weierstrass profile beside it (single run, 2-vCPU Xeon); N = 10**14
+# would ask numpy for 728 TiB.
 MIN_NODES = 16
+MAX_NODES = 1 << 20
 
 
 def horner(coef, s):
@@ -108,9 +112,9 @@ class RadialProfile:
 
     def __init__(self, samples, interpolation="linear"):
         samples = np.array(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < MIN_NODES:
-            raise ValueError(f"need a 1-d array of at least {MIN_NODES} "
-                             "radius samples")
+        if samples.ndim != 1:
+            raise ValueError("radius samples must be a 1-d array")
+        _check_nodes(samples.size)
         if interpolation not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         if not np.all(np.isfinite(samples)):
@@ -312,10 +316,19 @@ class RadialProfile:
 
 # -- presets ----------------------------------------------------------------
 
-def node_angles(N):
-    """2 pi k / N for k < N; fewer than MIN_NODES is a ValueError."""
+def _check_nodes(N):
+    """ValueError unless MIN_NODES <= N <= MAX_NODES. RadialProfile checks
+    its sample count here, and every preset its N before any array."""
     if N < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} radius samples, got {N}")
+    if N > MAX_NODES:
+        raise ValueError(f"need at most {MAX_NODES} radius samples, "
+                         f"got N = {N}")
+
+
+def node_angles(N):
+    """2 pi k / N for k < N, once _check_nodes accepts N."""
+    _check_nodes(N)
     return np.arange(N) * (TWO_PI / N)
 
 
@@ -323,6 +336,7 @@ def disk_profile(area=np.pi, N=4096, interpolation="linear"):
     """Disk of the given area centered at the origin."""
     if not 0.0 < area < np.inf:
         raise ValueError("disk area must be finite and positive")
+    _check_nodes(N)
     r = np.sqrt(area / np.pi)
     return RadialProfile(np.full(N, r), interpolation)
 
@@ -435,7 +449,7 @@ def xz_series(x, a, alpha, beta, terms):
 def xz_profile(r0=1.0, amplitude=0.1, a=0.5, alpha=1.2, beta=1.5, terms=12,
                N=4096):
     """Triangle-wave series profile (dimension-2 boundary family)."""
-    _check_xz(a, alpha, beta)
+    _check_xz(a, alpha, beta, terms)
     theta = node_angles(N)
     radii = r0 + amplitude * xz_series(theta / TWO_PI, a, alpha, beta, terms)
     return RadialProfile(radii, "linear")
@@ -461,9 +475,15 @@ def _check_weierstrass(a, b, terms):
                          f"terms={terms})")
 
 
-def _check_xz(a, alpha, beta):
+def _check_xz(a, alpha, beta, terms):
+    """Parameters whose every term a^(k^alpha) phi(a^(-k^beta) x) is a
+    finite float; Python's float ** raises OverflowError past that."""
     if not 0.0 < a < 1.0:
         raise ValueError("need 0 < a < 1")
     if not 1.0 < alpha < beta:
         raise ValueError("need 1 < alpha < beta")
+    if terms >= 1 and (beta * math.log(terms) + math.log(-math.log(a))
+                       >= math.log(math.log(sys.float_info.max))):
+        raise ValueError(f"a ** -(terms ** beta) overflows a float "
+                         f"(a={a:g}, beta={beta:g}, terms={terms})")
 

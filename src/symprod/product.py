@@ -122,16 +122,19 @@ class ProductDomain:
         """1-homogeneous product gauge (sum_i g_i^p)^(1/p), summed one
         factor at a time (see the module docstring).
 
-        A one-point g_i is a Python float; np.asarray keeps its power in
-        numpy arithmetic, because Python's ** calls libm pow, which can
-        differ from numpy's square in the last bit.
+        One point is evaluated as a one-row array: a numpy scalar's **
+        calls libm pow, which can differ in the last bit from the array
+        loops (numpy's square and sqrt at p = 2).
         """
         x = complex_points(x, len(self.factors))
-        total = np.asarray(self.factors[0].gauge(x[..., 0])) ** self.p
+        one = x.ndim == 1
+        if one:
+            x = x[None]
+        total = self.factors[0].gauge(x[..., 0]) ** self.p
         for i in range(1, len(self.factors)):
-            total += np.asarray(self.factors[i].gauge(x[..., i])) ** self.p
+            total += self.factors[i].gauge(x[..., i]) ** self.p
         out = total ** (1.0 / self.p)
-        return float(out) if out.ndim == 0 else out
+        return float(out[0]) if one else out
 
     def bounding_radii(self):
         """Per-factor radii of a box enclosing the product."""

@@ -329,7 +329,8 @@ def library_field(profile, config, size):
     """The library's cutoff field of one factor on ``size`` points."""
     table = diskmap._cell_table([profile], [config.delta],
                                 np.zeros(size, dtype=np.int64))
-    return lambda z, t: diskmap._cutoff_velocity(table, z, t)
+    return lambda z, t: diskmap._cutoff_velocity(table, z,
+                                                 diskmap._stage(table, t))
 
 
 def library_contact_hamiltonian(profile, theta, t):
@@ -406,6 +407,21 @@ def reference_velocity(profile, config, z, t):
                                           np.mod(np.angle(z), TWO_PI), t)
     scale = np.pi / profile.area
     return scale * (2.0 * (rho_d * u + rho) * f * 1j * z - rho * fd * z)
+
+
+def test_wrap_angle_is_np_mod_bit_for_bit():
+    """The field's angle wrap equals np.mod(arctan2, 2 pi) bit for bit on
+    signed zeros, the smallest subnormal, NaN parts and random points."""
+    y = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 5e-324, -5e-324,
+         np.nan, 1.0, np.nan, -np.nan]
+    x = [0.0, 0.0, -0.0, -0.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0,
+         1.0, np.nan, np.nan, -1.0]
+    rng = np.random.default_rng(32)
+    y = np.concatenate([y, rng.normal(size=10 ** 5)])
+    x = np.concatenate([x, rng.normal(size=10 ** 5)])
+    theta = np.arctan2(y, x)
+    np.testing.assert_array_equal(diskmap._wrap_angle(theta).view(np.int64),
+                                  np.mod(theta, TWO_PI).view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)

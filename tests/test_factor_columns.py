@@ -38,6 +38,9 @@ def assert_same_bits(got, want):
 
 
 def old_gauge(domain, x):
+    """The stacked sum; one point as a one-row array, as the gauge takes it."""
+    if np.ndim(x) == 1:
+        return float(old_gauge(domain, np.asarray(x)[None])[0])
     g = product.factorwise(geometry2d.RadialProfile.gauge, domain.factors, x)
     out = (g ** domain.p).sum(axis=-1) ** (1.0 / domain.p)
     return float(out) if out.ndim == 0 else out

@@ -266,7 +266,8 @@ def test_results_are_per_point(seed, n, interpolation, size):
     other points of its call, on random linear and cubic profiles, for
     angles, areas and times over several turns; Newton stops each point of
     a cubic S^-1 on its own residual. The rows of cutoff_product_map, on
-    the profile times a second random one, are per point too."""
+    the profile times a second random one, are per point too, and so is
+    the product gauge at p = 1, 2 and 3."""
     rng = np.random.default_rng(seed)
     try:
         profile, other = (RadialProfile(rng.uniform(0.3, 1.5, n), kind)
@@ -297,6 +298,8 @@ def test_results_are_per_point(seed, n, interpolation, size):
         lambda w, back: diskmap.cutoff_product_map(factors, deltas, 8, w,
                                                    back)[0],
         pts, rng.random(size) < 0.5)
+    for p in (1.0, 2.0, 3.0):
+        assert_per_point(ProductDomain(factors, p).gauge, pts)
 
 
 def test_gauge_and_flow_at_origin_and_nan_keep_their_bits():

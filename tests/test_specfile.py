@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symprod.geometry2d import RadialProfile
 from symprod.product import ellipsoid_level
@@ -161,6 +163,63 @@ def test_zero_nodes_exit_2_with_line(ftype, extra, tmp_path, capsys):
     assert run(["area", "--spec", str(spec)]) == 2
     assert capsys.readouterr().err == (
         "spec error: line 1: need at least 16 radius samples, got 0\n")
+
+
+@pytest.mark.parametrize("ftype, extra", [
+    ("disk", ""), ("cosine", ""), ("weierstrass", ""), ("hunt", ""),
+    ("xz", ""), ("polygon", "vertices = 1 1, -1 1, -1 -1, 1 -1\n")],
+    ids=["disk", "cosine", "weierstrass", "hunt", "xz", "polygon"])
+def test_huge_node_count_exit_2_with_line(ftype, extra, tmp_path, capsys):
+    """n = 10**14 is refused before numpy is asked for its 728 TiB of node
+    angles or radii, by every builder that takes n."""
+    spec = tmp_path / "huge.spec"
+    spec.write_text(f"[factor]\ntype = {ftype}\n{extra}n = {10 ** 14}\n")
+    assert run(["area", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "spec error: line 1: need at most 1048576 radius samples, "
+        f"got N = {10 ** 14}\n")
+
+
+# Values for the spec property: edge cases, lists and a few that parse.
+SPEC_VALUES = ["0", "-5", str(10 ** 14), "1e308", "nan", "inf", "", "0.5",
+               "2", "64", "1 2 3", "1 1, -1 1, -1 -1, 1 -1", "1 " * 16]
+
+
+@st.composite
+def spec_texts(draw):
+    """Spec text from a small grammar: an optional p line, then sections of
+    known (or unknown) types and keys, each with a value from SPEC_VALUES."""
+    value = st.sampled_from(SPEC_VALUES)
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"p = {draw(value)}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(draw(st.sampled_from(["[factor]"] * 2 + ["[bogus]"])))
+        ftype = draw(st.sampled_from(sorted(specfile._BUILDERS) + ["bogus"]))
+        builder = specfile._BUILDERS.get(ftype)
+        keys = sorted(specfile._params(builder)) if builder else []
+        if draw(st.booleans()):
+            lines.append(f"type = {ftype}")
+        for key in draw(st.lists(st.sampled_from(keys + ["type", "bogus"]),
+                                 max_size=4)):
+            lines.append(f"{key} = {draw(value)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=spec_texts())
+@example(text=f"[factor]\ntype = xz\nbeta = {10 ** 14}\n")
+def test_spec_is_a_domain_or_a_line_anchored_error(text):
+    """Any text of the grammar parses to a ProductDomain, or raises a
+    SpecFileError that carries its line, unless no factor is declared.
+    The example is an xz term a^-(k^beta) that Python's ** cannot hold."""
+    try:
+        domain = parse_spec(text)
+    except SpecFileError as exc:
+        if exc.line is None:
+            assert str(exc) == "spec file declares no factors", text
+    else:
+        assert isinstance(domain, specfile.ProductDomain)
 
 
 def test_syntax_error_is_reported_before_a_rejected_value():
