@@ -120,8 +120,21 @@ def cmd_map(args):
     return 0
 
 
+# Largest volume --samples. mc_volume holds one block per thread, so only
+# its time grows: 10^9 samples took 14 s on 2 threads at 73 MB peak RSS
+# (cosine x disk, 2-vCPU VM).
+VOLUME_SAMPLES_MAX = 10 ** 9
+# Largest --samples of conjugacy, sandwich and boundary-minimal, which hold
+# every sample at once. 10^6 samples took 1.0 s and 496 MB peak RSS in
+# conjugacy, 1.9 s and 488 MB in sandwich (both on weier_square_disk) and
+# 0.3 s and 152 MB in boundary-minimal on a 2-vCPU VM; 10^12 asked numpy
+# for 21.8 TiB.
+SAMPLES_MAX = 10 ** 6
+
+
 def cmd_volume(args):
-    samples = _count(args, "samples", product_mod.MC_MIN_SAMPLES)
+    samples = _count(args, "samples", product_mod.MC_MIN_SAMPLES,
+                     VOLUME_SAMPLES_MAX)
     threads = _count(args, "threads")
     domain = load_spec(args.spec)
     est = product_mod.mc_volume(domain, samples, args.seed, threads=threads)
@@ -132,12 +145,18 @@ def cmd_volume(args):
     return 0
 
 
+# Largest flow --steps. 10^6 rows took 3.2 s and 779 MB peak RSS on a
+# 2-vCPU VM, the CSV rows dominating; 10^12 asked numpy for 7.3 TiB.
+FLOW_STEPS_MAX = 10 ** 6
+
+
 def cmd_flow(args):
+    steps = _count(args, "steps", most=FLOW_STEPS_MAX)
     domain = product_mod.two_product(load_spec(args.spec))
     factors = domain.factors
     z0 = _parse_point(args.point, len(factors))
     t0, t1 = _finite_floats(args.t_range, "--t-range", 2)
-    times = np.linspace(t0, t1, _count(args, "steps"))
+    times = np.linspace(t0, t1, steps)
     # A finite but huge time unwraps the flowed angle past the float
     # range; report that once instead of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,7 +181,7 @@ def cmd_conjugacy(args):
     if not 0.0 <= args.tolerance < np.inf:
         raise ValueError("--tolerance must be finite and nonnegative, "
                          f"got {args.tolerance}")
-    samples = _count(args, "samples")
+    samples = _count(args, "samples", most=SAMPLES_MAX)
     residuals = dynamics.sample_conjugacy_residuals(
         load_spec(args.spec), samples, args.seed)
     _emit(args, [f"samples = {args.samples}",
@@ -187,9 +206,16 @@ def cmd_capacities(args):
     return 0
 
 
+# Largest sandwich --steps. The RK4 time grows with the steps times the
+# samples in the ramp: 2^14 steps took 1.5 s at 1000 samples and 16 s at
+# 100 000 (weier_square, 2-vCPU VM, 74 MB peak RSS); 10^12 steps ran on
+# until stopped.
+SANDWICH_STEPS_MAX = 1 << 14
+
+
 def cmd_sandwich(args):
-    samples = _count(args, "samples")
-    steps = _count(args, "steps", diskmap.MIN_STEPS)
+    samples = _count(args, "samples", most=SAMPLES_MAX)
+    steps = _count(args, "steps", diskmap.MIN_STEPS, SANDWICH_STEPS_MAX)
     report = diskmap.sandwich_check(load_spec(args.spec), args.epsilon,
                                     samples, args.seed, steps=steps)
     _emit_fields(args, report, [
@@ -202,7 +228,7 @@ def cmd_sandwich(args):
 
 
 def cmd_boundary_minimal(args):
-    samples = _count(args, "samples")
+    samples = _count(args, "samples", most=SAMPLES_MAX)
     domain = load_spec(args.spec)
     n = len(domain.factors)
     rng = np.random.default_rng(args.seed)

@@ -17,6 +17,11 @@ hits depend only on (samples, seed). MC_SLICE fixes only the working set:
 the Monte Carlo checks evaluate their points MC_SLICE at a time
 (mc_slices), which keeps each temporary inside the L2 cache and out of
 the allocator's return to the kernel, and changes no result.
+mc_volume first drops the box samples that a cheap lower bound of the
+gauge, with each R(theta) replaced by max_radius, proves to be misses
+(MC_BOUND_MARGIN holds the rounding argument): 1 - pi^2/32, about 69%,
+of the box at p = 2 on two factors. It tests only the rest against the
+gauge, and its hits are those of the gauge on every sample.
 
 Per-factor arithmetic runs one factor column at a time: the gauge, the
 ellipsoid level and the samplers never reduce or broadcast over the
@@ -49,6 +54,20 @@ MC_BLOCK = 1 << 16
 MC_SLICE = 1 << 12
 # Fewest samples mc_volume accepts.
 MC_MIN_SAMPLES = 1000
+# Relative margin of mc_volume's radius bound; a proof constant, not a
+# tuning setting. The bound takes the gauge's own steps with each factor's
+# R(theta) replaced by max_radius, the interpolant's maximum (spline
+# overshoot included), so each computed term can fall below the gauge's
+# only where the computed R(theta) exceeds max_radius: by a few ulps of
+# Horner rounding, or by the rounding of a critical value. A point whose
+# bound sum exceeds (1 + MARGIN)^p has a gauge sum above
+# ((1 + MARGIN)(1 - k u))^p (1 - c u), with u = 2^-53 and k, c counting
+# those ulps, the quotient, the power and the n-term sum; its p-th root
+# rounds above 1 while MARGIN >> (k + c + 1) u, for any p. So the point
+# is a certain miss. The largest R(theta) / max_radius - 1 measured, on
+# 2 * 10**6 angles of every preset and of 20 random step-like cubic
+# profiles whose maximum is a spline overshoot, was 2.2e-16.
+MC_BOUND_MARGIN = 1e-9
 
 
 def complex_points(z, n):
@@ -276,12 +295,19 @@ def mc_volume(domain, samples, seed, threads=1):
 
     Samples are drawn in blocks of MC_BLOCK with per-block seeded
     generators, so the result depends only on (samples, seed), not on the
-    worker count; each block is tested MC_SLICE points at a time.
+    worker count. Each slice of MC_SLICE points first gets the radius
+    bound sum_i (|z_i| / max_radius_i)^p, and the points above
+    MC_BOUND_MARGIN's limit, certain misses, are dropped. The survivors
+    are moved to the front of the block, and only they are tested against
+    the gauge, MC_SLICE at a time: about 5 gauge calls per block at p = 2
+    in place of 16, with no block-sized temporary. The hits are those of
+    one gauge call on the whole block.
     """
     check_integer("samples", samples, least=MC_MIN_SAMPLES)
     check_integer("threads", threads, least=1)
     radii = domain.bounding_radii()
     box_volume = float(np.prod((2.0 * radii) ** 2))
+    limit = (1.0 + MC_BOUND_MARGIN) ** domain.p
     blocks = [(b, min(MC_BLOCK, samples - b * MC_BLOCK))
               for b in range((samples + MC_BLOCK - 1) // MC_BLOCK)]
 
@@ -289,8 +315,20 @@ def mc_volume(domain, samples, seed, threads=1):
         index, size = args
         rng = np.random.default_rng([seed, index])
         pts = sample_complex_box(rng, radii, size)
+        kept = 0
+        for part in mc_slices(size):
+            z = pts[part]
+            bound = (np.abs(z[:, 0]) / radii[0]) ** domain.p
+            for i in range(1, radii.size):
+                bound += (np.abs(z[:, i]) / radii[i]) ** domain.p
+            survivors = z[bound <= limit]
+            # kept <= part.start: the survivors overwrite only points
+            # that have been read.
+            pts[kept:kept + len(survivors)] = survivors
+            kept += len(survivors)
+        pts = pts[:kept]
         return sum(int(np.count_nonzero(domain.gauge(pts[part]) <= 1.0))
-                   for part in mc_slices(size))
+                   for part in mc_slices(kept))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         hits = sum(pool.map(count_block, blocks))

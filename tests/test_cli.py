@@ -6,13 +6,15 @@ import os
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symprod import capacities, diskmap, fractal, geometry2d
+from symprod import (capacities, cli, diskmap, dynamics, fractal, geometry2d,
+                     product)
 from symprod.cli import build_parser, run
 from symprod.selftest import run_selftest
 
@@ -388,7 +390,23 @@ def test_boxdim_refuses_before_counting(argv, message, monkeypatch, capsys):
     (["map", "--spec", str(SPECS / "cosine_disk.spec"), "--grid", "513"],
      diskmap, "disk_to_domain"),
     (["capacities", "--areas", "1,2", "--count", "1000001"],
-     capacities, "gh_capacities")], ids=["map-grid", "capacities-count"])
+     capacities, "gh_capacities"),
+    (["volume", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+      "--samples", "1000000001"], product, "mc_volume"),
+    (["conjugacy", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+      "--samples", "1000001"], dynamics, "sample_conjugacy_residuals"),
+    (["sandwich", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+      "--samples", "1000001"], diskmap, "sandwich_check"),
+    (["boundary-minimal", "--spec", str(SPECS / "disks_1_1.spec"), "--seed",
+      "1", "--samples", "1000001"], capacities,
+     "boundary_minimal_experiment"),
+    (["flow", "--spec", str(SPECS / "disks_1_1.spec"), "--point",
+      "0.4,0.1;0.3,0.2", "--steps", "1000001"], cli, "load_spec"),
+    (["sandwich", "--spec", str(SPECS / "disks_1_1.spec"), "--seed", "1",
+      "--samples", "1000", "--steps", "16385"], diskmap, "sandwich_check")],
+    ids=["map-grid", "capacities-count", "volume-samples", "conjugacy-samples",
+         "sandwich-samples", "boundary-minimal-samples", "flow-steps",
+         "sandwich-steps"])
 def test_size_limit_refuses_before_computing(argv, module, name, monkeypatch,
                                              capsys):
     """One past the option's limit exits 2, naming the option, and the
@@ -401,6 +419,127 @@ def test_size_limit_refuses_before_computing(argv, module, name, monkeypatch,
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith(
         f"error: {argv[-2]} must be at most {int(argv[-1]) - 1}, got")
+
+
+NPROC = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count())
+# Values that no number option takes, or that only some take.
+NUMBERS = ["0", "1", "-1", "1e-300", "1e308", "nan", "inf", "x"]
+# The work of each subcommand, which a count above its limit never reaches.
+WORK = [(product, "mc_volume"), (dynamics, "sample_conjugacy_residuals"),
+        (dynamics, "char_flow_2d"), (diskmap, "sandwich_check"),
+        (diskmap, "disk_to_domain"), (capacities, "gh_capacities"),
+        (capacities, "boundary_minimal_experiment"),
+        (fractal, "count_scales"), (fractal, "boundary_patch_counts"),
+        (cli, "run_selftest")]
+
+
+def count(option, least, most, small):
+    """A count option: valid from least to small, invalid below least or
+    above most, from one past it to 10^15."""
+    return (option, st.integers(least, small), st.one_of(
+        st.integers(-2, least - 1), st.integers(most + 1, 10 ** 15)), most)
+
+
+def choice(option, valid, invalid=()):
+    """An option valid at the ``valid`` values, and invalid at the
+    ``invalid`` ones and at NUMBERS."""
+    return (option, st.sampled_from(valid),
+            st.sampled_from([*invalid, *NUMBERS]), None)
+
+
+
+
+def spec(*names):
+    """--spec, valid at the named bundled specs."""
+    return choice("--spec", [str(SPECS / f"{name}.spec") for name in names],
+                  ["no/such.spec"])
+
+
+SPEC = spec("disks_1_1", "cosine_disk", "weier_square", "weier_square_disk")
+SEED = ("--seed", st.integers(0, 3), st.just(-1), None)
+THREADS = ("--threads", st.integers(1, NPROC), st.integers(-1, 0), None)
+# Each subcommand's options, each with its valid and invalid values.
+OPTIONS = {
+    "area": [SPEC],
+    "map": [SPEC, ("--factor", st.integers(0, 1), st.just(3), None),
+            count("--grid", 1, cli.MAP_GRID_MAX, 12)],
+    "volume": [SPEC, SEED, THREADS,
+               count("--samples", product.MC_MIN_SAMPLES,
+                     cli.VOLUME_SAMPLES_MAX, 3000)],
+    "flow": [spec("disks_1_1", "cosine_disk", "weier_square"),
+             choice("--point", ["0.4,0.1;0.3,0.2", "0.1,0.1;0.2,0.1"],
+                          ["0.1,0.1", "nan,0;0.3,0.2", "1,x;0.5,0"]),
+             choice("--t-range", ["0,1", "-2,3"], ["0,1e308", "0,inf"]),
+             count("--steps", 1, cli.FLOW_STEPS_MAX, 40)],
+    "conjugacy": [SPEC, SEED, choice("--tolerance", ["1e-6", "0", "1e308"]),
+                  count("--samples", 1, cli.SAMPLES_MAX, 40)],
+    "capacities": [choice("--areas", ["1,2", "2,3,5", "1"],
+                          ["1,-2", "nan,1", "1,x", "1e308,1"]),
+                   count("--count", 1, cli.CAPACITY_COUNT_MAX, 12)],
+    "sandwich": [SPEC, SEED, choice("--epsilon", ["0.05", "0.2", "0.9"]),
+                 count("--samples", 1, cli.SAMPLES_MAX, 300),
+                 count("--steps", diskmap.MIN_STEPS, cli.SANDWICH_STEPS_MAX,
+                       32)],
+    "boundary-minimal": [spec("disks_1_1"), SEED,
+                         choice("--width", ["0.9", "0.6"]),
+                         choice("--target-ratio", ["0.9", "0.8"]),
+                         count("--samples", 1, cli.SAMPLES_MAX, 500)],
+    "boxdim": [SEED, choice("--target", ["function", "product", "boundary"]),
+               choice("--family", ["weierstrass", "weierstrass_phase"]),
+               choice("--a", ["0.5", "0.7"]), choice("--b", ["3", "4"]),
+               ("--terms", st.integers(0, 40), st.just(-1), None),
+               ("--min-exp", st.integers(0, 2), st.sampled_from([4, 1076]),
+                None),
+               ("--max-exp", st.integers(6, 7), st.sampled_from([5, -1100]),
+                None)],
+    "selftest": [SEED, THREADS],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand's argv with valid values but for at most one option,
+    and whether that option is a count above its limit. --threads never
+    exceeds NPROC."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[command]
+    broken = draw(st.one_of(st.none(), st.integers(0, len(options) - 1)))
+    argv, over = [command], False
+    for i, (option, valid, invalid, most) in enumerate(options):
+        value = draw(invalid if i == broken else valid)
+        over = over or (most is not None and value > most)
+        argv += [option, str(value)]
+    if command == "selftest":
+        argv.append("--quick")
+    return argv, over
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a count above its limit reached the work")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cli_argvs())
+def test_any_argv_exits_0_1_or_2_without_traceback(case):
+    """Every subcommand, run in-process on drawn option values, exits 0, 1
+    (a FAIL verdict) or 2 (argparse's usage errors included) and writes no
+    traceback. A count above its limit exits 2 before any work: the work
+    functions, which fail the test when called, are never reached."""
+    argv, over = case
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if over:
+            for module, name in WORK:
+                patch.setattr(module, name, forbidden)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert code == 2 or not over, argv
 
 
 def test_readme_examples_parse():

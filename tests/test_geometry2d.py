@@ -302,6 +302,40 @@ def test_results_are_per_point(seed, n, interpolation, size):
         assert_per_point(ProductDomain(factors, p).gauge, pts)
 
 
+@pytest.mark.parametrize("interpolation", ["linear", "cubic"])
+@pytest.mark.parametrize("size", [geometry2d.SORTED_SEARCH_MIN - 1,
+                                  geometry2d.SORTED_SEARCH_MIN, 4097])
+def test_sorted_cell_search_keeps_every_bit(monkeypatch, size, interpolation):
+    """S^-1 by the sorted cell search gives the plain search's bytes, on
+    random profiles, in 1-D and 2-D calls, with NaN, +-inf, exact multiples
+    of the area and cumulative nodes among the keys. A SORTED_SEARCH_MIN
+    above every size gives the plain search, the oracle."""
+    rng = np.random.default_rng(size)
+    shape = {63: (7, 9), 64: (8, 8), 4097: (17, 241)}[size]
+    for _ in range(4):
+        try:
+            profile = RadialProfile(rng.uniform(0.3, 1.5, rng.integers(16, 600)),
+                                    interpolation)
+        except ValueError:
+            continue  # cubic overshoot below zero
+        s = rng.uniform(-3.0, 4.0, size) * profile.area
+        s[:16] = np.concatenate(([np.nan, np.inf, -np.inf],
+                                 np.arange(-3, 5) * profile.area,
+                                 rng.choice(profile._cumulative, 5)))
+        rng.shuffle(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            sorted_route = [profile.inverse_sector_area_and_radius(keys)
+                            for keys in (s, s.reshape(shape))]
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry2d, "SORTED_SEARCH_MIN", 1 << 62)
+                plain = [profile.inverse_sector_area_and_radius(keys)
+                         for keys in (s, s.reshape(shape))]
+        for got, want in zip(sorted_route, plain):
+            assert got[0].shape == want[0].shape
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_gauge_and_flow_at_origin_and_nan_keep_their_bits():
     """r / R at r = 0 is +0.0 without a special case, also at -0 - 0i.
 

@@ -240,6 +240,65 @@ def test_mc_volume_slices_match_whole_blocks(monkeypatch, samples, threads,
     assert est.hits == whole_block_hits(domain, samples, seed=17)
 
 
+def step_overshoot_profile():
+    """A cubic profile on 16 step-like radii; its spline overshoots the
+    step, so its max_radius lies inside a cell, above every node."""
+    profile = geometry2d.RadialProfile([1.0] * 8 + [2.0] * 8, "cubic")
+    assert profile.max_radius > 2.0 * (1.0 + 1e-3)
+    return profile
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("factors", ["cosine_disk", "disks_1_1", "overshoot"])
+def test_mc_volume_radius_bound_drops_no_hit(factors, p, threads):
+    """The radius bound drops only misses, at several p, on factors whose
+    R(theta) reaches max_radius everywhere (disks), at a node (cosine) or
+    only at a spline overshoot inside a cell."""
+    if factors == "overshoot":
+        factors = [step_overshoot_profile(), geometry2d.cosine_profile(2.0)]
+    else:
+        factors = load_spec(SPECS / f"{factors}.spec").factors
+    domain = ProductDomain(factors, p=p)
+    samples = 2 * product.MC_BLOCK + 4097
+    est = product.mc_volume(domain, samples, seed=23, threads=threads)
+    assert est.hits == whole_block_hits(domain, samples, seed=23)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_mc_volume_keeps_hits_just_above_the_bound(monkeypatch, p):
+    """On two disks R(theta) is max_radius, so the bound's sum is the
+    gauge's, bit for bit. Where that sum rounds one ulp or so above 1, its
+    p-th root can still round to 1: a hit, which a bound without
+    MC_BOUND_MARGIN would drop. Box samples drawn only there all count."""
+    domain = two_disks(p=p)
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2))
+    z /= domain.gauge(z)[:, None]
+    total = sum((np.abs(z[:, i]) / r) ** p
+                for i, r in enumerate(domain.bounding_radii()))
+    edge = z[(total > 1.0) & (domain.gauge(z) <= 1.0)]
+    assert len(edge) >= product.MC_MIN_SAMPLES
+    monkeypatch.setattr(product, "sample_complex_box",
+                        lambda rng, radii, count: edge[:count].copy())
+    est = product.mc_volume(domain, len(edge), seed=1)
+    assert est.hits == len(edge)
+
+
+def test_mc_volume_gauges_only_the_survivors(monkeypatch):
+    """At p = 2 on two factors the bound's ball is pi^2/32 = 30.8% of the
+    box, so the gauge sees about that share of the samples."""
+    domain = load_spec(SPECS / "cosine_disk.spec")
+    hits = whole_block_hits(domain, product.MC_BLOCK, seed=5)
+    seen = []
+    gauge = domain.gauge
+    monkeypatch.setattr(domain, "gauge", lambda z: seen.append(len(z))
+                        or gauge(z))
+    assert product.mc_volume(domain, product.MC_BLOCK, seed=5).hits == hits
+    assert abs(sum(seen) / product.MC_BLOCK - np.pi ** 2 / 32) < 0.01
+    assert max(seen) <= product.MC_SLICE
+
+
 def test_mc_volume_peak_allocation():
     """One block and its draw, not the block's gauge temporaries: 6.6 MiB
     when each block was tested whole, 3.1 MiB in slices. A first call
