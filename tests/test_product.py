@@ -321,6 +321,23 @@ def test_mc_volume_rejects_non_integer_samples(samples):
         product.mc_volume(two_disks(), samples, seed=1)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, "--n must be at least 1, got 0"),
+    (11, "--n must be at most 10, got 11"),
+    (np.int64(11), "--n must be at most 10, got 11"),
+    (True, "--n must be an integer, got True")])
+def test_check_integer_words_each_bound(value, message):
+    with pytest.raises(ValueError) as exc:
+        product.check_integer("--n", value, least=1, most=10)
+    assert str(exc.value) == message
+
+
+def test_check_integer_takes_the_bounds_inclusive():
+    for value in (1, 10, np.int64(5)):
+        product.check_integer("--n", value, least=1, most=10)
+    product.check_integer("--n", 10 ** 20)
+
+
 def test_mc_volume_takes_numpy_integer_samples():
     est = product.mc_volume(two_disks(), np.int64(5000), seed=1)
     assert est.hits == product.mc_volume(two_disks(), 5000, seed=1).hits
